@@ -6,113 +6,4 @@ readings, a static advisor baseline, trial scenarios, and the glycaemic
 and statistical analytics used to compare the two arms.
 """
 
-from .advisor import (
-    AgentBundle,
-    AgentKind,
-    AgentState,
-    FeatureVector,
-    InsulinRecord,
-    Measurement,
-    TherapyParams,
-    Thresholds,
-    actor_update,
-    bba_recommendation,
-    bolus_features,
-    bolus_recommendation,
-    build_state,
-    correction_bolus,
-    cost,
-    critic_update,
-    glucose_error,
-    iob,
-    overnight_delta,
-    policy,
-)
-from .analytics import (
-    CohortSummary,
-    GlycemicSummary,
-    PatientOutcome,
-    TrialReport,
-    Window,
-    build_report,
-    chart_svg,
-    count_events,
-    estimate_hba1c,
-    lbgi,
-    lilliefors,
-    paired_compare,
-    paired_t,
-    reduce_trial,
-    report_to_csv,
-    standard_windows,
-    summarize_cohort,
-    time_in_ranges,
-    wilcoxon_signed_rank,
-)
-from .cli import (
-    RunConfig,
-    load_config,
-    main,
-)
-from .initialisation import (
-    CollectionLog,
-    RiskClass,
-    classify,
-    init_policy_params,
-    initialise_agents,
-    select_hyperparameters,
-    t2d_initial_therapy,
-    transfer_entropy,
-)
-from .patient import (
-    PatientParams,
-    PatientState,
-    SensitivitySchedule,
-    SimulationFault,
-    equilibrium_state,
-    fasting_glucose,
-    generate_cohort,
-    nominal_therapy,
-    read_smbg,
-    sample_patient,
-    step,
-)
-from .protocol import (
-    SCENARIOS,
-    DaySchedule,
-    DayTrace,
-    RescueController,
-    ScenarioSpec,
-    TrialResult,
-    announce_cho,
-    run_trial,
-    sample_day,
-    trace_from_text,
-    trace_to_text,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentBundle", "AgentKind", "AgentState", "FeatureVector", "InsulinRecord",
-    "Measurement", "TherapyParams", "Thresholds", "actor_update",
-    "bba_recommendation", "bolus_features", "bolus_recommendation",
-    "build_state", "correction_bolus", "cost", "critic_update",
-    "glucose_error", "iob", "overnight_delta", "policy",
-    "CohortSummary", "GlycemicSummary", "PatientOutcome", "TrialReport",
-    "Window", "build_report", "chart_svg", "count_events", "estimate_hba1c",
-    "lbgi", "lilliefors", "paired_compare", "paired_t", "reduce_trial",
-    "report_to_csv", "standard_windows", "summarize_cohort", "time_in_ranges",
-    "wilcoxon_signed_rank",
-    "RunConfig", "load_config", "main",
-    "CollectionLog", "RiskClass", "classify", "init_policy_params",
-    "initialise_agents", "select_hyperparameters", "t2d_initial_therapy",
-    "transfer_entropy",
-    "PatientParams", "PatientState", "SensitivitySchedule", "SimulationFault",
-    "equilibrium_state", "fasting_glucose", "generate_cohort",
-    "nominal_therapy", "read_smbg", "sample_patient", "step",
-    "SCENARIOS", "DaySchedule", "DayTrace", "RescueController", "ScenarioSpec",
-    "TrialResult", "announce_cho", "run_trial", "sample_day",
-    "trace_from_text", "trace_to_text",
-    "__version__",
-]

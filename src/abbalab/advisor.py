@@ -1,5 +1,5 @@
-"""Adaptive basal-bolus advisor: seven actor-critic agents plus the static
-baseline calculator.
+"""Adaptive basal-bolus advisor: seven actor-critic agents plus the dose
+calculators both arms share (the static arm keeps PS at 1).
 
 One basal agent and three ICR / three PS meal-slot agents adjust insulin
 therapy from sparse fingerstick readings. Each agent runs TD(lambda) with a
@@ -33,8 +33,6 @@ HYPO_DIVISOR = 50.0       # feature normalization, 70 - 20
 
 BETA_T1D = (1.0, 10.0)    # (beta_hyper, beta_hypo)
 BETA_T2D = (10.0, 1.0)
-
-MEAL_SLOTS = ("breakfast", "lunch", "dinner")
 
 
 class AgentKind(enum.Enum):
@@ -89,14 +87,7 @@ class Thresholds:
             raise ValueError("threshold ordering violated")
 
 
-@dataclass(frozen=True)
-class NormalizationSpec:
-    hyper_divisor: float = HYPER_DIVISOR
-    hypo_divisor: float = HYPO_DIVISOR
-
-
 DEFAULT_THRESHOLDS = Thresholds()
-DEFAULT_NORM = NormalizationSpec()
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,7 @@ def _values(window) -> list[float]:
     return [m.value if isinstance(m, Measurement) else float(m) for m in window]
 
 
-def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS,
-                   norm: NormalizationSpec = DEFAULT_NORM) -> FeatureVector | None:
+def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector | None:
     """Feature vector of one post-meal window; None signals skip-update."""
     vals = _values(window)
     if not vals:
@@ -161,20 +151,19 @@ def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS,
         elif e < 0.0:
             hypo_sum += -e
             n_l += 1
-    f_hyper = (hyper_sum / n_h) / norm.hyper_divisor if n_h else 0.0
-    f_hypo = (hypo_sum / n_l) / norm.hypo_divisor if n_l else 0.0
+    f_hyper = (hyper_sum / n_h) / HYPER_DIVISOR if n_h else 0.0
+    f_hypo = (hypo_sum / n_l) / HYPO_DIVISOR if n_l else 0.0
     return FeatureVector(min(f_hyper, 1.0), min(f_hypo, 1.0))
 
 
-def basal_features(day_measurements, th: Thresholds = DEFAULT_THRESHOLDS,
-                   norm: NormalizationSpec = DEFAULT_NORM) -> FeatureVector | None:
+def basal_features(day_measurements,
+                   th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector | None:
     """Same form as bolus_features, pooling every measurement of the day."""
-    return bolus_features(day_measurements, th, norm)
+    return bolus_features(day_measurements, th)
 
 
 def overnight_delta(first_morning, last_night,
-                    th: Thresholds = DEFAULT_THRESHOLDS,
-                    norm: NormalizationSpec = DEFAULT_NORM) -> np.ndarray:
+                    th: Thresholds = DEFAULT_THRESHOLDS) -> np.ndarray:
     """Morning-vs-night excursion pair, normalized; zeros when either is missing."""
     if first_morning is None or last_night is None:
         return np.zeros(2)
@@ -185,8 +174,8 @@ def overnight_delta(first_morning, last_night,
         b_hyper = g_m - g_n
     if g_m < th.g_low_morning and g_n > th.g_low_morning:
         b_hypo = g_n - g_m
-    return np.array([min(b_hyper / norm.hyper_divisor, 1.0),
-                     min(b_hypo / norm.hypo_divisor, 1.0)])
+    return np.array([min(b_hyper / HYPER_DIVISOR, 1.0),
+                     min(b_hypo / HYPO_DIVISOR, 1.0)])
 
 
 def build_state(kind: AgentKind, features: FeatureVector,
@@ -392,17 +381,6 @@ def bolus_recommendation(cho_g: float, g_c: float, therapy: TherapyParams,
     return max(raw, 0.0)
 
 
-def bba_recommendation(cho_g: float, g_c: float, therapy: TherapyParams,
-                       iob_u: float, meal_slot: int = 0,
-                       th: Thresholds = DEFAULT_THRESHOLDS) -> float:
-    """Static baseline calculator: the meal bolus with PS fixed at 1."""
-    if cho_g < 0:
-        raise ValueError("cho must be >= 0")
-    raw = (cho_g / therapy.icr[meal_slot]
-           + (g_c - th.target) / therapy.cf) - iob_u
-    return max(raw, 0.0)
-
-
 def correction_bolus(g_c: float, therapy: TherapyParams, ps_slot: float,
                      iob_u: float, th: Thresholds = DEFAULT_THRESHOLDS) -> float | None:
     """Between-meal correction, only above the hyper bound; None otherwise."""
@@ -419,9 +397,6 @@ class AgentBundle:
 
     def __getitem__(self, kind: AgentKind) -> AgentState:
         return self.agents[kind]
-
-    def __iter__(self):
-        return iter(self.agents.values())
 
 
 def make_bundle(theta_by_kind: dict[AgentKind, np.ndarray],

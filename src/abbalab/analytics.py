@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _sps
 
-MINUTES_PER_DAY = 1440
-
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
 

@@ -1,7 +1,8 @@
 """Batch experiment runner.
 
 `abbalab run` simulates a cohort under the configured scenario and arms,
-writing per-patient trace files, per-day agent checkpoints, a failures
+writing per-patient trace files, one checkpoint per ABBA trial holding the
+final agents (written once, after the trial completes), a failures
 manifest, and the comparison report (CSV + SVG chart). The report step
 re-reads the trace files it just wrote, so `replay` over the same directory
 reproduces it byte for byte. A config document plus a master seed fully
@@ -16,6 +17,7 @@ import configparser
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -185,20 +187,15 @@ def _run_one(task: dict) -> tuple[int, str, str | None]:
     out = Path(task["out"])
     headers = task["headers"]
     try:
-        ckpt_path = _checkpoint_path(out, params.id, arm)
-
-        def save_agents(day: int, bundle) -> None:
-            text = adv.bundle_to_text(bundle)
-            stamped = (f"# config_hash {headers['config_hash']}\n"
-                       f"# master_seed {headers['master_seed']}\n"
-                       f"# day {day}\n" + text)
-            ckpt_path.write_text(stamped)
-
         result = proto.run_trial(
             params, arm, task["spec"], master_seed=task["seed"],
             days=task["days"], dawn=task["dawn"],
-            rescue_threshold=task["rescue_threshold"],
-            checkpoint_cb=save_agents)
+            rescue_threshold=task["rescue_threshold"])
+        if result.final_agents is not None:
+            _checkpoint_path(out, params.id, arm).write_text(
+                f"# config_hash {headers['config_hash']}\n"
+                f"# master_seed {headers['master_seed']}\n"
+                f"# day {result.days}\n" + adv.bundle_to_text(result.final_agents))
         _trace_path(out, params.id, arm).write_text(
             proto.trace_to_text(result, headers))
         return (params.id, arm, None)
@@ -207,7 +204,11 @@ def _run_one(task: dict) -> tuple[int, str, str | None]:
 
 
 def _reduce_from_traces(out: Path) -> tuple[dict[str, list], dict[str, str]]:
-    """Parse every trace under out/traces, grouped by arm, headers verified."""
+    """Parse every trace under out/traces, grouped by arm, headers verified.
+
+    Only patients with a trace for every arm present are kept, so a failed
+    trial drops its patient from both sides of the paired comparison.
+    """
     paths = sorted((out / "traces").glob("p*.txt"))
     if not paths:
         raise ValueError(f"no trace files under {out / 'traces'}")
@@ -221,8 +222,13 @@ def _reduce_from_traces(out: Path) -> tuple[dict[str, list], dict[str, str]]:
             raise ValueError(f"{path.name} carries different run headers; "
                              "directory mixes runs")
         by_arm.setdefault(result.arm, []).append(result)
-    for results in by_arm.values():
-        results.sort(key=lambda r: r.patient.id)
+    paired = set.intersection(*({r.patient.id for r in results}
+                                for results in by_arm.values()))
+    if not paired:
+        raise ValueError("no patient has a trace for every arm")
+    by_arm = {arm: sorted((r for r in results if r.patient.id in paired),
+                          key=lambda r: r.patient.id)
+              for arm, results in by_arm.items()}
     return by_arm, headers or {}
 
 
@@ -263,6 +269,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(cfg.out)
+    dirty = [d for d in ("traces", "checkpoints") if any((out / d).glob("*"))]
+    if dirty:
+        print(f"error: {out} already holds {' and '.join(dirty)} of another run; "
+              "use an empty output directory", file=sys.stderr)
+        return 2
     (out / "traces").mkdir(parents=True, exist_ok=True)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     headers = {"config_hash": cfg.config_hash(), "master_seed": str(cfg.seed)}
@@ -278,8 +289,9 @@ def cmd_run(args: argparse.Namespace) -> int:
               "rescue_threshold": cfg.rescue_threshold,
               "out": str(out), "headers": headers}
              for p in cohort for arm in cfg.arms]
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
+    jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             statuses = pool.map(_run_one, tasks)
     else:
         statuses = [_run_one(t) for t in tasks]
@@ -293,9 +305,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     completed = [s for s in statuses if s[2] is None]
     if completed:
-        by_arm, _ = _reduce_from_traces(out)
-        written = _write_report(out, by_arm, headers)
-        for path in written:
+        try:
+            by_arm, _ = _reduce_from_traces(out)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        for path in _write_report(out, by_arm, headers):
             print(f"wrote {path}")
     print(f"{len(completed)}/{len(tasks)} trials completed; "
           f"failures manifest: {out / 'failures.txt'}")

@@ -15,10 +15,10 @@ import numpy as np
 
 from .advisor import (ALPHA_SP, AgentKind, AgentBundle, ICR_AGENTS, PS_AGENTS,
                       InsulinRecord, make_bundle)
+from .patient import MINUTES_PER_DAY
 
 CGM_INTERVAL_MIN = 5
 COLLECTION_DAYS = 14
-MINUTES_PER_DAY = 1440
 
 THETA_BASE = 0.5
 
@@ -42,10 +42,6 @@ class CollectionLog:
         object.__setattr__(self, "basal_rates", np.asarray(self.basal_rates, dtype=float))
         if len(self.cgm) != len(self.cgm_times) or len(self.cgm) != len(self.basal_rates):
             raise ValueError("CGM, time, and basal series must align")
-
-    @property
-    def complete(self) -> bool:
-        return len(self.cgm) == COLLECTION_DAYS * (MINUTES_PER_DAY // CGM_INTERVAL_MIN)
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def _quantile_bins(series: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, series, side="right")
 
 
-def transfer_entropy(source, target, bins: int = 4, history: int = 1) -> float:
+def transfer_entropy(source, target, bins: int = 4) -> float:
     """Plug-in transfer entropy source -> target in bits, quantile-binned.
 
     TE = H(y_next | y_past) - H(y_next | y_past, x_past), estimated from
@@ -91,10 +87,8 @@ def transfer_entropy(source, target, bins: int = 4, history: int = 1) -> float:
     y = np.asarray(target, dtype=float)
     if len(x) != len(y):
         raise ValueError("series must have equal length")
-    if len(x) < history + 2:
+    if len(x) < 3:
         raise ValueError("series too short")
-    if history != 1:
-        raise NotImplementedError("history length 1 only")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return 0.0
     xs = _quantile_bins(x, bins)

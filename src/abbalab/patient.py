@@ -14,7 +14,7 @@ from one seed is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,20 +74,6 @@ class PatientParams:
         return INSULIN_VOLUME_L_PER_KG * self.body_weight
 
 
-@dataclass
-class PatientState:
-    plasma_glucose: float = 120.0   # mg/dL
-    gut1: float = 0.0               # g CHO
-    gut2: float = 0.0
-    rapid1: float = 0.0             # U, subcutaneous rapid depot
-    rapid2: float = 0.0
-    long1: float = 0.0              # U, subcutaneous long-acting depot
-    long2: float = 0.0
-    plasma_insulin: float = 0.0     # U/L
-    insulin_action: float = 0.0     # U/L, filtered
-    sim_time: float = 0.0           # minutes since trial start
-
-
 @dataclass(frozen=True)
 class SensitivitySchedule:
     """Intra-day (dawn) and inter-day insulin-sensitivity modulation."""
@@ -130,18 +116,6 @@ def draw_interday_factor(schedule: SensitivitySchedule, rng: np.random.Generator
     return float(rng.uniform(1.0 - v, 1.0 + v))
 
 
-def effective_sensitivity(schedule: SensitivitySchedule, clock_minute: float,
-                          day_factor: float = 1.0) -> float:
-    """Combined multiplier applied to insulin-dependent glucose disposal.
-
-    `day_factor` is the per-day draw from draw_interday_factor; it must be
-    held constant across a simulated day.
-    """
-    if not 0.0 <= clock_minute < MINUTES_PER_DAY:
-        raise ValueError("clock_minute must lie in [0, 1440)")
-    return dawn_multiplier(schedule, clock_minute) * day_factor
-
-
 def _model_constants(params: PatientParams) -> tuple:
     """Pre-reduced coefficients for the inner integration loop."""
     inv_tm = 1.0 / params.meal_absorption_time_constant
@@ -156,8 +130,13 @@ def _model_constants(params: PatientParams) -> tuple:
             params.residual_insulin_secretion_gain)
 
 
-def _rk4_minute(y: tuple, c: tuple, sens: float, dt: float) -> tuple:
-    """One RK4 step over the 9 dynamic states. Pure float math, hot path."""
+def _rk4_minute(y: tuple, c: tuple, sens: float) -> tuple:
+    """One 1-minute RK4 step over the 9 dynamic states. Pure float math, hot path.
+
+    `y` is (gut1, gut2 in g CHO; rapid1, rapid2, long1, long2 in U; plasma
+    insulin, insulin action in U/L; plasma glucose in mg/dL). Meal and
+    insulin inputs are added to the depots before the call.
+    """
     inv_tm, inv_tr, inv_tl, ra_coef, inv_vi, s_i, egp, k_sec = c
     inv_tx = 1.0 / ACTION_TC_MIN
     k_e = INSULIN_CLEARANCE
@@ -185,17 +164,16 @@ def _rk4_minute(y: tuple, c: tuple, sens: float, dt: float) -> tuple:
 
     d1, d2, r1, r2, l1, l2, ip, x, g = y
     k1 = deriv(d1, d2, r1, r2, l1, l2, ip, x, g)
-    h = 0.5 * dt
+    h = 0.5
     k2 = deriv(d1 + h * k1[0], d2 + h * k1[1], r1 + h * k1[2], r2 + h * k1[3],
                l1 + h * k1[4], l2 + h * k1[5], ip + h * k1[6], x + h * k1[7],
                g + h * k1[8])
     k3 = deriv(d1 + h * k2[0], d2 + h * k2[1], r1 + h * k2[2], r2 + h * k2[3],
                l1 + h * k2[4], l2 + h * k2[5], ip + h * k2[6], x + h * k2[7],
                g + h * k2[8])
-    k4 = deriv(d1 + dt * k3[0], d2 + dt * k3[1], r1 + dt * k3[2], r2 + dt * k3[3],
-               l1 + dt * k3[4], l2 + dt * k3[5], ip + dt * k3[6], x + dt * k3[7],
-               g + dt * k3[8])
-    w = dt / 6.0
+    k4 = deriv(d1 + k3[0], d2 + k3[1], r1 + k3[2], r2 + k3[3],
+               l1 + k3[4], l2 + k3[5], ip + k3[6], x + k3[7], g + k3[8])
+    w = 1.0 / 6.0
     d1 += w * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
     d2 += w * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
     r1 += w * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
@@ -236,30 +214,6 @@ def _rk4_minute(y: tuple, c: tuple, sens: float, dt: float) -> tuple:
     return (d1, d2, r1, r2, l1, l2, ip, x, g)
 
 
-def step(state: PatientState, params: PatientParams, schedule: SensitivitySchedule,
-         cho_g: float = 0.0, rapid_insulin_u: float = 0.0, long_insulin_u: float = 0.0,
-         dt: float = 1.0, day_factor: float = 1.0) -> PatientState:
-    """Advance the patient by one fixed RK4 step of `dt` minutes.
-
-    Inputs are impulses deposited into the gut / subcutaneous depots at the
-    start of the step. Sensitivity is evaluated at the step's start clock
-    time and held constant across the step.
-    """
-    if not 0.0 < dt <= 5.0:
-        raise ValueError("dt must lie in (0, 5] minutes")
-    if cho_g < 0.0 or rapid_insulin_u < 0.0 or long_insulin_u < 0.0:
-        raise ValueError("inputs must be non-negative")
-    sens = effective_sensitivity(schedule, state.sim_time % MINUTES_PER_DAY, day_factor)
-    y = (state.gut1 + cho_g, state.gut2,
-         state.rapid1 + rapid_insulin_u, state.rapid2,
-         state.long1 + long_insulin_u, state.long2,
-         state.plasma_insulin, state.insulin_action, state.plasma_glucose)
-    d1, d2, r1, r2, l1, l2, ip, x, g = _rk4_minute(y, _model_constants(params), sens, dt)
-    return PatientState(plasma_glucose=g, gut1=d1, gut2=d2, rapid1=r1, rapid2=r2,
-                        long1=l1, long2=l2, plasma_insulin=ip, insulin_action=x,
-                        sim_time=state.sim_time + dt)
-
-
 def fasting_glucose(params: PatientParams, basal_u_per_day: float) -> float:
     """Steady-state glucose under a continuous-equivalent basal rate (bisection)."""
     c = _model_constants(params)
@@ -293,8 +247,9 @@ def fasting_glucose(params: PatientParams, basal_u_per_day: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> PatientState:
-    """Fasting fixed point with the long-acting depot at its periodic mean."""
+def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> tuple:
+    """Fasting fixed point with the long-acting depot at its periodic mean,
+    as the state tuple `_rk4_minute` integrates."""
     g = fasting_glucose(params, basal_u_per_day)
     rate = basal_u_per_day / MINUTES_PER_DAY
     u = rate
@@ -303,14 +258,12 @@ def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> PatientS
                                                           SECRETION_SPAN)
     ip = u / (params.insulin_volume_l * INSULIN_CLEARANCE)
     depot = rate * params.long_insulin_absorption_tc
-    return PatientState(plasma_glucose=g, long1=depot, long2=depot,
-                        plasma_insulin=ip, insulin_action=ip, sim_time=0.0)
+    return (0.0, 0.0, 0.0, 0.0, depot, depot, ip, ip, g)
 
 
-def read_smbg(state: PatientState | float, rng: np.random.Generator,
-              cv: float = 0.05) -> float:
+def read_smbg(g: float, rng: np.random.Generator, cv: float = 0.05) -> float:
     """Fingerstick reading: multiplicative Gaussian noise, clamped to [20, 600]."""
-    g = state.plasma_glucose if isinstance(state, PatientState) else float(state)
+    g = float(g)
     if cv > 0.0:
         g = g * (1.0 + cv * rng.standard_normal())
     return min(max(g, SMBG_FLOOR), SMBG_CEIL)
@@ -443,45 +396,3 @@ def nominal_therapy(params: PatientParams,
                      / params.glucose_distribution_volume)
     icr = _ICR_SCALE * cf / rise_per_gram
     return NominalTherapy(basal_u_per_day=basal, icr_g_per_u=icr, cf_mgdl_per_u=cf)
-
-
-# --- cohort text round trip ---------------------------------------------------
-
-_COHORT_FIELDS = (
-    "id", "diabetes_type", "body_weight", "insulin_sensitivity_base",
-    "carb_bioavailability", "meal_absorption_time_constant",
-    "rapid_insulin_absorption_tc", "long_insulin_absorption_tc",
-    "endogenous_glucose_production", "residual_insulin_secretion_gain",
-    "glucose_distribution_volume",
-)
-
-
-def cohort_to_text(cohort: list[PatientParams]) -> str:
-    lines = ["\t".join(_COHORT_FIELDS)]
-    for p in cohort:
-        row = []
-        for name in _COHORT_FIELDS:
-            v = getattr(p, name)
-            row.append(v if isinstance(v, str) else repr(v))
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def cohort_from_text(text: str) -> list[PatientParams]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split("\t")
-    if tuple(header) != _COHORT_FIELDS:
-        raise ValueError("unrecognized cohort header")
-    out = []
-    for ln in lines[1:]:
-        vals = ln.split("\t")
-        kw = {}
-        for name, raw in zip(_COHORT_FIELDS, vals):
-            if name == "diabetes_type":
-                kw[name] = raw
-            elif name == "id":
-                kw[name] = int(raw)
-            else:
-                kw[name] = float(raw)
-        out.append(PatientParams(**kw))
-    return out

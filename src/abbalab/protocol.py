@@ -2,22 +2,26 @@
 timing, the rescue controller, and the three-phase pipeline (two-week
 collection under the static advisor, initialization, on-line learning).
 
-run_trial is single-threaded per patient; the cohort runner fans out with
-disjoint per-patient seed streams derived from the master seed, so the arm
-never perturbs the environment draws (meals, noise) of its twin.
+run_trial is single-threaded per patient: a thin minute loop integrates the
+patient and hands each scheduled event to a handler of the Trial state. The
+cohort runner fans out with disjoint per-patient seed streams derived from
+the master seed, so the arm never perturbs its twin's meals, announcement
+errors or sensitivity draws. Reading noise is shared too until one arm has a
+rescue the other lacks: rescue readings draw from the same SMBG stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import advisor as adv
 from . import initialisation as init
 from . import patient as pat
+from .patient import MINUTES_PER_DAY
 
-MINUTES_PER_DAY = 1440
 ABBA = "abba"
 BBA = "bba"
 
@@ -204,272 +208,306 @@ def _trial_streams(master_seed: int, spec: ScenarioSpec,
     return {n: np.random.default_rng(c) for n, c in zip(names, children)}
 
 
-def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
-              master_seed: int, days: int | None = None, collection_days: int = 14,
-              smbg_cv: float = 0.05, dawn: str = "auto",
-              rescue_threshold: float = 30.0,
-              checkpoint_cb=None) -> TrialResult:
-    """Simulate one patient under one advisor arm for the whole trial.
+def _snapshot(therapy: adv.TherapyParams) -> TherapySnapshot:
+    return TherapySnapshot(icr=tuple(therapy.icr), ps=tuple(therapy.ps),
+                           cf=therapy.cf, basal=therapy.basal)
 
-    Environment randomness (meals, misestimation, readings, sensitivity) is
-    seeded independently of the arm, so paired arms face the same world.
+
+class Trial:
+    """One patient's trial under one arm, as the state events act on.
+
+    Holds the therapy, the agent bundle, the post-meal feature windows, the
+    current day's records and the seed streams. run_trial's minute loop
+    calls a handler at each event minute with the true plasma glucose; a
+    handler returns the insulin (U) it delivers that minute.
     """
-    if advisor_kind not in (ABBA, BBA):
-        raise ValueError(f"unknown advisor arm {advisor_kind!r}")
-    days = spec.days if days is None else int(days)
-    if days <= collection_days:
-        raise ValueError("trial must extend past the collection phase")
 
-    streams = _trial_streams(master_seed, spec, params)
-    therapy = initial_therapy_for(params, streams["therapy"])
-    initial_snapshot = TherapySnapshot(icr=tuple(therapy.icr), ps=tuple(therapy.ps),
-                                       cf=therapy.cf, basal=therapy.basal)
+    def __init__(self, params: pat.PatientParams, advisor_kind: str,
+                 spec: ScenarioSpec, master_seed: int, days: int):
+        self.params = params
+        self.arm = advisor_kind
+        self.spec = spec
+        self.days = days
+        self.streams = _trial_streams(master_seed, spec, params)
+        self.therapy = initial_therapy_for(params, self.streams["therapy"])
+        self.initial = _snapshot(self.therapy)
+        self.beta = adv.beta_for(params.diabetes_type)
+        self.bundle: adv.AgentBundle | None = None
+        self.te_bits: float | None = None
+        self.risk: init.RiskClass | None = None
 
-    dawn_enabled = (params.diabetes_type == pat.T1D) if dawn == "auto" else (dawn == "on")
-    schedule = pat.SensitivitySchedule(
-        dawn_enabled=dawn_enabled,
-        interday_variability_pct=spec.interday_sensitivity)
-    dawn_base = [pat.dawn_multiplier(schedule, m) for m in range(MINUTES_PER_DAY)]
-    consts = pat._model_constants(params)
-    beta = adv.beta_for(params.diabetes_type)
-    th = adv.DEFAULT_THRESHOLDS
+        # Collection log, the input of the ABBA initialisation.
+        self.cgm_vals: list[float] = []
+        self.cgm_times: list[float] = []
+        self.cgm_basal: list[float] = []
+        self.all_insulin: list[adv.InsulinRecord] = []
 
-    state = pat.equilibrium_state(params, therapy.basal)
-    y = (state.gut1, state.gut2, state.rapid1, state.rapid2, state.long1,
-         state.long2, state.plasma_insulin, state.insulin_action,
-         state.plasma_glucose)
+        # Feature bookkeeping.
+        self.slot_features: dict[int, np.ndarray] = {}
+        self.open_slot: int | None = None
+        self.open_values: list[float] = []
+        self.day_pool: list[float] = []
+        self.basal_state_prev: np.ndarray | None = None
+        self.prev_day_last_reading: float | None = None
+        self.today_first_reading: float | None = None
+        self.last_reading_today: float | None = None
+        self.tdd_yesterday: float | None = None
 
-    rescue = RescueController(threshold=rescue_threshold)
-    bundle: adv.AgentBundle | None = None
-    te_bits: float | None = None
-    risk: init.RiskClass | None = None
+        self.recent_insulin: list[adv.InsulinRecord] = []
+        self.day_traces: list[DayTrace] = []
 
-    # Collection accumulators (ABBA initialization inputs).
-    cgm_vals: list[float] = []
-    cgm_times: list[float] = []
-    cgm_basal: list[float] = []
-    all_insulin: list[adv.InsulinRecord] = []
+    def start_day(self, day: int) -> tuple[list[float], dict, dict, int]:
+        """Draw day `day`'s schedule and reset the day's records.
 
-    # Feature bookkeeping.
-    slot_features: dict[int, np.ndarray] = {}
-    open_slot: int | None = None
-    open_values: list[float] = []
-    day_pool: list[float] = []
-    basal_state_prev: np.ndarray | None = None
-    prev_day_last_reading: float | None = None
-    today_first_reading: float | None = None
-    last_reading_today: float | None = None
-    tdd_yesterday: float | None = None
+        Returns the per-minute CHO delivery and the event minutes: meal by
+        pre-meal reading minute, meal by post-prandial reading minute (S4
+        only), and the bedtime injection minute.
+        """
+        self.day = day
+        self.day_offset = (day - 1) * MINUTES_PER_DAY
+        self.collecting = day <= init.COLLECTION_DAYS
+        self.learning = self.arm == ABBA and not self.collecting
+        sched = sample_day(self.spec, self.streams["schedule"])
 
-    recent_insulin: list[adv.InsulinRecord] = []
-    day_traces: list[DayTrace] = []
-
-    def b_today() -> np.ndarray:
-        return adv.overnight_delta(today_first_reading, prev_day_last_reading, th)
-
-    def take_reading(now: float, slot: str) -> float:
-        nonlocal today_first_reading, last_reading_today
-        value = pat.read_smbg(y[8], streams["smbg"], cv=smbg_cv)
-        measurements.append(adv.Measurement(value=value, timestamp=now, slot=slot))
-        day_pool.append(value)
-        if today_first_reading is None:
-            today_first_reading = value
-        last_reading_today = value
-        return value
-
-    def close_window(closing_value: float, learning: bool) -> None:
-        nonlocal open_slot, open_values
-        if open_slot is None:
-            return
-        slot = open_slot
-        window_vals = open_values + [closing_value]
-        feats = adv.bolus_features(window_vals, th)
-        f_new = feats.as_array()
-        if learning and slot in slot_features and bundle is not None:
-            b_k = b_today()
-            f_prev = slot_features[slot]
-            for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
-                agent = bundle[kind]
-                s_t = adv.build_state(kind, f_prev, b_k)
-                s_n = adv.build_state(kind, f_new, b_k)
-                d = adv.critic_update(agent, s_t, s_n, beta)
-                if np.isfinite(d):
-                    adv.actor_update(agent, d, s_t)
-        slot_features[slot] = f_new
-        open_slot = None
-        open_values = []
-
-    def record_insulin(dose: float, kind: str, now: float) -> None:
-        nonlocal day_insulin
-        rec = adv.InsulinRecord(dose_u=dose, kind=kind, timestamp=now)
-        insulin_today.append(rec)
-        recent_insulin.append(rec)
-        if day <= collection_days:
-            all_insulin.append(rec)
-        day_insulin += dose
-
-    for day in range(1, days + 1):
-        day_factor = pat.draw_interday_factor(schedule, streams["sens"])
-        sched = sample_day(spec, streams["schedule"])
-        learning = advisor_kind == ABBA and day > collection_days
-
-        # Per-minute CHO delivery for today's meals.
         cho_by_minute = [0.0] * MINUTES_PER_DAY
         for meal in sched.meals:
             per_min = meal.cho_g / meal.duration_min
             for m in range(meal.start_minute, meal.start_minute + meal.duration_min):
                 if m < MINUTES_PER_DAY:
                     cho_by_minute[m] += per_min
-
-        bolus_at = {meal.bolus_minute: meal for meal in sched.meals
-                    if meal.bolus_minute is not None}
-        ppr_at = {}
-        if spec.correction_boluses:
+        pre_meal_at = {meal.bolus_minute: meal for meal in sched.meals
+                       if meal.bolus_minute is not None}
+        post_prandial_at = {}
+        if self.spec.correction_boluses:
             for meal in sched.meals:
                 if meal.slot < 3:
                     m = meal.start_minute + POST_PRANDIAL_DELAY
                     if m < sched.basal_minute:
-                        ppr_at[m] = meal
+                        post_prandial_at[m] = meal
 
-        measurements = []
-        insulin_today = []
-        meals_today = [MealEvent(slot=m.slot, minute=m.start_minute,
-                                 duration_min=m.duration_min, cho_g=m.cho_g,
-                                 announced_g=None)
-                       for m in sched.meals]
-        rescues_today = []
-        day_insulin = 0.0
+        self.measurements: list[adv.Measurement] = []
+        self.insulin_today: list[adv.InsulinRecord] = []
+        self.meals_today = [MealEvent(slot=m.slot, minute=m.start_minute,
+                                      duration_min=m.duration_min, cho_g=m.cho_g,
+                                      announced_g=None)
+                            for m in sched.meals]
+        self.rescues_today: list[RescueEvent] = []
+        self.day_insulin = 0.0
+        self.snapshot = _snapshot(self.therapy)
+        return cho_by_minute, pre_meal_at, post_prandial_at, sched.basal_minute
+
+    def _read(self, minute: int, slot: str, g: float) -> float:
+        value = pat.read_smbg(g, self.streams["smbg"])
+        self.measurements.append(adv.Measurement(
+            value=value, timestamp=float(self.day_offset + minute), slot=slot))
+        self.day_pool.append(value)
+        if self.today_first_reading is None:
+            self.today_first_reading = value
+        self.last_reading_today = value
+        return value
+
+    def _deliver(self, dose: float, kind: str, minute: int) -> float:
+        rec = adv.InsulinRecord(dose_u=dose, kind=kind,
+                                timestamp=float(self.day_offset + minute))
+        self.insulin_today.append(rec)
+        self.recent_insulin.append(rec)
+        if self.collecting:
+            self.all_insulin.append(rec)
+        self.day_insulin += dose
+        return dose
+
+    def _overnight(self) -> np.ndarray:
+        return adv.overnight_delta(self.today_first_reading, self.prev_day_last_reading)
+
+    def _close_window(self, closing_value: float) -> None:
+        """End the open post-meal window: the slot's agents learn from it."""
+        slot = self.open_slot
+        if slot is None:
+            return
+        f_new = adv.bolus_features(self.open_values + [closing_value]).as_array()
+        if self.learning and slot in self.slot_features:
+            b_k = self._overnight()
+            f_prev = self.slot_features[slot]
+            for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
+                agent = self.bundle[kind]
+                s_t = adv.build_state(kind, f_prev, b_k)
+                s_n = adv.build_state(kind, f_new, b_k)
+                d = adv.critic_update(agent, s_t, s_n, self.beta)
+                if np.isfinite(d):
+                    adv.actor_update(agent, d, s_t)
+        self.slot_features[slot] = f_new
+        self.open_slot = None
+        self.open_values = []
+
+    def rescue(self, minute: int, g: float) -> None:
+        """Rescue carbohydrate fired: the patient takes a reading."""
+        value = self._read(minute, "rescue", g)
+        if self.open_slot is not None:
+            self.open_values.append(value)
+        self.rescues_today.append(RescueEvent(minute=minute, trigger_mgdl=value))
+
+    def pre_meal(self, meal: MealPlan, minute: int, g: float) -> float:
+        """Pre-meal reading, the slot's ICR/PS actions, then the meal bolus."""
+        slot = meal.slot
+        reading = self._read(minute, PRE_MEAL_SLOTS[slot], g)
+        self._close_window(reading)
+        if self.learning and slot in self.slot_features:
+            f_prev = self.slot_features[slot]
+            fv = adv.FeatureVector(float(f_prev[0]), float(f_prev[1]))
+            b_k = self._overnight()
+            for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
+                agent = self.bundle[kind]
+                s_t = adv.build_state(kind, f_prev, b_k)
+                p = adv.policy(agent, s_t, fv)
+                new_a = adv.apply_action(kind, p, self.therapy.current(kind),
+                                         self.therapy.a_init(kind), agent.m_smooth)
+                self.therapy.set_current(kind, new_a)
+        announced = announce_cho(meal.cho_g, self.spec, self.streams["announce"])
+        self.meals_today[slot] = MealEvent(slot=slot, minute=meal.start_minute,
+                                           duration_min=meal.duration_min,
+                                           cho_g=meal.cho_g, announced_g=announced)
+        iob_now = adv.iob(self.recent_insulin, float(self.day_offset + minute))
+        dose = adv.bolus_recommendation(announced, reading, self.therapy, slot, iob_now)
+        self.open_slot = slot
+        self.open_values = []
+        return self._deliver(dose, "bolus", minute) if dose > 0.0 else 0.0
+
+    def post_prandial(self, meal: MealPlan, minute: int, g: float) -> float:
+        """S4's post-prandial reading and correction bolus above the hyper bound."""
+        reading = self._read(minute, "post_prandial", g)
+        if self.open_slot is not None:
+            self.open_values.append(reading)
+        iob_now = adv.iob(self.recent_insulin, float(self.day_offset + minute))
+        dose = adv.correction_bolus(reading, self.therapy, self.therapy.ps[meal.slot],
+                                    iob_now)
+        if dose is not None and dose > 0.0:
+            return self._deliver(dose, "correction", minute)
+        return 0.0
+
+    def bedtime(self, minute: int, g: float) -> float:
+        """Bedtime reading, the basal agent's step, then the basal injection."""
+        reading = self._read(minute, "bedtime", g)
+        self._close_window(reading)
+        if self.learning:
+            feats = adv.basal_features(self.day_pool)
+            s_now = adv.build_state(adv.AgentKind.BASAL, feats, self._overnight())
+            agent = self.bundle[adv.AgentKind.BASAL]
+            if self.basal_state_prev is not None:
+                d = adv.critic_update(agent, self.basal_state_prev, s_now, self.beta)
+                if np.isfinite(d):
+                    adv.actor_update(agent, d, self.basal_state_prev)
+            p = adv.policy(agent, s_now,
+                           adv.FeatureVector(float(s_now[0]), float(s_now[1])))
+            self.therapy.basal = adv.apply_action(
+                adv.AgentKind.BASAL, p, self.therapy.basal, self.therapy.basal_init,
+                agent.m_smooth, prev_tdd=self.tdd_yesterday)
+            self.basal_state_prev = s_now
+        elif self.collecting:
+            feats = adv.basal_features(self.day_pool)
+            if feats is not None:
+                self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL,
+                                                        feats, self._overnight())
+        self.day_pool = []
+        return self._deliver(self.therapy.basal, "basal", minute)
+
+    def midnight(self, glucose: list[float]) -> None:
+        """Store the day, carry its readings and TDD over, and on the last
+        collection day initialise the ABBA agents."""
+        self.prev_day_last_reading = self.last_reading_today
+        self.today_first_reading = None
+        self.last_reading_today = None
+        self.tdd_yesterday = self.day_insulin
+        cutoff = self.day_offset + MINUTES_PER_DAY - adv.DIA_MIN
+        self.recent_insulin = [r for r in self.recent_insulin if r.timestamp >= cutoff]
+        self.day_traces.append(DayTrace(
+            day=self.day, glucose=np.array(glucose), measurements=self.measurements,
+            insulin=self.insulin_today, meals=self.meals_today,
+            rescues=self.rescues_today, therapy=self.snapshot,
+            total_insulin_u=self.day_insulin))
+        if self.day == init.COLLECTION_DAYS and self.arm == ABBA:
+            log = init.CollectionLog(cgm=np.array(self.cgm_vals),
+                                     cgm_times=np.array(self.cgm_times),
+                                     insulin_records=tuple(self.all_insulin),
+                                     basal_rates=np.array(self.cgm_basal))
+            self.bundle, self.te_bits, self.risk = init.initialise_agents(
+                log, self.params.diabetes_type, self.streams["agents"])
+
+    def result(self) -> TrialResult:
+        return TrialResult(patient=self.params, arm=self.arm, scenario=self.spec.id,
+                           days=self.days, collection_days=init.COLLECTION_DAYS,
+                           day_traces=self.day_traces, final_agents=self.bundle,
+                           transfer_entropy_bits=self.te_bits, risk_class=self.risk,
+                           initial_therapy=self.initial)
+
+
+def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
+              master_seed: int, days: int | None = None, dawn: str = "auto",
+              rescue_threshold: float = 30.0) -> TrialResult:
+    """Simulate one patient under one advisor arm for the whole trial.
+
+    Environment randomness (meals, misestimation, readings, sensitivity) is
+    seeded independently of the arm, so paired arms face the same world.
+    Within a minute the events run in a fixed order: rescue, pre-meal,
+    post-prandial, bedtime; then the minute is integrated.
+    """
+    if advisor_kind not in (ABBA, BBA):
+        raise ValueError(f"unknown advisor arm {advisor_kind!r}")
+    days = spec.days if days is None else int(days)
+    if days <= init.COLLECTION_DAYS:
+        raise ValueError("trial must extend past the collection phase")
+
+    trial = Trial(params, advisor_kind, spec, master_seed, days)
+    dawn_enabled = (params.diabetes_type == pat.T1D) if dawn == "auto" else (dawn == "on")
+    sensitivity = pat.SensitivitySchedule(
+        dawn_enabled=dawn_enabled,
+        interday_variability_pct=spec.interday_sensitivity)
+    dawn_base = [pat.dawn_multiplier(sensitivity, m) for m in range(MINUTES_PER_DAY)]
+    consts = pat._model_constants(params)
+    y = pat.equilibrium_state(params, trial.therapy.basal)
+    rescue = RescueController(threshold=rescue_threshold)
+    sens_rng, cgm_rng = trial.streams["sens"], trial.streams["cgm"]
+    cgm_vals, cgm_times, cgm_basal = trial.cgm_vals, trial.cgm_times, trial.cgm_basal
+    # Basal only changes in the on-line phase, so the logged rate is fixed.
+    basal_rate = trial.therapy.basal / MINUTES_PER_DAY
+
+    for day in range(1, days + 1):
+        day_factor = pat.draw_interday_factor(sensitivity, sens_rng)
+        cho_by_minute, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
+        collecting, day_offset = trial.collecting, trial.day_offset
         g_day = [0.0] * MINUTES_PER_DAY
-        snapshot = TherapySnapshot(icr=tuple(therapy.icr), ps=tuple(therapy.ps),
-                                   cf=therapy.cf, basal=therapy.basal)
-        day_offset = (day - 1) * MINUTES_PER_DAY
 
         for minute in range(MINUTES_PER_DAY):
-            now = float(day_offset + minute)
+            g = y[8]
             cho_in = cho_by_minute[minute]
-            rapid_in = 0.0
-            long_in = 0.0
+            rapid_in = long_in = 0.0
 
-            grams = rescue.poll(y[8])
+            grams = rescue.poll(g)
             if grams > 0.0:
                 cho_in += grams
-                value = take_reading(now, "rescue")
-                if open_slot is not None:
-                    open_values.append(value)
-                rescues_today.append(RescueEvent(minute=minute, trigger_mgdl=value))
-
-            meal = bolus_at.get(minute)
+                trial.rescue(minute, g)
+            meal = pre_meal_at.get(minute)
             if meal is not None:
-                slot = meal.slot
-                reading = take_reading(now, PRE_MEAL_SLOTS[slot])
-                close_window(reading, learning)
-                if learning and slot in slot_features:
-                    f_prev = slot_features[slot]
-                    fv = adv.FeatureVector(float(f_prev[0]), float(f_prev[1]))
-                    b_k = b_today()
-                    for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
-                        agent = bundle[kind]
-                        s_t = adv.build_state(kind, f_prev, b_k)
-                        p = adv.policy(agent, s_t, fv)
-                        new_a = adv.apply_action(kind, p, therapy.current(kind),
-                                                 therapy.a_init(kind), agent.m_smooth)
-                        therapy.set_current(kind, new_a)
-                announced = announce_cho(meal.cho_g, spec, streams["announce"])
-                meals_today[slot] = MealEvent(slot=slot, minute=meal.start_minute,
-                                              duration_min=meal.duration_min,
-                                              cho_g=meal.cho_g, announced_g=announced)
-                iob_now = adv.iob(recent_insulin, now)
-                if learning:
-                    dose = adv.bolus_recommendation(announced, reading, therapy,
-                                                    slot, iob_now, th)
-                else:
-                    dose = adv.bba_recommendation(announced, reading, therapy,
-                                                  iob_now, slot, th)
-                if dose > 0.0:
-                    rapid_in += dose
-                    record_insulin(dose, "bolus", now)
-                open_slot = slot
-                open_values = []
-
-            ppr = ppr_at.get(minute)
-            if ppr is not None:
-                reading = take_reading(now, "post_prandial")
-                if open_slot is not None:
-                    open_values.append(reading)
-                ps = therapy.ps[ppr.slot] if learning else 1.0
-                iob_now = adv.iob(recent_insulin, now)
-                dose = adv.correction_bolus(reading, therapy, ps, iob_now, th)
-                if dose is not None and dose > 0.0:
-                    rapid_in += dose
-                    record_insulin(dose, "correction", now)
-
-            if minute == sched.basal_minute:
-                reading = take_reading(now, "bedtime")
-                close_window(reading, learning)
-                if learning:
-                    feats = adv.basal_features(day_pool, th)
-                    s_now = adv.build_state(adv.AgentKind.BASAL, feats, b_today())
-                    agent = bundle[adv.AgentKind.BASAL]
-                    if basal_state_prev is not None:
-                        d = adv.critic_update(agent, basal_state_prev, s_now, beta)
-                        if np.isfinite(d):
-                            adv.actor_update(agent, d, basal_state_prev)
-                    p = adv.policy(agent, s_now,
-                                   adv.FeatureVector(float(s_now[0]), float(s_now[1])))
-                    new_basal = adv.apply_action(adv.AgentKind.BASAL, p, therapy.basal,
-                                                 therapy.basal_init, agent.m_smooth,
-                                                 prev_tdd=tdd_yesterday)
-                    therapy.basal = new_basal
-                    basal_state_prev = s_now
-                elif day <= collection_days:
-                    feats = adv.basal_features(day_pool, th)
-                    if feats is not None:
-                        basal_state_prev = adv.build_state(adv.AgentKind.BASAL,
-                                                           feats, b_today())
-                long_in += therapy.basal
-                record_insulin(therapy.basal, "basal", now)
-                day_pool = []
+                rapid_in += trial.pre_meal(meal, minute, g)
+            meal = post_prandial_at.get(minute)
+            if meal is not None:
+                rapid_in += trial.post_prandial(meal, minute, g)
+            if minute == basal_minute:
+                long_in += trial.bedtime(minute, g)
 
             if cho_in > 0.0 or rapid_in > 0.0 or long_in > 0.0:
                 y = (y[0] + cho_in, y[1], y[2] + rapid_in, y[3],
-                     y[4] + long_in, y[5], y[6], y[7], y[8])
-            y = pat._rk4_minute(y, consts, dawn_base[minute] * day_factor, 1.0)
+                     y[4] + long_in, y[5], y[6], y[7], g)
+            y = pat._rk4_minute(y, consts, dawn_base[minute] * day_factor)
             g_day[minute] = y[8]
 
-            if day <= collection_days and minute % init.CGM_INTERVAL_MIN == 0:
-                cgm_vals.append(pat.read_smbg(y[8], streams["cgm"], cv=smbg_cv))
-                cgm_times.append(now)
-                cgm_basal.append(therapy.basal / MINUTES_PER_DAY)
+            if collecting and minute % init.CGM_INTERVAL_MIN == 0:
+                cgm_vals.append(pat.read_smbg(y[8], cgm_rng))
+                cgm_times.append(float(day_offset + minute))
+                cgm_basal.append(basal_rate)
 
-        # Midnight housekeeping.
-        prev_day_last_reading = last_reading_today
-        today_first_reading = None
-        last_reading_today = None
-        tdd_yesterday = day_insulin
-        cutoff = day_offset + MINUTES_PER_DAY - adv.DIA_MIN
-        recent_insulin = [r for r in recent_insulin if r.timestamp >= cutoff]
+        trial.midnight(g_day)
 
-        day_traces.append(DayTrace(
-            day=day, glucose=np.array(g_day), measurements=measurements,
-            insulin=insulin_today, meals=meals_today, rescues=rescues_today,
-            therapy=snapshot, total_insulin_u=day_insulin))
-
-        if day == collection_days and advisor_kind == ABBA:
-            log = init.CollectionLog(cgm=np.array(cgm_vals),
-                                     cgm_times=np.array(cgm_times),
-                                     insulin_records=tuple(all_insulin),
-                                     basal_rates=np.array(cgm_basal))
-            bundle, te_bits, risk = init.initialise_agents(
-                log, params.diabetes_type, streams["agents"])
-
-        if checkpoint_cb is not None and bundle is not None:
-            checkpoint_cb(day, bundle)
-
-    return TrialResult(patient=params, arm=advisor_kind, scenario=spec.id,
-                       days=days, collection_days=collection_days,
-                       day_traces=day_traces, final_agents=bundle,
-                       transfer_entropy_bits=te_bits, risk_class=risk,
-                       initial_therapy=initial_snapshot)
+    return trial.result()
 
 
 # --- trace persistence ------------------------------------------------------------
@@ -492,11 +530,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 
 TRACE_SCHEMA = "abbalab-trace v1"
 
-_PATIENT_FIELDS = ("id", "diabetes_type", "body_weight", "insulin_sensitivity_base",
-                   "carb_bioavailability", "meal_absorption_time_constant",
-                   "rapid_insulin_absorption_tc", "long_insulin_absorption_tc",
-                   "endogenous_glucose_production", "residual_insulin_secretion_gain",
-                   "glucose_distribution_volume")
+_PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
 
 

@@ -313,23 +313,6 @@ def test_bolus_recommendation_floors_at_zero():
     assert dose == 0.0
 
 
-def test_bba_recommendation_direct():
-    dose = adv.bba_recommendation(60.0, 180.0, _therapy(), 1.0)
-    assert dose == pytest.approx(6.4, abs=1e-9)
-
-
-def test_bba_equals_abba_with_unit_ps():
-    rng = np.random.default_rng(23)
-    t = _therapy(ps=1.0)
-    for _ in range(200):
-        cho = float(rng.uniform(0, 150))
-        g = float(rng.uniform(40, 400))
-        iob_u = float(rng.uniform(0, 8))
-        slot = int(rng.integers(0, 3))
-        assert adv.bolus_recommendation(cho, g, t, slot, iob_u) == \
-            adv.bba_recommendation(cho, g, t, iob_u, meal_slot=slot)
-
-
 def test_correction_bolus_direct():
     t = _therapy(cf=40.0)
     assert adv.correction_bolus(230.0, t, 1.0, 0.0) == pytest.approx(3.0, abs=1e-9)

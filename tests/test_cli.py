@@ -1,6 +1,9 @@
 import filecmp
+import itertools
 
 from abbalab import cli
+from abbalab import patient as pat
+from abbalab import protocol as proto
 
 
 def _config(tmp_path, body):
@@ -155,3 +158,75 @@ def test_parallel_run_matches_serial_run(tmp_path):
     assert not mismatch and not errors
     assert (out_serial / "report_T1D.csv").read_bytes() == \
         (out_par / "report_T1D.csv").read_bytes()
+
+
+# --- failures, dirty directories, worker count ------------------------------------
+
+def test_failed_trial_is_reported_and_its_patient_left_unpaired(tmp_path, monkeypatch):
+    real_trial, real_rk4 = proto.run_trial, pat._rk4_minute
+    calls = itertools.count()
+
+    def faulty_rk4(y, consts, sens):
+        if next(calls) == 20 * pat.MINUTES_PER_DAY:     # on-line phase, day 21
+            raise pat.SimulationFault("injected")
+        return real_rk4(y, consts, sens)
+
+    def trial(params, arm, *args, **kwargs):
+        faulty = (params.id, arm) == (1, proto.ABBA)
+        monkeypatch.setattr(pat, "_rk4_minute", faulty_rk4 if faulty else real_rk4)
+        return real_trial(params, arm, *args, **kwargs)
+
+    monkeypatch.setattr(proto, "run_trial", trial)
+    rc, out = _run(tmp_path, "out_a")
+    assert rc == 1
+    manifest = (out / "failures.txt").read_text().splitlines()
+    assert "# failures 1 of 4 trials" in manifest
+    assert "p001 abba SimulationFault: injected" in manifest
+    assert not (out / "checkpoints" / "p001_abba_agents.txt").exists()
+    assert (out / "checkpoints" / "p000_abba_agents.txt").exists()
+    report = (out / "report_T1D.csv").read_bytes()
+    rows = [line.split(",") for line in report.decode().splitlines()
+            if line.startswith("full,tir_pct,")]
+    assert len(rows) == 3 and all(row[3] == "1" for row in rows)   # p000 only
+    assert cli.main(["replay", "--out", str(out)]) == 0
+    assert (out / "report_T1D.csv").read_bytes() == report
+
+
+def test_run_refuses_a_directory_holding_another_runs_traces(tmp_path, monkeypatch, capsys):
+    _, out = _run(tmp_path, "out_a")
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    rc, _ = _run(tmp_path, "out_a")
+    assert rc == 2
+    assert calls == []
+    assert "error:" in capsys.readouterr().err
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Records the worker count it is asked for; runs the tasks in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    short = SMOKE.replace("days = 30", "days = 15")
+    cfg = _config(tmp_path, short)
+    for n, (cpus, jobs) in enumerate([(64, 8), (3, 8), (64, 2), (1, 8)]):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / f"out{n}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+    # 4 tasks: capped by the tasks, then the CPUs, then jobs; 1 CPU runs serially.
+    assert sizes == [4, 3, 2]

@@ -227,6 +227,26 @@ def test_paired_arms_share_the_same_meal_sequence():
             [(m.slot, m.minute, m.cho_g) for m in tb.meals]
 
 
+def test_abba_trial_keeps_clamps_guard_and_non_negative_doses():
+    # T1D seed 1, patient 6: ABBA rescues on day 15 and changes basal on S1.
+    params = pat.generate_cohort(7, "T1D", 1)[6]
+    res = proto.run_trial(params, proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=1, days=90)
+    start = res.initial_therapy
+    assert any(t.rescues for t in res.day_traces[res.collection_days:])
+    basal_changes = 0
+    for prev, trace in zip([None] + res.day_traces, res.day_traces):
+        (basal,) = [r.dose_u for r in trace.insulin if r.kind == "basal"]
+        now = (*trace.therapy.icr, *trace.therapy.ps, trace.therapy.basal, basal)
+        initial = (*start.icr, *start.ps, start.basal, start.basal)
+        assert all(0.5 * a0 <= a <= 2.0 * a0 for a, a0 in zip(now, initial))
+        assert all(r.dose_u >= 0.0 for r in trace.insulin)
+        if basal != trace.therapy.basal:      # changed at tonight's bedtime
+            basal_changes += 1
+            assert basal >= 0.25 * prev.total_insulin_u
+    assert basal_changes > 0
+
+
 # --- trace persistence -------------------------------------------------------------
 
 def test_trace_text_round_trip_is_exact():
