@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import ndtr, stdtr
 
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
@@ -34,22 +34,19 @@ def time_in_ranges(series) -> tuple[float, float, float, float]:
 
 def _count_runs(beyond: np.ndarray, persist: int, rearm: int) -> int:
     """Events = runs of >= persist True, separated by >= rearm False."""
+    if beyond.size == 0:
+        return 0
+    starts = np.r_[0, np.flatnonzero(beyond[1:] != beyond[:-1]) + 1]
+    lengths = np.diff(np.r_[starts, beyond.size])
     count = 0
     in_event = False
-    true_run = 0
-    false_run = 0
-    for flag in beyond:
+    for flag, length in zip(beyond[starts].tolist(), lengths.tolist()):
         if flag:
-            true_run += 1
-            false_run = 0
-            if not in_event and true_run >= persist:
+            if not in_event and length >= persist:
                 in_event = True
                 count += 1
-        else:
-            false_run += 1
-            true_run = 0
-            if in_event and false_run >= rearm:
-                in_event = False
+        elif in_event and length >= rearm:
+            in_event = False
     return count
 
 
@@ -94,7 +91,7 @@ def _ks_stat_normal(x: np.ndarray) -> float:
     if sd == 0.0:
         return 1.0
     z = np.sort((x - mu) / sd)
-    cdf = _sps.norm.cdf(z)
+    cdf = ndtr(z)
     up = np.arange(1, n + 1) / n - cdf
     down = cdf - np.arange(0, n) / n
     return float(max(up.max(), down.max()))
@@ -108,7 +105,7 @@ def _lilliefors_table(n: int, n_mc: int) -> np.ndarray:
     mu = draws.mean(axis=1, keepdims=True)
     sd = draws.std(axis=1, ddof=1, keepdims=True)
     z = np.sort((draws - mu) / sd, axis=1)
-    cdf = _sps.norm.cdf(z)
+    cdf = ndtr(z)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     stat = np.maximum((grid_hi - cdf).max(axis=1), (cdf - grid_lo).max(axis=1))
@@ -138,11 +135,21 @@ def lilliefors(sample, n_mc: int = _LILLIEFORS_MC) -> tuple[float, float]:
 _WILCOXON_EXACT_MAX = 25
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie group given the mean of its ranks."""
+    order = np.argsort(x, kind="mergesort")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _signed_ranks(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ranks of |d|, signs) with zeros dropped and ties averaged."""
     d = diff[diff != 0.0]
-    ranks = _sps.rankdata(np.abs(d))
-    return ranks, np.sign(d)
+    return _average_ranks(np.abs(d)), np.sign(d)
 
 
 def _wilcoxon_exact_p(ranks: np.ndarray, w_plus: float) -> float:
@@ -178,7 +185,7 @@ def _wilcoxon_normal_p(ranks: np.ndarray, signs: np.ndarray, w_plus: float) -> f
         return 1.0
     delta = w_plus - mean
     z = (delta - 0.5 * np.sign(delta)) / math.sqrt(var)
-    return float(min(1.0, 2.0 * _sps.norm.sf(abs(z))))
+    return float(min(1.0, 2.0 * ndtr(-abs(z))))
 
 
 def wilcoxon_signed_rank(diff) -> tuple[float, float, str]:
@@ -202,7 +209,7 @@ def paired_t(diff) -> tuple[float, float]:
     if sd == 0.0:
         return 0.0, 1.0
     t = d.mean() / (sd / math.sqrt(n))
-    return float(t), float(2.0 * _sps.t.sf(abs(t), n - 1))
+    return float(t), float(2.0 * stdtr(n - 1, -abs(t)))
 
 
 @dataclass(frozen=True)

@@ -518,7 +518,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #
 # Kind codes:
 #     T  therapy field active that day (aux = icr1|icr2|icr3|ps1|ps2|ps3|cf|basal)
-#     G  plasma glucose for the minute (mg/dL)
+#     G  the day's plasma glucose (mg/dL), one row per day at minute 0 whose
+#        value is 1440 space-separated floats, one per minute
 #     M  SMBG reading (aux = measurement slot label)
 #     I  insulin delivery (aux = kind:dia_minutes)
 #     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
@@ -528,7 +529,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # Floats are written with repr() so parsing returns the exact values and a
 # rewrite of a parsed file reproduces it byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v1"
+TRACE_SCHEMA = "abbalab-trace v2"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -567,8 +568,7 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
         for name, value in zip(_THERAPY_FIELDS, _therapy_values(trace.therapy)):
             lines.append(f"{d},0,T,{_fmt(value)},{name}")
         offset = float((d - 1) * MINUTES_PER_DAY)
-        for minute, g in enumerate(trace.glucose):
-            lines.append(f"{d},{minute},G,{_fmt(g)},")
+        lines.append(f"{d},0,G,{' '.join(map(repr, trace.glucose.tolist()))},")
         for meas in trace.measurements:
             lines.append(f"{d},{_fmt(meas.timestamp - offset)},M,"
                          f"{_fmt(meas.value)},{meas.slot}")
@@ -640,14 +640,20 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
             raise ValueError(f"malformed trace row at line {lineno}: {line!r}")
         d = int(parts[0])
         bucket = per_day.setdefault(d, {
-            "therapy": {}, "glucose": {}, "measurements": [], "insulin": [],
+            "therapy": {}, "glucose": None, "measurements": [], "insulin": [],
             "meals": [], "rescues": [], "total": None})
         minute, kind, value, aux = parts[1], parts[2], parts[3], parts[4]
         offset = float((d - 1) * MINUTES_PER_DAY)
         if kind == "T":
             bucket["therapy"][aux] = float(value)
         elif kind == "G":
-            bucket["glucose"][int(minute)] = float(value)
+            if bucket["glucose"] is not None:
+                raise ValueError(f"second glucose row for day {d} at line {lineno}")
+            values = value.split(" ")
+            if len(values) != MINUTES_PER_DAY:
+                raise ValueError(f"glucose row at line {lineno} holds {len(values)} "
+                                 f"values, expected {MINUTES_PER_DAY}")
+            bucket["glucose"] = np.array(values, dtype=float)
         elif kind == "M":
             bucket["measurements"].append(adv.Measurement(
                 value=float(value), timestamp=float(minute) + offset, slot=aux))
@@ -673,14 +679,13 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     day_traces = []
     for d in sorted(per_day):
         bucket = per_day[d]
-        if len(bucket["glucose"]) != MINUTES_PER_DAY or bucket["total"] is None:
+        if bucket["glucose"] is None or bucket["total"] is None:
             raise ValueError(f"day {d} incomplete; file truncated?")
         missing_therapy = [f for f in _THERAPY_FIELDS if f not in bucket["therapy"]]
         if missing_therapy:
             raise ValueError(f"day {d} missing therapy rows: {missing_therapy}")
-        glucose = np.array([bucket["glucose"][m] for m in range(MINUTES_PER_DAY)])
         day_traces.append(DayTrace(
-            day=d, glucose=glucose, measurements=bucket["measurements"],
+            day=d, glucose=bucket["glucose"], measurements=bucket["measurements"],
             insulin=bucket["insulin"], meals=bucket["meals"],
             rescues=bucket["rescues"],
             therapy=snapshot_from([bucket["therapy"][f] for f in _THERAPY_FIELDS]),

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from abbalab import analytics as ana
 from abbalab import patient as pat
@@ -72,6 +77,53 @@ def test_no_tbr_implies_no_hypo_events():
             assert ana.count_events(series)[0] == 0
 
 
+def _count_runs_by_minute(beyond, persist, rearm):
+    """Reference: the per-minute state machine that _count_runs must equal."""
+    count, in_event, true_run, false_run = 0, False, 0, 0
+    for flag in beyond:
+        if flag:
+            true_run, false_run = true_run + 1, 0
+            if not in_event and true_run >= persist:
+                in_event, count = True, count + 1
+        else:
+            true_run, false_run = 0, false_run + 1
+            if in_event and false_run >= rearm:
+                in_event = False
+    return count
+
+
+@pytest.mark.parametrize("persist,rearm", [(15, 15), (1, 1), (3, 20), (20, 3)])
+def test_run_counting_matches_the_minute_loop(persist, rearm):
+    rng = np.random.default_rng(49)
+    for case in range(600):
+        if case % 2:                          # blocky: runs of random lengths
+            lengths = rng.integers(1, 2 * max(persist, rearm) + 2, 40)
+            b = np.repeat(np.arange(lengths.size) % 2 == rng.integers(2), lengths)
+        else:
+            b = rng.random(int(rng.integers(0, 300))) < rng.random()
+        assert ana._count_runs(b, persist, rearm) == \
+            _count_runs_by_minute(b, persist, rearm)
+
+
+def test_run_counting_edge_cases():
+    persist, rearm = ana.EVENT_PERSIST_MIN, ana.EVENT_REARM_MIN
+    cases = {
+        "empty": np.zeros(0, dtype=bool),
+        "all true": np.ones(100, dtype=bool),
+        "exactly persist": np.r_[np.zeros(5), np.ones(persist), np.zeros(5)] > 0,
+        "persist - 1": np.r_[np.zeros(5), np.ones(persist - 1), np.zeros(5)] > 0,
+        "gap of rearm - 1": np.r_[np.ones(persist), np.zeros(rearm - 1),
+                                  np.ones(persist)] > 0,
+        "gap of rearm": np.r_[np.ones(persist), np.zeros(rearm),
+                              np.ones(persist)] > 0,
+    }
+    expected = {"empty": 0, "all true": 1, "exactly persist": 1, "persist - 1": 0,
+                "gap of rearm - 1": 1, "gap of rearm": 2}
+    for name, b in cases.items():
+        assert ana._count_runs(b, persist, rearm) == expected[name], name
+        assert _count_runs_by_minute(b, persist, rearm) == expected[name], name
+
+
 # --- risk indices -----------------------------------------------------------------
 
 def test_lbgi_zero_point():
@@ -127,6 +179,35 @@ def test_lilliefors_rejects_constant_by_convention():
 def test_lilliefors_needs_five_observations():
     with pytest.raises(ValueError):
         ana.lilliefors(np.array([1.0, 2.0, 3.0]))
+
+
+# --- scipy.special in place of scipy.stats ---------------------------------------------
+
+def test_average_ranks_match_scipy_rankdata_on_ties():
+    rng = np.random.default_rng(50)
+    for n in list(range(0, 40)) + [101, 500]:
+        for levels in (1, 2, 3, 7, 1000):
+            x = rng.integers(0, levels, n) * 0.5
+            assert (ana._average_ranks(x) == stats.rankdata(x)).all()
+
+
+def test_normal_and_t_tails_equal_scipy_stats():
+    rng = np.random.default_rng(51)
+    z = rng.standard_normal(10_000)
+    assert (ana.ndtr(z) == stats.norm.cdf(z)).all()
+    assert (ana.ndtr(-np.abs(z)) == stats.norm.sf(np.abs(z))).all()
+    for df in range(1, 60):
+        t = np.abs(z[:200]) * 3.0
+        assert (ana.stdtr(df, -t) == stats.t.sf(t, df)).all()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(ana.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import abbalab.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # --- paired comparison ----------------------------------------------------------------

@@ -136,7 +136,9 @@ def test_replay_rejects_foreign_schema(tmp_path):
     _, out = _run(tmp_path, "out_a")
     target = out / "traces" / "p000_abba.txt"
     text = target.read_text()
-    target.write_text(text.replace("# abbalab-trace v1", "# abbalab-trace v999", 1))
+    tag = f"# {proto.TRACE_SCHEMA}"
+    assert tag in text
+    target.write_text(text.replace(tag, "# abbalab-trace v999", 1))
     assert cli.main(["replay", "--out", str(out)]) == 2
 
 

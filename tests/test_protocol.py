@@ -263,9 +263,72 @@ def test_trace_text_round_trip_is_exact():
         assert ta.total_insulin_u == tb.total_insulin_u
 
 
+def test_trace_round_trip_is_exact_with_rescues():
+    # T1D seed 1, patient 6 has rescues on both arms within 20 days.
+    params = pat.generate_cohort(7, "T1D", 1)[6]
+    res = proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"],
+                          master_seed=1, days=20)
+    assert any(t.rescues for t in res.day_traces)
+    text = proto.trace_to_text(res)
+    back, _ = proto.trace_from_text(text)
+    assert proto.trace_to_text(back) == text
+    for ta, tb in zip(res.day_traces, back.day_traces):
+        assert (ta.glucose.view(np.int64) == tb.glucose.view(np.int64)).all()
+        assert ta.rescues == tb.rescues
+
+
 def test_trace_rejects_wrong_schema():
     with pytest.raises(ValueError):
         proto.trace_from_text("# some-other-format v9\n")
+
+
+def _bba_trace_lines():
+    res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=15)
+    return proto.trace_to_text(res).splitlines()
+
+
+def _glucose_row(lines, day):
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{day},0,G,")]
+    return i
+
+
+def test_trace_rejects_a_glucose_row_cut_short():
+    lines = _bba_trace_lines()
+    i = _glucose_row(lines, 2)
+    lines[i] = lines[i][:lines[i].rindex(" ")] + ","        # 1,439 values
+    with pytest.raises(ValueError, match="1439 values"):
+        proto.trace_from_text("\n".join(lines))
+
+
+def test_trace_rejects_a_second_glucose_row():
+    lines = _bba_trace_lines()
+    i = _glucose_row(lines, 2)
+    lines.insert(i + 1, lines[i])
+    with pytest.raises(ValueError, match="second glucose row"):
+        proto.trace_from_text("\n".join(lines))
+
+
+def test_trace_rejects_a_day_without_glucose():
+    lines = _bba_trace_lines()
+    del lines[_glucose_row(lines, 2)]
+    with pytest.raises(ValueError, match="day 2 incomplete"):
+        proto.trace_from_text("\n".join(lines))
+
+
+def test_trace_rejects_a_v1_file():
+    # v1 wrote one G row per minute; the reader accepts only the current schema.
+    v1 = ["# abbalab-trace v1"]
+    for line in _bba_trace_lines()[1:]:
+        parts = line.split(",")
+        if len(parts) == 5 and parts[2] == "G":
+            v1.extend(f"{parts[0]},{m},G,{g},"
+                      for m, g in enumerate(parts[3].split(" ")))
+        else:
+            v1.append(line)
+    assert len(v1) > 15 * proto.MINUTES_PER_DAY
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text("\n".join(v1))
 
 
 def test_trace_rejects_truncation():
