@@ -14,9 +14,11 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .patient import HYPER, HYPO, SMBG_FLOOR
 
 log = logging.getLogger(__name__)
 
@@ -28,8 +30,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DIA_MIN = 240.0           # rapid-acting duration of insulin action
-HYPER_DIVISOR = 220.0     # feature normalization, 400 - 180
-HYPO_DIVISOR = 50.0       # feature normalization, 70 - 20
+HYPER_DIVISOR = 400.0 - HYPER      # feature normalization
+HYPO_DIVISOR = HYPO - SMBG_FLOOR   # feature normalization
+TARGET = 110.0            # mg/dL the bolus and correction calculators aim at
+LOW_MORNING = 90.0        # morning bound of the overnight-delta rule
 
 BETA_T1D = (1.0, 10.0)    # (beta_hyper, beta_hypo)
 BETA_T2D = (10.0, 1.0)
@@ -73,24 +77,6 @@ PS_AGENTS = (AgentKind.PS1, AgentKind.PS2, AgentKind.PS3)
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    g_hyper: float = 180.0
-    g_hypo: float = 70.0
-    g_low_morning: float = 90.0   # morning bound of the overnight-delta rule
-    hypo_severe: float = 50.0
-    rescue: float = 30.0
-    target: float = 110.0
-
-    def __post_init__(self):
-        if not (self.rescue < self.hypo_severe < self.g_hypo
-                < self.g_low_morning < self.target < self.g_hyper):
-            raise ValueError("threshold ordering violated")
-
-
-DEFAULT_THRESHOLDS = Thresholds()
-
-
-@dataclass(frozen=True)
 class Measurement:
     value: float          # mg/dL
     timestamp: float      # minutes since trial start
@@ -123,12 +109,12 @@ class FeatureVector:
         return np.array([self.f_hyper, self.f_hypo], dtype=float)
 
 
-def glucose_error(g: float, th: Thresholds = DEFAULT_THRESHOLDS) -> float:
-    """Signed excursion outside [g_hypo, g_hyper]; zero inside."""
-    if g > th.g_hyper:
-        return g - th.g_hyper
-    if g < th.g_hypo:
-        return g - th.g_hypo
+def glucose_error(g: float) -> float:
+    """Signed excursion outside [HYPO, HYPER]; zero inside."""
+    if g > HYPER:
+        return g - HYPER
+    if g < HYPO:
+        return g - HYPO
     return 0.0
 
 
@@ -136,7 +122,7 @@ def _values(window) -> list[float]:
     return [m.value if isinstance(m, Measurement) else float(m) for m in window]
 
 
-def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector | None:
+def bolus_features(window) -> FeatureVector | None:
     """Feature vector of one post-meal window; None signals skip-update."""
     vals = _values(window)
     if not vals:
@@ -144,7 +130,7 @@ def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector
     hyper_sum = hypo_sum = 0.0
     n_h = n_l = 0
     for v in vals:
-        e = glucose_error(v, th)
+        e = glucose_error(v)
         if e > 0.0:
             hyper_sum += e
             n_h += 1
@@ -156,23 +142,21 @@ def bolus_features(window, th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector
     return FeatureVector(min(f_hyper, 1.0), min(f_hypo, 1.0))
 
 
-def basal_features(day_measurements,
-                   th: Thresholds = DEFAULT_THRESHOLDS) -> FeatureVector | None:
+def basal_features(day_measurements) -> FeatureVector | None:
     """Same form as bolus_features, pooling every measurement of the day."""
-    return bolus_features(day_measurements, th)
+    return bolus_features(day_measurements)
 
 
-def overnight_delta(first_morning, last_night,
-                    th: Thresholds = DEFAULT_THRESHOLDS) -> np.ndarray:
+def overnight_delta(first_morning, last_night) -> np.ndarray:
     """Morning-vs-night excursion pair, normalized; zeros when either is missing."""
     if first_morning is None or last_night is None:
         return np.zeros(2)
     g_m = first_morning.value if isinstance(first_morning, Measurement) else float(first_morning)
     g_n = last_night.value if isinstance(last_night, Measurement) else float(last_night)
     b_hyper = b_hypo = 0.0
-    if g_m > th.g_hyper and g_n < th.g_hyper:
+    if g_m > HYPER and g_n < HYPER:
         b_hyper = g_m - g_n
-    if g_m < th.g_low_morning and g_n > th.g_low_morning:
+    if g_m < LOW_MORNING and g_n > LOW_MORNING:
         b_hypo = g_n - g_m
     return np.array([min(b_hyper / HYPER_DIVISOR, 1.0),
                      min(b_hypo / HYPO_DIVISOR, 1.0)])
@@ -371,37 +355,28 @@ class TherapyParams:
 
 
 def bolus_recommendation(cho_g: float, g_c: float, therapy: TherapyParams,
-                         meal_slot: int, iob_u: float,
-                         th: Thresholds = DEFAULT_THRESHOLDS) -> float:
+                         meal_slot: int, iob_u: float) -> float:
     """Meal bolus: (CHO/ICR + (G - target)/CF) * PS - IOB, floored at 0."""
     if cho_g < 0:
         raise ValueError("cho must be >= 0")
     raw = (cho_g / therapy.icr[meal_slot]
-           + (g_c - th.target) / therapy.cf) * therapy.ps[meal_slot] - iob_u
+           + (g_c - TARGET) / therapy.cf) * therapy.ps[meal_slot] - iob_u
     return max(raw, 0.0)
 
 
 def correction_bolus(g_c: float, therapy: TherapyParams, ps_slot: float,
-                     iob_u: float, th: Thresholds = DEFAULT_THRESHOLDS) -> float | None:
+                     iob_u: float) -> float | None:
     """Between-meal correction, only above the hyper bound; None otherwise."""
-    if g_c <= th.g_hyper:
+    if g_c <= HYPER:
         return None
-    return max(((g_c - th.target) / therapy.cf) * ps_slot - iob_u, 0.0)
+    return max(((g_c - TARGET) / therapy.cf) * ps_slot - iob_u, 0.0)
 
 
 # --- agent bundle -------------------------------------------------------------
 
-@dataclass
-class AgentBundle:
-    agents: dict[AgentKind, AgentState]
-
-    def __getitem__(self, kind: AgentKind) -> AgentState:
-        return self.agents[kind]
-
-
 def make_bundle(theta_by_kind: dict[AgentKind, np.ndarray],
                 hyper_by_kind: dict[AgentKind, dict],
-                rng: np.random.Generator) -> AgentBundle:
+                rng: np.random.Generator) -> dict[AgentKind, AgentState]:
     """Assemble the seven agents; critic weights and traces start small-random."""
     agents = {}
     for kind in AgentKind:
@@ -417,7 +392,7 @@ def make_bundle(theta_by_kind: dict[AgentKind, np.ndarray],
             m_smooth=hp["m"],
             alpha_sp=hp.get("alpha_sp", ALPHA_SP),
         )
-    return AgentBundle(agents)
+    return agents
 
 
 # Serialization: versioned human-readable key-value text.
@@ -428,12 +403,13 @@ _SCALAR_FIELDS = ("step_count", "lr_a", "lr_c", "gamma", "lam", "alpha_sp",
                   "m_smooth", "frozen_faults")
 
 
-def bundle_to_text(bundle: AgentBundle, header_lines: list[str] | None = None) -> str:
+def bundle_to_text(bundle: dict[AgentKind, AgentState],
+                   header_lines: list[str] | None = None) -> str:
     lines = [f"# {_BUNDLE_SCHEMA}"]
     for h in header_lines or ():
         lines.append(f"# {h}")
     for kind in AgentKind:
-        a = bundle.agents[kind]
+        a = bundle[kind]
         for f in _VEC_FIELDS:
             vec = " ".join(repr(float(v)) for v in getattr(a, f))
             lines.append(f"{kind.value}.{f} = {vec}")
@@ -442,7 +418,7 @@ def bundle_to_text(bundle: AgentBundle, header_lines: list[str] | None = None) -
     return "\n".join(lines) + "\n"
 
 
-def bundle_from_text(text: str) -> AgentBundle:
+def bundle_from_text(text: str) -> dict[AgentKind, AgentState]:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(f"# {_BUNDLE_SCHEMA}"):
         raise ValueError("not an agent bundle file (schema tag missing)")
@@ -467,7 +443,7 @@ def bundle_from_text(text: str) -> AgentBundle:
             alpha_sp=float(fields["alpha_sp"]), m_smooth=float(fields["m_smooth"]),
             frozen_faults=int(fields["frozen_faults"]),
         )
-    return AgentBundle(agents)
+    return agents
 
 
 def beta_for(diabetes_type: str) -> tuple[float, float]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, stdtr
 
+from .patient import HYPER, HYPO, SEVERE_HYPO
+
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
 
@@ -25,9 +27,9 @@ def time_in_ranges(series) -> tuple[float, float, float, float]:
     if g.size == 0:
         raise ValueError("empty glucose series")
     n = g.size
-    tbr1 = np.count_nonzero(g < 70.0)
-    tbr2 = np.count_nonzero(g < 50.0)
-    tar = np.count_nonzero(g > 180.0)
+    tbr1 = np.count_nonzero(g < HYPO)
+    tbr2 = np.count_nonzero(g < SEVERE_HYPO)
+    tar = np.count_nonzero(g > HYPER)
     tir = n - tbr1 - tar
     return (100.0 * tir / n, 100.0 * tbr1 / n, 100.0 * tbr2 / n, 100.0 * tar / n)
 
@@ -50,12 +52,11 @@ def _count_runs(beyond: np.ndarray, persist: int, rearm: int) -> int:
     return count
 
 
-def count_events(series, hypo_threshold: float = 70.0,
-                 hyper_threshold: float = 180.0) -> tuple[int, int]:
+def count_events(series) -> tuple[int, int]:
     """(hypo_events, hyper_events) on a minute-resolution trace."""
     g = np.asarray(series, dtype=float)
-    hypo = _count_runs(g < hypo_threshold, EVENT_PERSIST_MIN, EVENT_REARM_MIN)
-    hyper = _count_runs(g > hyper_threshold, EVENT_PERSIST_MIN, EVENT_REARM_MIN)
+    hypo = _count_runs(g < HYPO, EVENT_PERSIST_MIN, EVENT_REARM_MIN)
+    hyper = _count_runs(g > HYPER, EVENT_PERSIST_MIN, EVENT_REARM_MIN)
     return hypo, hyper
 
 
@@ -312,8 +313,6 @@ class GlycemicSummary:
     hypo_events: int
     hyper_events: int
     mean_glucose: float
-    max_glucose: float
-    min_glucose: float
     hba1c_pct: float
     lbgi: float
     tdd_u_per_day: float
@@ -335,8 +334,7 @@ def summarize_window(glucose_by_day: list[np.ndarray],
     return GlycemicSummary(
         tir_pct=tir, tbr1_pct=tbr1, tbr2_pct=tbr2, tar_pct=tar,
         hypo_events=hypo, hyper_events=hyper,
-        mean_glucose=float(np.mean(g)), max_glucose=float(np.max(g)),
-        min_glucose=float(np.min(g)), hba1c_pct=estimate_hba1c(g),
+        mean_glucose=float(np.mean(g)), hba1c_pct=estimate_hba1c(g),
         lbgi=lbgi(g), tdd_u_per_day=tdd)
 
 

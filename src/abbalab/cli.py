@@ -23,18 +23,15 @@ from pathlib import Path
 
 from . import advisor as adv
 from . import analytics as ana
+from . import initialisation as init
 from . import patient as pat
 from . import protocol as proto
 
 CONFIG_SECTION = "run"
-CONFIG_KEYS = ("scenario", "diabetes_type", "cohort_size", "seed", "days",
-               "arms", "out", "jobs", "dawn", "misestimation",
-               "rescue_threshold")
-# Keys that pick the experiment, as opposed to plumbing; only these feed the
-# config hash, so re-running into a new directory or with more workers still
-# counts as the same experiment.
-HASHED_KEYS = ("scenario", "diabetes_type", "cohort_size", "seed", "days",
-               "arms", "dawn", "misestimation", "rescue_threshold")
+# Plumbing keys, as opposed to the keys that pick the experiment; they stay
+# out of the config hash, so re-running into a new directory or with more
+# workers still counts as the same experiment.
+UNHASHED_KEYS = ("out", "jobs")
 
 
 @dataclasses.dataclass
@@ -49,7 +46,7 @@ class RunConfig:
     jobs: int = 1
     dawn: str = "auto"
     misestimation: tuple[float, float] | None = None
-    rescue_threshold: float = 30.0
+    rescue_threshold: float = pat.RESCUE
 
     def validate(self) -> None:
         if self.scenario not in proto.SCENARIOS:
@@ -59,9 +56,10 @@ class RunConfig:
             raise ValueError(f"unknown diabetes_type {self.diabetes_type!r}")
         if self.cohort_size < 1:
             raise ValueError("cohort_size must be at least 1")
-        if self.days < 15:
-            raise ValueError("days must be at least 15: the on-line phase "
-                             "requires the 14-day collection window")
+        if self.days <= init.COLLECTION_DAYS:
+            raise ValueError(f"days must be at least {init.COLLECTION_DAYS + 1}: "
+                             "the on-line phase requires the "
+                             f"{init.COLLECTION_DAYS}-day collection window")
         bad = [a for a in self.arms if a not in (proto.ABBA, proto.BBA)]
         if bad or not self.arms:
             raise ValueError(f"arms must be drawn from abba/bba, got {self.arms}")
@@ -86,7 +84,9 @@ class RunConfig:
 
     def canonical_text(self) -> str:
         parts = []
-        for key in HASHED_KEYS:
+        for key in CONFIG_KEYS:
+            if key in UNHASHED_KEYS:
+                continue
             value = getattr(self, key)
             if key == "arms":
                 value = ",".join(sorted(value))
@@ -99,6 +99,10 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
+# Field order is the order of the canonical text, and so of the config hash.
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
+
+
 def _parse_arms(raw: str) -> tuple[str, ...]:
     arms = tuple(a.strip() for a in raw.split(",") if a.strip())
     return arms
@@ -109,6 +113,10 @@ def _parse_interval(raw: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected 'lo, hi', got {raw!r}")
     return (float(parts[0]), float(parts[1]))
+
+
+# Keys whose values are not parsed by their default's type.
+_PARSERS = {"arms": _parse_arms, "misestimation": _parse_interval}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -129,40 +137,18 @@ def load_config(path: str | None) -> RunConfig:
     unknown = [k for k in section if k not in CONFIG_KEYS]
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    if "scenario" in section:
-        cfg.scenario = section["scenario"].strip()
-    if "diabetes_type" in section:
-        cfg.diabetes_type = section["diabetes_type"].strip()
-    if "cohort_size" in section:
-        cfg.cohort_size = section.getint("cohort_size")
-    if "seed" in section:
-        cfg.seed = section.getint("seed")
-    if "days" in section:
-        cfg.days = section.getint("days")
-    if "arms" in section:
-        cfg.arms = _parse_arms(section["arms"])
-    if "out" in section:
-        cfg.out = section["out"].strip()
-    if "jobs" in section:
-        cfg.jobs = section.getint("jobs")
-    if "dawn" in section:
-        cfg.dawn = section["dawn"].strip()
-    if "misestimation" in section:
-        cfg.misestimation = _parse_interval(section["misestimation"])
-    if "rescue_threshold" in section:
-        cfg.rescue_threshold = section.getfloat("rescue_threshold")
+    for f in dataclasses.fields(RunConfig):
+        if f.name in section:
+            parse = _PARSERS.get(f.name, type(f.default))
+            setattr(cfg, f.name, parse(section[f.name].strip()))
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "scenario", None) is not None:
-        cfg.scenario = args.scenario
+    for key in ("seed", "out", "jobs", "scenario"):
+        value = getattr(args, key, None)
+        if value is not None:
+            setattr(cfg, key, value)
     if getattr(args, "arm", None):
         cfg.arms = tuple(args.arm)
     return cfg
@@ -179,23 +165,20 @@ def _checkpoint_path(out: Path, patient_id: int, arm: str) -> Path:
     return out / "checkpoints" / f"p{patient_id:03d}_{arm}_agents.txt"
 
 
-def _run_one(task: dict) -> tuple[int, str, str | None]:
+def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
+             ) -> tuple[int, str, str | None]:
     """Simulate one patient+arm and write its artifacts. Returns an error
     string instead of raising so a failed patient never kills the pool."""
-    params: pat.PatientParams = task["params"]
-    arm: str = task["arm"]
-    out = Path(task["out"])
-    headers = task["headers"]
+    cfg, headers, params, arm = task
+    out = Path(cfg.out)
     try:
         result = proto.run_trial(
-            params, arm, task["spec"], master_seed=task["seed"],
-            days=task["days"], dawn=task["dawn"],
-            rescue_threshold=task["rescue_threshold"])
+            params, arm, cfg.scenario_spec(), master_seed=cfg.seed,
+            days=cfg.days, dawn=cfg.dawn, rescue_threshold=cfg.rescue_threshold)
         if result.final_agents is not None:
-            _checkpoint_path(out, params.id, arm).write_text(
-                f"# config_hash {headers['config_hash']}\n"
-                f"# master_seed {headers['master_seed']}\n"
-                f"# day {result.days}\n" + adv.bundle_to_text(result.final_agents))
+            header_lines = [f"{k} {v}" for k, v in headers.items()]
+            _checkpoint_path(out, params.id, arm).write_text(adv.bundle_to_text(
+                result.final_agents, header_lines + [f"day {result.days}"]))
         _trace_path(out, params.id, arm).write_text(
             proto.trace_to_text(result, headers))
         return (params.id, arm, None)
@@ -280,15 +263,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "config.resolved.txt").write_text(
         f"# config_hash {headers['config_hash']}\n"
         f"# master_seed {cfg.seed}\n" + cfg.canonical_text() +
-        f"out = {cfg.out}\njobs = {cfg.jobs}\n")
+        "".join(f"{key} = {getattr(cfg, key)}\n" for key in UNHASHED_KEYS))
 
     cohort = pat.generate_cohort(cfg.cohort_size, cfg.diabetes_type, cfg.seed)
-    spec = cfg.scenario_spec()
-    tasks = [{"params": p, "arm": arm, "spec": spec, "seed": cfg.seed,
-              "days": cfg.days, "dawn": cfg.dawn,
-              "rescue_threshold": cfg.rescue_threshold,
-              "out": str(out), "headers": headers}
-             for p in cohort for arm in cfg.arms]
+    tasks = [(cfg, headers, p, arm) for p in cohort for arm in cfg.arms]
     jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

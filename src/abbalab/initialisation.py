@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advisor import (ALPHA_SP, AgentKind, AgentBundle, ICR_AGENTS, PS_AGENTS,
-                      InsulinRecord, make_bundle)
-from .patient import MINUTES_PER_DAY
+from .advisor import ALPHA_SP, AgentKind, AgentState, make_bundle
+from .patient import HYPO, MINUTES_PER_DAY
 
 CGM_INTERVAL_MIN = 5
 COLLECTION_DAYS = 14
@@ -23,7 +22,7 @@ COLLECTION_DAYS = 14
 THETA_BASE = 0.5
 
 SD_THRESHOLD = {"T1D": 57.0, "T2D": 59.0}              # mg/dL
-NOCTURNAL_FRACTION = {"T1D": 0.21, "T2D": 0.42}        # of overnight samples < 70
+NOCTURNAL_FRACTION = {"T1D": 0.21, "T2D": 0.42}        # of overnight samples < HYPO
 OVERNIGHT_WINDOW = (0, 360)                            # 00:00 - 06:00
 
 SMOOTHING_M = {"T1D": 0.5, "T2D": 1.0}
@@ -144,7 +143,7 @@ def classify(log: CollectionLog, diabetes_type: str) -> RiskClass:
     clock = np.mod(log.cgm_times, MINUTES_PER_DAY)
     overnight = (clock >= OVERNIGHT_WINDOW[0]) & (clock < OVERNIGHT_WINDOW[1])
     if overnight.any():
-        frac_low = float(np.mean(log.cgm[overnight] < 70.0))
+        frac_low = float(np.mean(log.cgm[overnight] < HYPO))
     else:
         frac_low = 0.0
     nocturnal = "high" if frac_low > NOCTURNAL_FRACTION[diabetes_type] else "normal"
@@ -182,7 +181,8 @@ def t2d_initial_therapy(weight_kg: float) -> tuple[float, float, float, float]:
 
 
 def initialise_agents(log: CollectionLog, diabetes_type: str,
-                      rng: np.random.Generator) -> tuple[AgentBundle, float, RiskClass]:
+                      rng: np.random.Generator
+                      ) -> tuple[dict[AgentKind, AgentState], float, RiskClass]:
     """Glue for the day-14 boundary: TE, classification, and the bundle."""
     ai = active_insulin_series(log)
     te = transfer_entropy(ai, log.cgm)

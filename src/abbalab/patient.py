@@ -36,6 +36,13 @@ GLUCOSE_CEIL = 600.0
 SMBG_FLOOR = 20.0
 SMBG_CEIL = 600.0
 
+# Glycaemic bands (mg/dL): the outcome ranges, the advisor's feature bounds
+# and the rescue controller all read these.
+HYPER = 180.0          # above: time above range, hyperglycaemic excursion
+HYPO = 70.0            # below: time below range (level 1); rescue re-arm level
+SEVERE_HYPO = 50.0     # below: time below range (level 2)
+RESCUE = 30.0          # below: fast carbohydrate rescue fires (default)
+
 MINUTES_PER_DAY = 1440
 
 
@@ -74,30 +81,26 @@ class PatientParams:
         return INSULIN_VOLUME_L_PER_KG * self.body_weight
 
 
+# Dawn phenomenon: sensitivity falls to DAWN_FACTOR over 04:00-08:00, with
+# linear ramps of DAWN_TRANSITION_MIN at either end.
+DAWN_START_MIN = 240
+DAWN_END_MIN = 480
+DAWN_FACTOR = 0.5
+DAWN_TRANSITION_MIN = 30
+
+
 @dataclass(frozen=True)
 class SensitivitySchedule:
     """Intra-day (dawn) and inter-day insulin-sensitivity modulation."""
     dawn_enabled: bool = False
-    dawn_start_min: int = 240       # 04:00
-    dawn_end_min: int = 480         # 08:00
-    dawn_factor: float = 0.5
-    transition_minutes: int = 30
     interday_variability_pct: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.dawn_factor <= 1.0:
-            raise ValueError("dawn_factor must be in (0, 1]")
-        if self.transition_minutes <= 0:
-            raise ValueError("transition_minutes must be > 0")
 
 
 def dawn_multiplier(schedule: SensitivitySchedule, clock_minute: float) -> float:
     """Sensitivity multiplier from the dawn window alone (1.0 outside it)."""
     if not schedule.dawn_enabled:
         return 1.0
-    t0, t1 = schedule.dawn_start_min, schedule.dawn_end_min
-    tr = schedule.transition_minutes
-    f = schedule.dawn_factor
+    t0, t1, tr, f = DAWN_START_MIN, DAWN_END_MIN, DAWN_TRANSITION_MIN, DAWN_FACTOR
     t = clock_minute
     if t < t0 or t >= t1:
         return 1.0

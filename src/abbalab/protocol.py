@@ -118,10 +118,10 @@ def announce_cho(true_cho: float, spec: ScenarioSpec, rng: np.random.Generator) 
 
 @dataclass
 class RescueController:
-    """20 g fast glucose when true BG crosses the rescue floor, re-armed at 70."""
-    threshold: float = 30.0
-    rearm_level: float = 70.0
-    grams: float = RESCUE_GRAMS
+    """RESCUE_GRAMS of fast glucose the minute true plasma glucose falls below
+    `threshold`. It then stays disarmed until glucose is back at or above
+    pat.HYPO, so one hypoglycaemic episode triggers one rescue."""
+    threshold: float = pat.RESCUE
     armed: bool = True
 
     def poll(self, g: float) -> float:
@@ -129,8 +129,8 @@ class RescueController:
         if self.armed:
             if g < self.threshold:
                 self.armed = False
-                return self.grams
-        elif g >= self.rearm_level:
+                return RESCUE_GRAMS
+        elif g >= pat.HYPO:
             self.armed = True
         return 0.0
 
@@ -178,7 +178,7 @@ class TrialResult:
     days: int
     collection_days: int
     day_traces: list
-    final_agents: adv.AgentBundle | None
+    final_agents: dict[adv.AgentKind, adv.AgentState] | None
     transfer_entropy_bits: float | None
     risk_class: init.RiskClass | None
     initial_therapy: TherapySnapshot
@@ -232,7 +232,7 @@ class Trial:
         self.therapy = initial_therapy_for(params, self.streams["therapy"])
         self.initial = _snapshot(self.therapy)
         self.beta = adv.beta_for(params.diabetes_type)
-        self.bundle: adv.AgentBundle | None = None
+        self.bundle: dict[adv.AgentKind, adv.AgentState] | None = None
         self.te_bits: float | None = None
         self.risk: init.RiskClass | None = None
 
@@ -442,7 +442,7 @@ class Trial:
 
 def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
               master_seed: int, days: int | None = None, dawn: str = "auto",
-              rescue_threshold: float = 30.0) -> TrialResult:
+              rescue_threshold: float = pat.RESCUE) -> TrialResult:
     """Simulate one patient under one advisor arm for the whole trial.
 
     Environment randomness (meals, misestimation, readings, sensitivity) is
@@ -533,6 +533,10 @@ TRACE_SCHEMA = "abbalab-trace v2"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
+# Header fields that describe the trial itself; any other header field is run
+# provenance (config hash, master seed) handed back to the caller.
+_RESULT_HEADERS = ("patient", "arm", "scenario", "days", "transfer_entropy",
+                   "risk_class", "initial_therapy")
 
 
 def _fmt(x) -> str:
@@ -605,8 +609,7 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     if not lines or lines[0] != f"# {TRACE_SCHEMA}":
         raise ValueError(f"unsupported trace schema; expected '# {TRACE_SCHEMA}'")
     fields, body_start = _parse_header(lines)
-    required = ("patient", "arm", "scenario", "days", "initial_therapy")
-    missing = [k for k in required if k not in fields]
+    missing = [k for k in _RESULT_HEADERS if k not in fields]
     if missing:
         raise ValueError(f"trace header missing fields: {', '.join(missing)}")
     if body_start >= len(lines) or lines[body_start] != "day,minute,kind,value,aux":
@@ -619,9 +622,9 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     arm = fields["arm"]
     scenario = fields["scenario"]
     days, collection_days = (int(x) for x in fields["days"].split())
-    te_raw = fields.get("transfer_entropy", "-")
+    te_raw = fields["transfer_entropy"]
     te = None if te_raw == "-" else float(te_raw)
-    rc_raw = fields.get("risk_class", "-")
+    rc_raw = fields["risk_class"]
     risk = None
     if rc_raw != "-":
         variability, nocturnal = rc_raw.split(":")
@@ -697,7 +700,5 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
                          collection_days=collection_days, day_traces=day_traces,
                          final_agents=None, transfer_entropy_bits=te,
                          risk_class=risk, initial_therapy=initial)
-    reserved = {"patient", "arm", "scenario", "days", "transfer_entropy",
-                "risk_class", "initial_therapy"}
-    extra = {k: v for k, v in fields.items() if k not in reserved}
+    extra = {k: v for k, v in fields.items() if k not in _RESULT_HEADERS}
     return result, extra

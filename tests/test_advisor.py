@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abbalab import advisor as adv
+from abbalab import patient as pat
 from abbalab.advisor import AgentKind, FeatureVector, InsulinRecord, Measurement
 
 
@@ -15,6 +16,11 @@ def _agent(kind, theta, w=None, z=None, **kw):
 
 
 # --- glucose error and features ---------------------------------------------------
+
+def test_glycaemic_bands_are_ordered():
+    assert (pat.RESCUE < pat.SEVERE_HYPO < pat.HYPO < adv.LOW_MORNING
+            < adv.TARGET < pat.HYPER)
+
 
 def test_glucose_error_above_band():
     assert adv.glucose_error(200.0) == 20.0

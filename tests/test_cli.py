@@ -1,6 +1,7 @@
 import filecmp
 import itertools
 
+from abbalab import advisor as adv
 from abbalab import cli
 from abbalab import patient as pat
 from abbalab import protocol as proto
@@ -67,6 +68,22 @@ def test_output_files_carry_config_hash_and_seed(tmp_path):
         assert "master_seed" in head or "seed" in head, rel
 
 
+def test_checkpoints_open_with_the_schema_tag_and_parse_back(tmp_path):
+    _, out = _run(tmp_path, "out_a")
+    cfg = cli.load_config(_config(tmp_path, SMOKE))
+    header_lines = [f"config_hash {cfg.config_hash()}", f"master_seed {cfg.seed}",
+                    "day 30"]
+    paths = sorted((out / "checkpoints").glob("*.txt"))
+    assert [p.name for p in paths] == ["p000_abba_agents.txt", "p001_abba_agents.txt"]
+    for path in paths:
+        text = path.read_text()
+        bundle = adv.bundle_from_text(text)
+        lines = text.splitlines()
+        assert lines[0] == "# abbalab-agents v1"
+        assert lines[1:4] == [f"# {h}" for h in header_lines]
+        assert adv.bundle_to_text(bundle, header_lines) == text
+
+
 def test_single_arm_run_writes_summaries_only(tmp_path):
     cfg = _config(tmp_path, SMOKE)
     out = tmp_path / "solo"
@@ -103,6 +120,43 @@ def test_unknown_config_key_is_rejected(tmp_path):
 def test_unknown_scenario_is_rejected(tmp_path):
     cfg = _config(tmp_path, SMOKE.replace("scenario = S1", "scenario = S9"))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+EVERY_KEY = """[run]
+scenario = S3
+diabetes_type = T2D
+cohort_size = 4
+seed = 9
+days = 45
+arms = bba, abba
+out = x
+jobs = 2
+dawn = off
+misestimation = 0.8, 1.2
+rescue_threshold = 25
+"""
+
+
+def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch):
+    cfg = cli.load_config(_config(tmp_path, EVERY_KEY))
+    assert len(cli.CONFIG_KEYS) == 11
+    assert cfg == cli.RunConfig(
+        scenario="S3", diabetes_type="T2D", cohort_size=4, seed=9, days=45,
+        arms=("bba", "abba"), out="x", jobs=2, dawn="off",
+        misestimation=(0.8, 1.2), rescue_threshold=25.0)
+    assert cfg.arms == ("bba", "abba")
+    assert cfg.rescue_threshold == 25.0 and isinstance(cfg.rescue_threshold, float)
+    assert cfg.config_hash() == "0bb515739858d8be"
+    assert cli.load_config(_config(tmp_path, SMOKE)).config_hash() == "9badd509908d42c1"
+
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    for body in (SMOKE.replace("cohort_size = 2", "cohort_size = two"),
+                 SMOKE + "rescue_threshold = abc\n"):
+        cfg_path = _config(tmp_path, body)
+        assert cli.main(["run", "--config", cfg_path,
+                         "--out", str(tmp_path / "x")]) == 2
+    assert calls == []
 
 
 def test_config_hash_ignores_out_and_jobs(tmp_path):

@@ -102,8 +102,12 @@ def test_rescue_fires_once_until_rearmed():
     assert rc.poll(29.0) == 20.0
     assert rc.poll(28.0) == 0.0          # still below, not re-armed
     assert rc.poll(55.0) == 0.0          # recovering but below re-arm level
+    assert rc.poll(69.9) == 0.0          # just below the re-arm level
+    assert rc.poll(29.0) == 0.0          # so a second dip stays silent
     assert rc.poll(75.0) == 0.0          # re-arms here
     assert rc.poll(29.0) == 20.0         # second event
+    assert rc.poll(70.0) == 0.0          # re-arms exactly at the level
+    assert rc.poll(29.0) == 20.0         # third event
 
 
 def test_rescue_count_monotone_in_threshold():
