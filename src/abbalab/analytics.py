@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, stdtr
 
+from .initialisation import COLLECTION_DAYS
 from .patient import HYPER, HYPO, SEVERE_HYPO
 
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
@@ -284,7 +285,7 @@ class Window:
     end_day: int      # inclusive
 
 
-def standard_windows(days: int, collection_days: int = 14) -> list[Window]:
+def standard_windows(days: int, collection_days: int = COLLECTION_DAYS) -> list[Window]:
     """full + first/last 4 weeks + 4-week windows stepped weekly post-collection."""
     online_start = collection_days + 1
     if days <= collection_days:

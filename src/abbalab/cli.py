@@ -269,6 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tasks = [(cfg, headers, p, arm) for p in cohort for arm in cfg.arms]
     jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        pat.load_kernel()                       # built once; the workers inherit it
         with multiprocessing.Pool(jobs) as pool:
             statuses = pool.map(_run_one, tasks)
     else:

@@ -5,7 +5,8 @@ subcutaneous absorption separately for rapid and long-acting insulin, a
 single remote insulin-action state, and hepatic glucose output suppressed
 by insulin action, minus insulin-dependent and insulin-independent
 disposal. Integrated with fixed-step RK4 at 1-minute resolution for
-reproducibility.
+reproducibility: `integrate` steps a run of minutes, and `_kernel.c` is its
+compiled transcription, bit for bit, which `load_kernel` builds on first use.
 
 All randomness flows through explicit numpy Generators; a cohort built
 from one seed is bit-reproducible.
@@ -13,8 +14,16 @@ from one seed is bit-reproducible.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -211,10 +220,132 @@ def _rk4_minute(y: tuple, c: tuple, sens: float) -> tuple:
 
     total = d1 + d2 + r1 + r2 + l1 + l2 + ip + x + g
     if total != total or total == math.inf:     # NaN / overflow guard
-        raise SimulationFault(
-            f"non-finite state after step: G={g} gut=({d1},{d2}) "
-            f"rapid=({r1},{r2}) long=({l1},{l2}) I={ip} X={x}")
+        raise _fault(d1, d2, r1, r2, l1, l2, ip, x, g)
     return (d1, d2, r1, r2, l1, l2, ip, x, g)
+
+
+def _fault(d1, d2, r1, r2, l1, l2, ip, x, g) -> SimulationFault:
+    return SimulationFault(
+        f"non-finite state after step: G={g} gut=({d1},{d2}) "
+        f"rapid=({r1},{r2}) long=({l1},{l2}) I={ip} X={x}")
+
+
+def integrate(y: array, c: array, sens: array, cho: array, g_out: array,
+              m0: int, m1: int, rescue) -> int:
+    """Step minutes [m0, m1) of a day in place; the reference for the
+    compiled kernel, and what trials run when it cannot be built.
+
+    `y` holds the 9 states in `_rk4_minute`'s order and `c` the patient's
+    `_model_constants`; `sens` and `cho` hold each minute's sensitivity
+    multiplier and carbohydrate delivery (g), and each stepped minute's
+    glucose goes to `g_out`. All are `array('d')` buffers. Before a minute is
+    stepped, `rescue.poll` (a `protocol.RescueController`) sees its glucose;
+    at the first minute where it fires the call returns that minute
+    unstepped, so the caller can add the rescue and step it. Otherwise it
+    returns m1.
+    """
+    state = tuple(y)
+    poll = rescue.poll
+    for m in range(m0, m1):
+        if poll(state[8]) > 0.0:
+            m1 = m
+            break
+        cho_in = cho[m]
+        if cho_in > 0.0:
+            state = (state[0] + cho_in, *state[1:])
+        state = _rk4_minute(state, c, sens[m])
+        g_out[m] = state[8]
+    y[:] = array("d", state)
+    return m1
+
+
+# --- compiled kernel ------------------------------------------------------------
+#
+# _kernel.c transcribes `integrate` for a minute about 100x faster. It is built
+# on first use into the package's __pycache__/, under a name hashed from the
+# source and the flags, and loaded with ctypes; without a compiler or a
+# writable cache, trials run `integrate` instead.
+
+KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+# A fused multiply-add rounds once where Python rounds twice, so contraction
+# (gcc's default wherever the target has FMA) would break bit-identity.
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# The fixed constants the kernel reads, in the order _kernel.c indexes them.
+_FIXED_CONSTANTS = (1.0 / ACTION_TC_MIN, INSULIN_CLEARANCE, GLUCOSE_EFFECTIVENESS,
+                    EGP_SUPPRESSION_HALF * EGP_SUPPRESSION_HALF, SECRETION_THRESHOLD,
+                    SECRETION_SPAN, GLUCOSE_FLOOR, GLUCOSE_CEIL, HYPO)
+
+_kernel = None      # the integrate trials run, once load_kernel has chosen it
+
+
+def build_kernel(cache_dir: Path, flags: tuple[str, ...] = KERNEL_FLAGS) -> Path:
+    """Compile _kernel.c with `cc` and `flags` into `cache_dir`, unless that
+    build is there already; returns the shared object's path. Raises OSError
+    or CalledProcessError when it cannot."""
+    tag = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(flags).encode())
+    target = cache_dir / f"_kernel-{tag.hexdigest()[:16]}.so"
+    if not target.exists():
+        cache_dir.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", *flags, "-o", tmp, str(KERNEL_SOURCE)],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return target
+
+
+def _address(buf: array, n: int) -> int:
+    if not isinstance(buf, array) or buf.typecode != "d" or len(buf) < n:
+        raise TypeError(f"kernel buffers are array('d') of at least {n} values")
+    return buf.buffer_info()[0]
+
+
+def compiled_integrate(path: Path):
+    """`integrate` backed by the shared object at `path`."""
+    fn = ctypes.CDLL(str(path)).abbalab_integrate
+    fn.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_int, ctypes.c_int,
+                   ctypes.POINTER(ctypes.c_int), ctypes.c_double)
+    fn.restype = ctypes.c_int
+    fixed = array("d", _FIXED_CONSTANTS)
+
+    def integrate_compiled(y, c, sens, cho, g_out, m0, m1, rescue):
+        if not 0 <= m0 <= m1:
+            raise ValueError(f"bad minute range [{m0}, {m1})")
+        armed = ctypes.c_int(rescue.armed)
+        m = fn(_address(y, 9), _address(c, 8), fixed.buffer_info()[0],
+               _address(sens, m1), _address(cho, m1), _address(g_out, m1),
+               m0, m1, ctypes.byref(armed), rescue.threshold)
+        rescue.armed = bool(armed.value)
+        if m < 0:
+            raise _fault(*y)
+        return m
+
+    return integrate_compiled
+
+
+def load_kernel():
+    """The integrate that trials run: the compiled kernel, built and loaded
+    once per process, or `integrate` when that fails, after one stderr line
+    that gives the reason. `abbalab run` calls it before starting workers,
+    so they inherit the loaded kernel."""
+    global _kernel
+    if _kernel is not None:
+        return _kernel
+    try:
+        _kernel = compiled_integrate(build_kernel(KERNEL_SOURCE.parent / "__pycache__"))
+        return _kernel
+    except subprocess.CalledProcessError as exc:
+        reason = [*exc.stderr.splitlines(), str(exc)][0]
+    except OSError as exc:
+        reason = str(exc)
+    print(f"abbalab: compiled kernel unavailable ({reason}); "
+          "using the Python integrator", file=sys.stderr)
+    _kernel = integrate
+    return _kernel
 
 
 def fasting_glucose(params: PatientParams, basal_u_per_day: float) -> float:

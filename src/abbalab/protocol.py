@@ -2,8 +2,9 @@
 timing, the rescue controller, and the three-phase pipeline (two-week
 collection under the static advisor, initialization, on-line learning).
 
-run_trial is single-threaded per patient: a thin minute loop integrates the
-patient and hands each scheduled event to a handler of the Trial state. The
+run_trial is single-threaded per patient: a day runs event to event, the
+minutes between two events integrated in one call of the patient kernel, and
+each scheduled event is handed to a handler of the Trial state. The
 cohort runner fans out with disjoint per-patient seed streams derived from
 the master seed, so the arm never perturbs its twin's meals, announcement
 errors or sensitivity draws. Reading noise is shared too until one arm has a
@@ -13,6 +14,7 @@ rescue the other lacks: rescue readings draw from the same SMBG stream.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +122,8 @@ def announce_cho(true_cho: float, spec: ScenarioSpec, rng: np.random.Generator) 
 class RescueController:
     """RESCUE_GRAMS of fast glucose the minute true plasma glucose falls below
     `threshold`. It then stays disarmed until glucose is back at or above
-    pat.HYPO, so one hypoglycaemic episode triggers one rescue."""
+    pat.HYPO, so one hypoglycaemic episode triggers one rescue. `pat.integrate`
+    polls it every minute it steps; the compiled kernel transcribes `poll`."""
     threshold: float = pat.RESCUE
     armed: bool = True
 
@@ -217,9 +220,9 @@ class Trial:
     """One patient's trial under one arm, as the state events act on.
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's records and the seed streams. run_trial's minute loop
-    calls a handler at each event minute with the true plasma glucose; a
-    handler returns the insulin (U) it delivers that minute.
+    current day's records and the seed streams. run_trial's day loop calls
+    a handler at each event minute with the true plasma glucose; a handler
+    returns the insulin (U) it delivers that minute.
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -256,12 +259,13 @@ class Trial:
         self.recent_insulin: list[adv.InsulinRecord] = []
         self.day_traces: list[DayTrace] = []
 
-    def start_day(self, day: int) -> tuple[list[float], dict, dict, int]:
+    def start_day(self, day: int) -> tuple[array, dict, dict, int]:
         """Draw day `day`'s schedule and reset the day's records.
 
-        Returns the per-minute CHO delivery and the event minutes: meal by
-        pre-meal reading minute, meal by post-prandial reading minute (S4
-        only), and the bedtime injection minute.
+        Returns the per-minute CHO delivery (g, the kernel's `array('d')`)
+        and the event minutes: meal by pre-meal reading minute, meal by
+        post-prandial reading minute (S4 only), and the bedtime injection
+        minute.
         """
         self.day = day
         self.day_offset = (day - 1) * MINUTES_PER_DAY
@@ -269,7 +273,7 @@ class Trial:
         self.learning = self.arm == ABBA and not self.collecting
         sched = sample_day(self.spec, self.streams["schedule"])
 
-        cho_by_minute = [0.0] * MINUTES_PER_DAY
+        cho_by_minute = array("d", bytes(8 * MINUTES_PER_DAY))
         for meal in sched.meals:
             per_min = meal.cho_g / meal.duration_min
             for m in range(meal.start_minute, meal.start_minute + meal.duration_min):
@@ -447,8 +451,12 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 
     Environment randomness (meals, misestimation, readings, sensitivity) is
     seeded independently of the arm, so paired arms face the same world.
-    Within a minute the events run in a fixed order: rescue, pre-meal,
-    post-prandial, bedtime; then the minute is integrated.
+    Each day runs event to event: `pat.load_kernel()`'s integrate steps the
+    minutes up to the next event minute in one call, and returns early at a
+    minute where the rescue fires. Such a minute and each event minute run
+    here, in a fixed order: rescue, pre-meal, post-prandial, bedtime; then
+    the minute is integrated. The collection phase's CGM samples are drawn
+    after each day, in minute order, from the day's glucose.
     """
     if advisor_kind not in (ABBA, BBA):
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
@@ -462,28 +470,31 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
         dawn_enabled=dawn_enabled,
         interday_variability_pct=spec.interday_sensitivity)
     dawn_base = [pat.dawn_multiplier(sensitivity, m) for m in range(MINUTES_PER_DAY)]
-    consts = pat._model_constants(params)
-    y = pat.equilibrium_state(params, trial.therapy.basal)
+    integrate = pat.load_kernel()
+    consts = array("d", pat._model_constants(params))
+    y = array("d", pat.equilibrium_state(params, trial.therapy.basal))
     rescue = RescueController(threshold=rescue_threshold)
     sens_rng, cgm_rng = trial.streams["sens"], trial.streams["cgm"]
-    cgm_vals, cgm_times, cgm_basal = trial.cgm_vals, trial.cgm_times, trial.cgm_basal
     # Basal only changes in the on-line phase, so the logged rate is fixed.
     basal_rate = trial.therapy.basal / MINUTES_PER_DAY
 
     for day in range(1, days + 1):
         day_factor = pat.draw_interday_factor(sensitivity, sens_rng)
-        cho_by_minute, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
-        collecting, day_offset = trial.collecting, trial.day_offset
-        g_day = [0.0] * MINUTES_PER_DAY
-
-        for minute in range(MINUTES_PER_DAY):
+        cho, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
+        sens = array("d", [b * day_factor for b in dawn_base])
+        g_day = array("d", bytes(8 * MINUTES_PER_DAY))
+        stops = iter(sorted({*pre_meal_at, *post_prandial_at, basal_minute}))
+        stop = next(stops)
+        minute = 0
+        while True:
+            minute = integrate(y, consts, sens, cho, g_day, minute, stop, rescue)
+            if minute == MINUTES_PER_DAY:
+                break
             g = y[8]
-            cho_in = cho_by_minute[minute]
+            cho_in = cho[minute]
             rapid_in = long_in = 0.0
-
-            grams = rescue.poll(g)
-            if grams > 0.0:
-                cho_in += grams
+            if minute < stop or rescue.poll(g) > 0.0:    # early stop: its poll fired
+                cho_in += RESCUE_GRAMS
                 trial.rescue(minute, g)
             meal = pre_meal_at.get(minute)
             if meal is not None:
@@ -495,16 +506,20 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
                 long_in += trial.bedtime(minute, g)
 
             if cho_in > 0.0 or rapid_in > 0.0 or long_in > 0.0:
-                y = (y[0] + cho_in, y[1], y[2] + rapid_in, y[3],
-                     y[4] + long_in, y[5], y[6], y[7], g)
-            y = pat._rk4_minute(y, consts, dawn_base[minute] * day_factor)
+                y[0] += cho_in
+                y[2] += rapid_in
+                y[4] += long_in
+            y[:] = array("d", pat._rk4_minute(y, consts, sens[minute]))
             g_day[minute] = y[8]
+            minute += 1
+            if minute > stop:
+                stop = next(stops, MINUTES_PER_DAY)
 
-            if collecting and minute % init.CGM_INTERVAL_MIN == 0:
-                cgm_vals.append(pat.read_smbg(y[8], cgm_rng))
-                cgm_times.append(float(day_offset + minute))
-                cgm_basal.append(basal_rate)
-
+        if trial.collecting:
+            for minute in range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN):
+                trial.cgm_vals.append(pat.read_smbg(g_day[minute], cgm_rng))
+                trial.cgm_times.append(float(trial.day_offset + minute))
+                trial.cgm_basal.append(basal_rate)
         trial.midnight(g_day)
 
     return trial.result()

@@ -219,17 +219,17 @@ def test_parallel_run_matches_serial_run(tmp_path):
 # --- failures, dirty directories, worker count ------------------------------------
 
 def test_failed_trial_is_reported_and_its_patient_left_unpaired(tmp_path, monkeypatch):
-    real_trial, real_rk4 = proto.run_trial, pat._rk4_minute
-    calls = itertools.count()
+    real_trial, real_integrate = proto.run_trial, pat.load_kernel()
+    days = itertools.count(1)
 
-    def faulty_rk4(y, consts, sens):
-        if next(calls) == 20 * pat.MINUTES_PER_DAY:     # on-line phase, day 21
+    def faulty_integrate(y, c, sens, cho, g_out, m0, m1, rescue):
+        if m0 == 0 and next(days) == 21:        # day 21's first segment: on-line phase
             raise pat.SimulationFault("injected")
-        return real_rk4(y, consts, sens)
+        return real_integrate(y, c, sens, cho, g_out, m0, m1, rescue)
 
     def trial(params, arm, *args, **kwargs):
         faulty = (params.id, arm) == (1, proto.ABBA)
-        monkeypatch.setattr(pat, "_rk4_minute", faulty_rk4 if faulty else real_rk4)
+        monkeypatch.setattr(pat, "_kernel", faulty_integrate if faulty else real_integrate)
         return real_trial(params, arm, *args, **kwargs)
 
     monkeypatch.setattr(proto, "run_trial", trial)

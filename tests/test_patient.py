@@ -1,9 +1,13 @@
 import dataclasses
+import math
+import subprocess
+from array import array
 
 import numpy as np
 import pytest
 
 from abbalab import patient as pat
+from abbalab import protocol as proto
 
 
 # --- cohort sampling ----------------------------------------------------------
@@ -168,3 +172,124 @@ def test_interday_factor_range_and_disabled_case():
     assert min(draws) >= 0.70 and max(draws) <= 1.30
     flat = pat.SensitivitySchedule()
     assert pat.draw_interday_factor(flat, rng) == 1.0
+
+
+# --- compiled kernel ------------------------------------------------------------
+
+# (type, seed, patient, scenario, days): patient 6 has rescues in both arms,
+# S4 adds correction boluses, S2 the +/-30% day-to-day sensitivity factor.
+KERNEL_TRIALS = (("T1D", 1, 6, "S1", 90), ("T2D", 3, 0, "S4", 30),
+                 ("T1D", 3, 1, "S2", 30))
+
+
+def _build(cache_dir, flags=pat.KERNEL_FLAGS):
+    try:
+        return pat.compiled_integrate(pat.build_kernel(cache_dir, flags))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        pytest.skip(f"the compiled kernel cannot be built here: {exc}")
+
+
+def _traces(kernel):
+    """Trace text of both arms of every KERNEL_TRIALS trial under `kernel`."""
+    texts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pat, "_kernel", kernel)
+        for dtype, seed, pid, scenario, days in KERNEL_TRIALS:
+            params = pat.generate_cohort(pid + 1, dtype, seed)[pid]
+            for arm in (proto.ABBA, proto.BBA):
+                result = proto.run_trial(params, arm, proto.SCENARIOS[scenario],
+                                         master_seed=seed, days=days)
+                texts.append(proto.trace_to_text(result))
+    return texts
+
+
+def _mismatches(texts, reference):
+    labels = [(trial, arm) for trial in KERNEL_TRIALS for arm in (proto.ABBA, proto.BBA)]
+    return [label for label, a, b in zip(labels, texts, reference) if a != b]
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    return _build(pat.KERNEL_SOURCE.parent / "__pycache__")
+
+
+@pytest.fixture(scope="module")
+def python_traces():
+    texts = _traces(pat.integrate)
+    assert ",R," in texts[0] and ",R," in texts[1]     # rescues in both arms
+    return texts
+
+
+def test_compiled_kernel_reproduces_the_python_traces(compiled, python_traces):
+    assert _mismatches(_traces(compiled), python_traces) == []
+
+
+def test_kernel_flags_keep_traces_under_native_tuning(python_traces, tmp_path):
+    """-march=native lets the compiler emit FMA wherever the CPU has it;
+    -ffp-contract=off must still keep every product and sum rounded apart."""
+    kernel = _build(tmp_path, (*pat.KERNEL_FLAGS, "-march=native"))
+    assert _mismatches(_traces(kernel), python_traces) == []
+
+
+def _rescue_day(kernel, sens):
+    """One fasting day stepped the way run_trial steps it between events:
+    a minute where the rescue fires gets its grams and one `_rk4_minute`."""
+    p = _t1d_patient()
+    consts = array("d", pat._model_constants(p))
+    y = array("d", pat.equilibrium_state(p, 20.0))
+    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+    g_out = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+    rescue, fired, m = proto.RescueController(), [], 0
+    while (m := kernel(y, consts, sens, cho, g_out, m, pat.MINUTES_PER_DAY,
+                       rescue)) < pat.MINUTES_PER_DAY:
+        fired.append(m)
+        y[0] += proto.RESCUE_GRAMS
+        y[:] = array("d", pat._rk4_minute(y, consts, sens[m]))
+        g_out[m] = y[8]
+        m += 1
+    return fired, g_out
+
+
+def test_rescues_fire_and_rearm_alike_in_both_kernels(compiled):
+    # Sensitivity switched between 10x and 0 every two hours takes glucose
+    # below the rescue threshold, back above the re-arm level and down again
+    # within one segment, with no event minute to re-arm the controller.
+    sens = array("d", [10.0 if m // 120 % 2 == 0 else 0.0
+                       for m in range(pat.MINUTES_PER_DAY)])
+    fired, glucose = _rescue_day(pat.integrate, sens)
+    assert len(fired) == 3
+    assert _rescue_day(compiled, sens) == (fired, glucose)
+
+
+def test_non_finite_sensitivity_faults_in_both_kernels(compiled):
+    p = _t1d_patient()
+    consts = array("d", pat._model_constants(p))
+    sens = array("d", [1.0] * pat.MINUTES_PER_DAY)
+    sens[100] = math.nan
+    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+    faults, glucose = [], []
+    for kernel in (pat.integrate, compiled):
+        y = array("d", pat.equilibrium_state(p, 20.0))
+        g_out = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+        with pytest.raises(pat.SimulationFault) as info:
+            kernel(y, consts, sens, cho, g_out, 0, pat.MINUTES_PER_DAY,
+                   proto.RescueController())
+        faults.append(str(info.value))
+        glucose.append(g_out)
+    assert "G=nan" in faults[0]
+    assert faults[0] == faults[1]                   # the message holds the state
+    assert glucose[0] == glucose[1]
+    assert glucose[0][99] > 0.0 and glucose[0][100] == 0.0
+
+
+def test_without_a_compiler_trials_run_the_python_kernel(tmp_path, monkeypatch, capsys):
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(pat.KERNEL_SOURCE.read_bytes())
+    monkeypatch.setattr(pat, "KERNEL_SOURCE", source)     # an empty cache beside it
+    monkeypatch.setattr(pat, "_kernel", None)
+    monkeypatch.setenv("PATH", str(tmp_path))             # no cc
+    assert pat.load_kernel() is pat.integrate
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "compiled kernel unavailable" in err[0]
+    assert pat.load_kernel() is pat.integrate             # chosen once per process
+    assert capsys.readouterr().err == ""
