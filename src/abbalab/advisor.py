@@ -57,10 +57,6 @@ class AgentKind(enum.Enum):
         return self in (AgentKind.ICR1, AgentKind.ICR2, AgentKind.ICR3)
 
     @property
-    def is_ps(self) -> bool:
-        return self in (AgentKind.PS1, AgentKind.PS2, AgentKind.PS3)
-
-    @property
     def is_basal(self) -> bool:
         return self is AgentKind.BASAL
 

@@ -71,8 +71,9 @@ class RunConfig:
             lo, hi = self.misestimation
             if not 0.0 < lo <= hi:
                 raise ValueError("misestimation interval must be 0 < lo <= hi")
-        if self.rescue_threshold <= 0.0:
-            raise ValueError("rescue_threshold must be positive")
+        if not 0.0 < self.rescue_threshold <= pat.HYPO:
+            raise ValueError(f"rescue_threshold must be positive and at most "
+                             f"the re-arm level {pat.HYPO}")
         if not self.out:
             raise ValueError("no output directory; set out= or pass --out")
 
@@ -215,32 +216,32 @@ def _reduce_from_traces(out: Path) -> tuple[dict[str, list], dict[str, str]]:
     return by_arm, headers or {}
 
 
+def _build_report(by_arm: dict[str, list]) -> ana.TrialReport:
+    """The paired comparison of both arms, or one arm's summary alone, from
+    parsed trials."""
+    summaries = {arm: ana.summarize_cohort(results)
+                 for arm, results in sorted(by_arm.items())}
+    if proto.ABBA in summaries and proto.BBA in summaries:
+        return ana.build_report(summaries[proto.ABBA], summaries[proto.BBA])
+    (arm, summary), = summaries.items()
+    return ana.TrialReport(scenario=summary.scenario,
+                           diabetes_type=summary.diabetes_type,
+                           windows=summary.windows,
+                           arm_summaries={arm: summary},
+                           comparisons=[])
+
+
 def _write_report(out: Path, by_arm: dict[str, list],
                   headers: dict[str, str]) -> list[Path]:
     """Report CSV (+ chart when both arms are present) from parsed trials."""
-    summaries = {arm: ana.summarize_cohort(results)
-                 for arm, results in sorted(by_arm.items())}
-    written = []
-    dtype = next(iter(summaries.values())).diabetes_type
-    if proto.ABBA in summaries and proto.BBA in summaries:
-        report = ana.build_report(summaries[proto.ABBA], summaries[proto.BBA])
-        csv_path = out / f"report_{dtype}.csv"
-        csv_path.write_text(ana.report_to_csv(report, headers))
-        written.append(csv_path)
-        if any(w.name.startswith("week") for w in report.windows):
-            svg_path = out / f"chart_{dtype}.svg"
-            svg_path.write_text(ana.chart_svg(report, headers))
-            written.append(svg_path)
-    else:
-        (arm, summary), = summaries.items()
-        report = ana.TrialReport(scenario=summary.scenario,
-                                 diabetes_type=dtype,
-                                 windows=summary.windows,
-                                 arm_summaries={arm: summary},
-                                 comparisons=[])
-        csv_path = out / f"report_{dtype}.csv"
-        csv_path.write_text(ana.report_to_csv(report, headers))
-        written.append(csv_path)
+    report = _build_report(by_arm)
+    csv_path = out / f"report_{report.diabetes_type}.csv"
+    csv_path.write_text(ana.report_to_csv(report, headers))
+    written = [csv_path]
+    if report.comparisons and any(w.name.startswith("week") for w in report.windows):
+        svg_path = out / f"chart_{report.diabetes_type}.svg"
+        svg_path.write_text(ana.chart_svg(report, headers))
+        written.append(svg_path)
     return written
 
 
@@ -323,26 +324,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summaries = {arm: ana.summarize_cohort(results)
-                 for arm, results in sorted(by_arm.items())}
+    report = _build_report(by_arm)
+    summaries = report.arm_summaries
     arms = sorted(summaries)
-    report = None
-    if len(arms) == 2:
-        report = ana.build_report(summaries[proto.ABBA], summaries[proto.BBA])
     first = summaries[arms[0]]
     print(f"scenario {first.scenario}  {first.diabetes_type}  "
           f"n={len(first.outcomes)}")
     for window in ("full", "first4w", "last4w"):
         print(f"\n[{window}]")
         header = f"{'metric':<14}" + "".join(f"{a:>22}" for a in arms)
-        print(header + ("        test       p" if report else ""))
+        print(header + ("        test       p" if report.comparisons else ""))
         for metric in _TABLE_METRICS:
             cells = ""
             for arm in arms:
                 values = summaries[arm].metric(window, metric)
                 cells += f"{values.mean():>13.2f} ±{values.std(ddof=1) if len(values) > 1 else 0.0:>6.2f}"
             line = f"{metric:<14}" + cells
-            if report:
+            if report.comparisons:
                 row = next(r for r in report.comparisons
                            if r.window == window and r.metric == metric)
                 line += f"{row.test:>12}{row.p_value:>8.4f}"

@@ -241,8 +241,9 @@ def integrate(y: array, c: array, sens: array, cho: array, g_out: array,
     glucose goes to `g_out`. All are `array('d')` buffers. Before a minute is
     stepped, `rescue.poll` (a `protocol.RescueController`) sees its glucose;
     at the first minute where it fires the call returns that minute
-    unstepped, so the caller can add the rescue and step it. Otherwise it
-    returns m1.
+    unstepped. Otherwise it returns m1. The caller deposits the rescue into
+    `cho` and calls again from that minute, which is polled a second time;
+    with the controller's threshold at or below HYPO that poll is a no-op.
     """
     state = tuple(y)
     poll = rescue.poll
@@ -374,6 +375,8 @@ def fasting_glucose(params: PatientParams, basal_u_per_day: float) -> float:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if balance(mid) > 0.0:
             lo = mid
         else:
@@ -519,6 +522,8 @@ def nominal_therapy(params: PatientParams,
         raise ValueError("fasting target unreachable with basal alone")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if fasting_glucose(pop, mid) > fasting_target:
             lo = mid
         else:

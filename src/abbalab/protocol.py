@@ -2,9 +2,12 @@
 timing, the rescue controller, and the three-phase pipeline (two-week
 collection under the static advisor, initialization, on-line learning).
 
-run_trial is single-threaded per patient: a day runs event to event, the
-minutes between two events integrated in one call of the patient kernel, and
-each scheduled event is handed to a handler of the Trial state. The
+run_trial is single-threaded per patient. The patient kernel steps every
+minute of a day; it stops at each event minute and at each minute where the
+rescue fires, a handler of the Trial state takes the event, and what it
+delivers is deposited before the kernel steps that minute. The Trial keeps
+each fact once: the collection log, the overnight readings, the previous
+day's total dose and the insulin on board come from its day records. The
 cohort runner fans out with disjoint per-patient seed streams derived from
 the master seed, so the arm never perturbs its twin's meals, announcement
 errors or sensitivity draws. Reading noise is shared too until one arm has a
@@ -123,7 +126,13 @@ class RescueController:
     """RESCUE_GRAMS of fast glucose the minute true plasma glucose falls below
     `threshold`. It then stays disarmed until glucose is back at or above
     pat.HYPO, so one hypoglycaemic episode triggers one rescue. `pat.integrate`
-    polls it every minute it steps; the compiled kernel transcribes `poll`."""
+    polls it every minute it steps; the compiled kernel transcribes `poll`.
+
+    With `threshold` at or below pat.HYPO, a second poll at the same glucose
+    changes nothing: a fired controller stays disarmed (glucose is below
+    HYPO) and a re-armed one does not fire (glucose is at or above HYPO).
+    run_trial relies on it, as the kernel polls again each minute the driver
+    has polled."""
     threshold: float = pat.RESCUE
     armed: bool = True
 
@@ -220,9 +229,10 @@ class Trial:
     """One patient's trial under one arm, as the state events act on.
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's records and the seed streams. run_trial's day loop calls
-    a handler at each event minute with the true plasma glucose; a handler
-    returns the insulin (U) it delivers that minute.
+    current day's records, the finished days' DayTraces and the seed
+    streams. run_trial's day loop calls a handler at each event minute with
+    the true plasma glucose; a handler returns what it delivers that minute:
+    insulin (U), or the rescue's carbohydrate (g).
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -239,24 +249,13 @@ class Trial:
         self.te_bits: float | None = None
         self.risk: init.RiskClass | None = None
 
-        # Collection log, the input of the ABBA initialisation.
-        self.cgm_vals: list[float] = []
-        self.cgm_times: list[float] = []
-        self.cgm_basal: list[float] = []
-        self.all_insulin: list[adv.InsulinRecord] = []
-
         # Feature bookkeeping.
         self.slot_features: dict[int, np.ndarray] = {}
         self.open_slot: int | None = None
         self.open_values: list[float] = []
         self.day_pool: list[float] = []
         self.basal_state_prev: np.ndarray | None = None
-        self.prev_day_last_reading: float | None = None
-        self.today_first_reading: float | None = None
-        self.last_reading_today: float | None = None
-        self.tdd_yesterday: float | None = None
 
-        self.recent_insulin: list[adv.InsulinRecord] = []
         self.day_traces: list[DayTrace] = []
 
     def start_day(self, day: int) -> tuple[array, dict, dict, int]:
@@ -296,7 +295,6 @@ class Trial:
                                       announced_g=None)
                             for m in sched.meals]
         self.rescues_today: list[RescueEvent] = []
-        self.day_insulin = 0.0
         self.snapshot = _snapshot(self.therapy)
         return cho_by_minute, pre_meal_at, post_prandial_at, sched.basal_minute
 
@@ -305,23 +303,23 @@ class Trial:
         self.measurements.append(adv.Measurement(
             value=value, timestamp=float(self.day_offset + minute), slot=slot))
         self.day_pool.append(value)
-        if self.today_first_reading is None:
-            self.today_first_reading = value
-        self.last_reading_today = value
         return value
 
     def _deliver(self, dose: float, kind: str, minute: int) -> float:
-        rec = adv.InsulinRecord(dose_u=dose, kind=kind,
-                                timestamp=float(self.day_offset + minute))
-        self.insulin_today.append(rec)
-        self.recent_insulin.append(rec)
-        if self.collecting:
-            self.all_insulin.append(rec)
-        self.day_insulin += dose
+        self.insulin_today.append(adv.InsulinRecord(
+            dose_u=dose, kind=kind, timestamp=float(self.day_offset + minute)))
         return dose
 
     def _overnight(self) -> np.ndarray:
-        return adv.overnight_delta(self.today_first_reading, self.prev_day_last_reading)
+        """Today's first reading against yesterday's last (none on day 1)."""
+        last_night = self.day_traces[-1].measurements[-1].value if self.day_traces else None
+        return adv.overnight_delta(self.measurements[0].value, last_night)
+
+    def _iob(self, minute: int) -> float:
+        # Records older than yesterday's are past DIA_MIN, which iob skips.
+        yesterday = self.day_traces[-1].insulin if self.day_traces else []
+        return adv.iob([*yesterday, *self.insulin_today],
+                       float(self.day_offset + minute))
 
     def _close_window(self, closing_value: float) -> None:
         """End the open post-meal window: the slot's agents learn from it."""
@@ -343,12 +341,14 @@ class Trial:
         self.open_slot = None
         self.open_values = []
 
-    def rescue(self, minute: int, g: float) -> None:
-        """Rescue carbohydrate fired: the patient takes a reading."""
+    def rescue(self, minute: int, g: float) -> float:
+        """Rescue carbohydrate fired: the patient takes a reading and
+        RESCUE_GRAMS of fast glucose."""
         value = self._read(minute, "rescue", g)
         if self.open_slot is not None:
             self.open_values.append(value)
         self.rescues_today.append(RescueEvent(minute=minute, trigger_mgdl=value))
+        return RESCUE_GRAMS
 
     def pre_meal(self, meal: MealPlan, minute: int, g: float) -> float:
         """Pre-meal reading, the slot's ICR/PS actions, then the meal bolus."""
@@ -370,8 +370,8 @@ class Trial:
         self.meals_today[slot] = MealEvent(slot=slot, minute=meal.start_minute,
                                            duration_min=meal.duration_min,
                                            cho_g=meal.cho_g, announced_g=announced)
-        iob_now = adv.iob(self.recent_insulin, float(self.day_offset + minute))
-        dose = adv.bolus_recommendation(announced, reading, self.therapy, slot, iob_now)
+        dose = adv.bolus_recommendation(announced, reading, self.therapy, slot,
+                                        self._iob(minute))
         self.open_slot = slot
         self.open_values = []
         return self._deliver(dose, "bolus", minute) if dose > 0.0 else 0.0
@@ -381,9 +381,8 @@ class Trial:
         reading = self._read(minute, "post_prandial", g)
         if self.open_slot is not None:
             self.open_values.append(reading)
-        iob_now = adv.iob(self.recent_insulin, float(self.day_offset + minute))
         dose = adv.correction_bolus(reading, self.therapy, self.therapy.ps[meal.slot],
-                                    iob_now)
+                                    self._iob(minute))
         if dose is not None and dose > 0.0:
             return self._deliver(dose, "correction", minute)
         return 0.0
@@ -404,7 +403,7 @@ class Trial:
                            adv.FeatureVector(float(s_now[0]), float(s_now[1])))
             self.therapy.basal = adv.apply_action(
                 adv.AgentKind.BASAL, p, self.therapy.basal, self.therapy.basal_init,
-                agent.m_smooth, prev_tdd=self.tdd_yesterday)
+                agent.m_smooth, prev_tdd=self.day_traces[-1].total_insulin_u)
             self.basal_state_prev = s_now
         elif self.collecting:
             feats = adv.basal_features(self.day_pool)
@@ -414,27 +413,35 @@ class Trial:
         self.day_pool = []
         return self._deliver(self.therapy.basal, "basal", minute)
 
-    def midnight(self, glucose: list[float]) -> None:
-        """Store the day, carry its readings and TDD over, and on the last
-        collection day initialise the ABBA agents."""
-        self.prev_day_last_reading = self.last_reading_today
-        self.today_first_reading = None
-        self.last_reading_today = None
-        self.tdd_yesterday = self.day_insulin
-        cutoff = self.day_offset + MINUTES_PER_DAY - adv.DIA_MIN
-        self.recent_insulin = [r for r in self.recent_insulin if r.timestamp >= cutoff]
+    def midnight(self, glucose: array) -> None:
+        """Store the day, and on the last collection day initialise the ABBA
+        agents."""
+        total = 0.0
+        for rec in self.insulin_today:      # in order: sum() compensates from 3.12 on
+            total += rec.dose_u
         self.day_traces.append(DayTrace(
             day=self.day, glucose=np.array(glucose), measurements=self.measurements,
             insulin=self.insulin_today, meals=self.meals_today,
-            rescues=self.rescues_today, therapy=self.snapshot,
-            total_insulin_u=self.day_insulin))
+            rescues=self.rescues_today, therapy=self.snapshot, total_insulin_u=total))
         if self.day == init.COLLECTION_DAYS and self.arm == ABBA:
-            log = init.CollectionLog(cgm=np.array(self.cgm_vals),
-                                     cgm_times=np.array(self.cgm_times),
-                                     insulin_records=tuple(self.all_insulin),
-                                     basal_rates=np.array(self.cgm_basal))
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
-                log, self.params.diabetes_type, self.streams["agents"])
+                self._collection_log(), self.params.diabetes_type, self.streams["agents"])
+
+    def _collection_log(self) -> init.CollectionLog:
+        """The collection weeks as the initialisation reads them: a CGM sample
+        every CGM_INTERVAL_MIN, drawn day by day in minute order from the
+        day's glucose, the insulin delivered, and the basal rate, which only
+        changes in the on-line phase."""
+        days = self.day_traces[:init.COLLECTION_DAYS]
+        minutes = range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN)
+        cgm_rng = self.streams["cgm"]
+        cgm = [pat.read_smbg(t.glucose[m], cgm_rng) for t in days for m in minutes]
+        return init.CollectionLog(
+            cgm=np.array(cgm),
+            cgm_times=np.array([float((t.day - 1) * MINUTES_PER_DAY + m)
+                                for t in days for m in minutes]),
+            insulin_records=tuple(r for t in days for r in t.insulin),
+            basal_rates=np.full(len(cgm), self.therapy.basal / MINUTES_PER_DAY))
 
     def result(self) -> TrialResult:
         return TrialResult(patient=self.params, arm=self.arm, scenario=self.spec.id,
@@ -451,18 +458,23 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 
     Environment randomness (meals, misestimation, readings, sensitivity) is
     seeded independently of the arm, so paired arms face the same world.
-    Each day runs event to event: `pat.load_kernel()`'s integrate steps the
-    minutes up to the next event minute in one call, and returns early at a
-    minute where the rescue fires. Such a minute and each event minute run
-    here, in a fixed order: rescue, pre-meal, post-prandial, bedtime; then
-    the minute is integrated. The collection phase's CGM samples are drawn
-    after each day, in minute order, from the day's glucose.
+    `pat.load_kernel()`'s integrate steps every minute of the day. It is
+    called up to the next event minute, and returns early at a minute where
+    its rescue poll fires. At such a minute, and at each event minute after
+    the driver's own rescue poll, the handlers run in a fixed order (rescue,
+    pre-meal, post-prandial, bedtime); their carbohydrate and insulin are
+    deposited, and the kernel is called again from that minute, which it
+    polls again and then steps. `rescue_threshold` may not exceed pat.HYPO,
+    the re-arm level, or that second poll could fire again.
     """
     if advisor_kind not in (ABBA, BBA):
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
     days = spec.days if days is None else int(days)
     if days <= init.COLLECTION_DAYS:
         raise ValueError("trial must extend past the collection phase")
+    if rescue_threshold > pat.HYPO:
+        raise ValueError(f"rescue_threshold {rescue_threshold} is above the "
+                         f"re-arm level {pat.HYPO}")
 
     trial = Trial(params, advisor_kind, spec, master_seed, days)
     dawn_enabled = (params.diabetes_type == pat.T1D) if dawn == "auto" else (dawn == "on")
@@ -474,52 +486,31 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     consts = array("d", pat._model_constants(params))
     y = array("d", pat.equilibrium_state(params, trial.therapy.basal))
     rescue = RescueController(threshold=rescue_threshold)
-    sens_rng, cgm_rng = trial.streams["sens"], trial.streams["cgm"]
-    # Basal only changes in the on-line phase, so the logged rate is fixed.
-    basal_rate = trial.therapy.basal / MINUTES_PER_DAY
 
     for day in range(1, days + 1):
-        day_factor = pat.draw_interday_factor(sensitivity, sens_rng)
+        day_factor = pat.draw_interday_factor(sensitivity, trial.streams["sens"])
         cho, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
         sens = array("d", [b * day_factor for b in dawn_base])
         g_day = array("d", bytes(8 * MINUTES_PER_DAY))
-        stops = iter(sorted({*pre_meal_at, *post_prandial_at, basal_minute}))
-        stop = next(stops)
         minute = 0
-        while True:
-            minute = integrate(y, consts, sens, cho, g_day, minute, stop, rescue)
-            if minute == MINUTES_PER_DAY:
+        for stop in (*sorted({*pre_meal_at, *post_prandial_at, basal_minute}),
+                     MINUTES_PER_DAY):
+            while (minute := integrate(y, consts, sens, cho, g_day, minute, stop,
+                                       rescue)) < stop:      # its rescue poll fired
+                cho[minute] += trial.rescue(minute, y[8])
+            if stop == MINUTES_PER_DAY:
                 break
             g = y[8]
-            cho_in = cho[minute]
-            rapid_in = long_in = 0.0
-            if minute < stop or rescue.poll(g) > 0.0:    # early stop: its poll fired
-                cho_in += RESCUE_GRAMS
-                trial.rescue(minute, g)
-            meal = pre_meal_at.get(minute)
+            if rescue.poll(g) > 0.0:
+                cho[stop] += trial.rescue(stop, g)
+            meal = pre_meal_at.get(stop)
             if meal is not None:
-                rapid_in += trial.pre_meal(meal, minute, g)
-            meal = post_prandial_at.get(minute)
+                y[2] += trial.pre_meal(meal, stop, g)
+            meal = post_prandial_at.get(stop)
             if meal is not None:
-                rapid_in += trial.post_prandial(meal, minute, g)
-            if minute == basal_minute:
-                long_in += trial.bedtime(minute, g)
-
-            if cho_in > 0.0 or rapid_in > 0.0 or long_in > 0.0:
-                y[0] += cho_in
-                y[2] += rapid_in
-                y[4] += long_in
-            y[:] = array("d", pat._rk4_minute(y, consts, sens[minute]))
-            g_day[minute] = y[8]
-            minute += 1
-            if minute > stop:
-                stop = next(stops, MINUTES_PER_DAY)
-
-        if trial.collecting:
-            for minute in range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN):
-                trial.cgm_vals.append(pat.read_smbg(g_day[minute], cgm_rng))
-                trial.cgm_times.append(float(trial.day_offset + minute))
-                trial.cgm_basal.append(basal_rate)
+                y[2] += trial.post_prandial(meal, stop, g)
+            if stop == basal_minute:
+                y[4] += trial.bedtime(stop, g)
         trial.midnight(g_day)
 
     return trial.result()

@@ -159,6 +159,20 @@ def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch
     assert calls == []
 
 
+def test_rescue_threshold_above_the_rearm_level_is_rejected(tmp_path, monkeypatch,
+                                                           capsys):
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    cfg = _config(tmp_path, SMOKE + "rescue_threshold = 75\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "re-arm level" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    at_level = cli.load_config(_config(tmp_path, SMOKE + "rescue_threshold = 70\n"))
+    at_level.out = str(out)
+    at_level.validate()
+
+
 def test_config_hash_ignores_out_and_jobs(tmp_path):
     a = cli.load_config(_config(tmp_path, SMOKE))
     b = cli.load_config(_config(tmp_path, SMOKE))

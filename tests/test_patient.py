@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 from array import array
@@ -220,6 +221,21 @@ def python_traces():
     return texts
 
 
+# The first 16 hex digits of the sha256 of each python_traces text, in order.
+TRACE_DIGESTS = ("cb93ad0840065513", "a6dc6d075d12bebe",     # T1D seed 1 p6 S1
+                 "1f9aa6ac5ac4a2b6", "3a690b2ce7c3ba11",     # T2D seed 3 p0 S4
+                 "023ec44f8a7fbf6b", "a64b8161ea9e77e1")     # T1D seed 3 p1 S2
+
+
+def test_python_traces_keep_their_pinned_digests(python_traces):
+    """The kernel tests run both kernels through one driver, so a change to
+    the driver or the Trial state moves both sides alike; these digests
+    catch it. A change that moves the numbers on purpose re-pins them, as
+    ROADMAP item 1 (common random numbers across arms) will."""
+    digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in python_traces]
+    assert digests == list(TRACE_DIGESTS)
+
+
 def test_compiled_kernel_reproduces_the_python_traces(compiled, python_traces):
     assert _mismatches(_traces(compiled), python_traces) == []
 
@@ -232,8 +248,9 @@ def test_kernel_flags_keep_traces_under_native_tuning(python_traces, tmp_path):
 
 
 def _rescue_day(kernel, sens):
-    """One fasting day stepped the way run_trial steps it between events:
-    a minute where the rescue fires gets its grams and one `_rk4_minute`."""
+    """One fasting day stepped the way run_trial steps it: a minute where the
+    rescue fires gets its grams in `cho`, and the kernel is called again from
+    that minute, which it polls a second time before stepping it."""
     p = _t1d_patient()
     consts = array("d", pat._model_constants(p))
     y = array("d", pat.equilibrium_state(p, 20.0))
@@ -243,10 +260,7 @@ def _rescue_day(kernel, sens):
     while (m := kernel(y, consts, sens, cho, g_out, m, pat.MINUTES_PER_DAY,
                        rescue)) < pat.MINUTES_PER_DAY:
         fired.append(m)
-        y[0] += proto.RESCUE_GRAMS
-        y[:] = array("d", pat._rk4_minute(y, consts, sens[m]))
-        g_out[m] = y[8]
-        m += 1
+        cho[m] += proto.RESCUE_GRAMS
     return fired, g_out
 
 

@@ -222,6 +222,24 @@ def test_trial_rejects_unknown_arm_and_short_horizon():
                         master_seed=1, days=14)
 
 
+def test_rescue_threshold_may_reach_but_not_exceed_the_rearm_level():
+    # Above pat.HYPO, glucose held between the two would fire the rescue
+    # every other minute: fire, re-arm at or above HYPO, fire again.
+    params = pat.generate_cohort(8, "T1D", 3)[7]
+    with pytest.raises(ValueError, match="re-arm level"):
+        proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"], master_seed=3,
+                        days=20, rescue_threshold=pat.HYPO + 5.0)
+    # At the level itself this patient's rescue on day 20 fires at the
+    # pre-breakfast minute, where both the driver and the kernel poll: it is
+    # taken once, before the event's reading.
+    res = proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"], master_seed=3,
+                          days=20, rescue_threshold=pat.HYPO)
+    same_minute = [(a.slot, b.slot) for t in res.day_traces
+                   for a, b in zip(t.measurements, t.measurements[1:])
+                   if a.timestamp == b.timestamp]
+    assert same_minute == [("rescue", "pre_breakfast")]
+
+
 def test_paired_arms_share_the_same_meal_sequence():
     spec = proto.SCENARIOS["S1"]
     a = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=23, days=20)
