@@ -16,6 +16,7 @@ rescue the other lacks: rescue readings draw from the same SMBG stream.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 from array import array
 from dataclasses import dataclass
@@ -481,7 +482,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     sensitivity = pat.SensitivitySchedule(
         dawn_enabled=dawn_enabled,
         interday_variability_pct=spec.interday_sensitivity)
-    dawn_base = [pat.dawn_multiplier(sensitivity, m) for m in range(MINUTES_PER_DAY)]
+    dawn_base = np.array([pat.dawn_multiplier(sensitivity, m)
+                          for m in range(MINUTES_PER_DAY)])
     integrate = pat.load_kernel()
     consts = array("d", pat._model_constants(params))
     y = array("d", pat.equilibrium_state(params, trial.therapy.basal))
@@ -490,7 +492,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     for day in range(1, days + 1):
         day_factor = pat.draw_interday_factor(sensitivity, trial.streams["sens"])
         cho, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
-        sens = array("d", [b * day_factor for b in dawn_base])
+        sens = array("d", (dawn_base * day_factor).tobytes())
         g_day = array("d", bytes(8 * MINUTES_PER_DAY))
         minute = 0
         for stop in (*sorted({*pre_meal_at, *post_prandial_at, basal_minute}),
@@ -525,17 +527,17 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # Kind codes:
 #     T  therapy field active that day (aux = icr1|icr2|icr3|ps1|ps2|ps3|cf|basal)
 #     G  the day's plasma glucose (mg/dL), one row per day at minute 0 whose
-#        value is 1440 space-separated floats, one per minute
+#        value is the base64 of 1440 little-endian float64s, one per minute
 #     M  SMBG reading (aux = measurement slot label)
 #     I  insulin delivery (aux = kind:dia_minutes)
 #     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
 #     R  rescue controller firing (value = trigger reading mg/dL)
 #     U  day's total delivered insulin, written once at minute 1439
 #
-# Floats are written with repr() so parsing returns the exact values and a
-# rewrite of a parsed file reproduces it byte for byte.
+# Every other float is written with repr(). Both forms parse back to the exact
+# values, so a rewrite of a parsed file reproduces it byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v2"
+TRACE_SCHEMA = "abbalab-trace v3"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -578,7 +580,8 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
         for name, value in zip(_THERAPY_FIELDS, _therapy_values(trace.therapy)):
             lines.append(f"{d},0,T,{_fmt(value)},{name}")
         offset = float((d - 1) * MINUTES_PER_DAY)
-        lines.append(f"{d},0,G,{' '.join(map(repr, trace.glucose.tolist()))},")
+        glucose = base64.b64encode(trace.glucose.astype("<f8").tobytes()).decode()
+        lines.append(f"{d},0,G,{glucose},")
         for meas in trace.measurements:
             lines.append(f"{d},{_fmt(meas.timestamp - offset)},M,"
                          f"{_fmt(meas.value)},{meas.slot}")
@@ -658,11 +661,18 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
         elif kind == "G":
             if bucket["glucose"] is not None:
                 raise ValueError(f"second glucose row for day {d} at line {lineno}")
-            values = value.split(" ")
-            if len(values) != MINUTES_PER_DAY:
-                raise ValueError(f"glucose row at line {lineno} holds {len(values)} "
+            try:
+                raw = base64.b64decode(value, validate=True)
+            except ValueError as exc:
+                raise ValueError(f"glucose row at line {lineno} is not base64: "
+                                 f"{exc}") from None
+            if len(raw) % 8:
+                raise ValueError(f"glucose row at line {lineno} holds {len(raw)} "
+                                 "bytes, not a whole number of float64 values")
+            if len(raw) != 8 * MINUTES_PER_DAY:
+                raise ValueError(f"glucose row at line {lineno} holds {len(raw) // 8} "
                                  f"values, expected {MINUTES_PER_DAY}")
-            bucket["glucose"] = np.array(values, dtype=float)
+            bucket["glucose"] = np.frombuffer(raw, "<f8").astype(float)
         elif kind == "M":
             bucket["measurements"].append(adv.Measurement(
                 value=float(value), timestamp=float(minute) + offset, slot=aux))

@@ -222,9 +222,10 @@ def python_traces():
 
 
 # The first 16 hex digits of the sha256 of each python_traces text, in order.
-TRACE_DIGESTS = ("cb93ad0840065513", "a6dc6d075d12bebe",     # T1D seed 1 p6 S1
-                 "1f9aa6ac5ac4a2b6", "3a690b2ce7c3ba11",     # T2D seed 3 p0 S4
-                 "023ec44f8a7fbf6b", "a64b8161ea9e77e1")     # T1D seed 3 p1 S2
+# A change of trace schema re-pins them too.
+TRACE_DIGESTS = ("4a16fc7ee98befb1", "0b1af313771e7a4f",     # T1D seed 1 p6 S1
+                 "5e3a0a524280026d", "4bc0b69f2027b279",     # T2D seed 3 p0 S4
+                 "d2c20dbf84fcaeae", "0f90073a3e53fc0c")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

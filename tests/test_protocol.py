@@ -1,6 +1,9 @@
+import base64
+
 import numpy as np
 import pytest
 
+from abbalab import advisor as adv
 from abbalab import patient as pat
 from abbalab import protocol as proto
 
@@ -269,6 +272,31 @@ def test_abba_trial_keeps_clamps_guard_and_non_negative_doses():
     assert basal_changes > 0
 
 
+def test_basal_guard_reverts_a_cut_below_a_quarter_of_yesterdays_dose(monkeypatch):
+    # T2D seed 3, S4, patient 2: day 15's basal step proposes 18.66 U/day
+    # (the 0.5x clamp), below a quarter of day 14's 81.04 U, and is reverted.
+    apply_action, basal_steps = adv.apply_action, []
+
+    def recording(kind, p, current, a_init, m, prev_tdd=None):
+        applied = apply_action(kind, p, current, a_init, m, prev_tdd=prev_tdd)
+        if kind.is_basal:
+            basal_steps.append((apply_action(kind, p, current, a_init, m),
+                                applied, current, prev_tdd))
+        return applied
+
+    monkeypatch.setattr(adv, "apply_action", recording)
+    params = pat.generate_cohort(3, "T2D", 3)[2]
+    res = proto.run_trial(params, proto.ABBA, proto.SCENARIOS["S4"],
+                          master_seed=3, days=15)
+    yesterday = res.day_traces[-2].total_insulin_u
+    ((proposed, applied, current, prev_tdd),) = basal_steps
+    assert prev_tdd == yesterday
+    assert proposed < 0.25 * yesterday
+    assert applied == current == res.day_traces[-1].therapy.basal
+    (basal,) = [r.dose_u for r in res.day_traces[-1].insulin if r.kind == "basal"]
+    assert basal == current
+
+
 # --- trace persistence -------------------------------------------------------------
 
 def test_trace_text_round_trip_is_exact():
@@ -281,6 +309,7 @@ def test_trace_text_round_trip_is_exact():
     assert proto.trace_to_text(back, extra) == text
     for ta, tb in zip(res.day_traces, back.day_traces):
         assert (ta.glucose == tb.glucose).all()
+        assert tb.glucose.dtype == np.float64 and tb.glucose.flags.writeable
         assert ta.therapy == tb.therapy
         assert ta.total_insulin_u == tb.total_insulin_u
 
@@ -315,11 +344,37 @@ def _glucose_row(lines, day):
     return i
 
 
+def _with_glucose_bytes(lines, day, raw):
+    """`lines` with day `day`'s G row holding `raw` as base64."""
+    i = _glucose_row(lines, day)
+    lines[i] = f"{day},0,G,{base64.b64encode(raw).decode()},"
+    return "\n".join(lines)
+
+
+def _day_glucose_bytes(lines, day):
+    return base64.b64decode(lines[_glucose_row(lines, day)].split(",")[3])
+
+
 def test_trace_rejects_a_glucose_row_cut_short():
     lines = _bba_trace_lines()
+    raw = _day_glucose_bytes(lines, 2)[:-8]                # 1,439 values
+    with pytest.raises(ValueError, match="holds 1439 values"):
+        proto.trace_from_text(_with_glucose_bytes(lines, 2, raw))
+
+
+def test_trace_rejects_a_glucose_row_of_part_values():
+    lines = _bba_trace_lines()
+    raw = _day_glucose_bytes(lines, 2)[:-4]                # 1,439.5 values
+    with pytest.raises(ValueError, match="not a whole number of float64 values"):
+        proto.trace_from_text(_with_glucose_bytes(lines, 2, raw))
+
+
+def test_trace_rejects_a_glucose_row_that_is_not_base64():
+    lines = _bba_trace_lines()
     i = _glucose_row(lines, 2)
-    lines[i] = lines[i][:lines[i].rindex(" ")] + ","        # 1,439 values
-    with pytest.raises(ValueError, match="1439 values"):
+    # Without validation b64decode drops the stray characters and decodes the rest.
+    lines[i] = lines[i][:100] + "****" + lines[i][100:]
+    with pytest.raises(ValueError, match="is not base64"):
         proto.trace_from_text("\n".join(lines))
 
 
@@ -338,19 +393,39 @@ def test_trace_rejects_a_day_without_glucose():
         proto.trace_from_text("\n".join(lines))
 
 
-def test_trace_rejects_a_v1_file():
-    # v1 wrote one G row per minute; the reader accepts only the current schema.
-    v1 = ["# abbalab-trace v1"]
-    for line in _bba_trace_lines()[1:]:
+def _repr_glucose_lines(schema, per_minute):
+    """The BBA trace as an older schema wrote it, from the parsed trial: G
+    rows of repr() text, one per minute (v1) or one per day (v2)."""
+    lines = _bba_trace_lines()
+    result, _ = proto.trace_from_text("\n".join(lines))
+    glucose = {t.day: t.glucose.tolist() for t in result.day_traces}
+    old = [f"# abbalab-trace {schema}"]
+    for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) == 5 and parts[2] == "G":
-            v1.extend(f"{parts[0]},{m},G,{g},"
-                      for m, g in enumerate(parts[3].split(" ")))
+        if len(parts) != 5 or parts[2] != "G":
+            old.append(line)
+            continue
+        day = int(parts[0])
+        if per_minute:
+            old.extend(f"{day},{m},G,{g!r}," for m, g in enumerate(glucose[day]))
         else:
-            v1.append(line)
+            old.append(f"{day},0,G,{' '.join(map(repr, glucose[day]))},")
+    return old
+
+
+def test_trace_rejects_a_v1_file():
+    v1 = _repr_glucose_lines("v1", per_minute=True)
     assert len(v1) > 15 * proto.MINUTES_PER_DAY
     with pytest.raises(ValueError, match="unsupported trace schema"):
         proto.trace_from_text("\n".join(v1))
+
+
+def test_trace_rejects_a_v2_file():
+    v2 = _repr_glucose_lines("v2", per_minute=False)
+    assert [len(line.split(",")[3].split(" ")) for line in v2 if ",0,G," in line] \
+        == [proto.MINUTES_PER_DAY] * 15
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text("\n".join(v2))
 
 
 def test_trace_rejects_truncation():
