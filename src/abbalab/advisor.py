@@ -119,7 +119,8 @@ def _values(window) -> list[float]:
 
 
 def bolus_features(window) -> FeatureVector | None:
-    """Feature vector of one post-meal window; None signals skip-update."""
+    """Feature vector of one post-meal window, or of the whole day's readings
+    for the basal agent; None signals skip-update."""
     vals = _values(window)
     if not vals:
         return None
@@ -136,11 +137,6 @@ def bolus_features(window) -> FeatureVector | None:
     f_hyper = (hyper_sum / n_h) / HYPER_DIVISOR if n_h else 0.0
     f_hypo = (hypo_sum / n_l) / HYPO_DIVISOR if n_l else 0.0
     return FeatureVector(min(f_hyper, 1.0), min(f_hypo, 1.0))
-
-
-def basal_features(day_measurements) -> FeatureVector | None:
-    """Same form as bolus_features, pooling every measurement of the day."""
-    return bolus_features(day_measurements)
 
 
 def overnight_delta(first_morning, last_night) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -219,18 +219,9 @@ class ComparisonRow:
     metric: str
     window: str
     n: int
-    mean_a: float
-    sd_a: float
-    median_a: float
-    iqr_a: tuple[float, float]
-    mean_b: float
-    sd_b: float
-    median_b: float
-    iqr_b: tuple[float, float]
     test: str              # "t" or "wilcoxon"
     p_value: float
     significant: bool
-    alpha: float
 
 
 def _describe(x: np.ndarray) -> tuple[float, float, float, tuple[float, float]]:
@@ -252,8 +243,6 @@ def paired_compare(a, b, alpha: float = 0.01, metric: str = "",
     if x.size != y.size:
         raise ValueError("paired samples must have equal length")
     diff = x - y
-    mean_a, sd_a, med_a, iqr_a = _describe(x)
-    mean_b, sd_b, med_b, iqr_b = _describe(y)
     if np.all(diff == 0.0):
         test, p = "t", 1.0
     else:
@@ -266,10 +255,7 @@ def paired_compare(a, b, alpha: float = 0.01, metric: str = "",
             test = "wilcoxon"
             _, p, _ = wilcoxon_signed_rank(diff)
     return ComparisonRow(metric=metric, window=window, n=int(x.size),
-                         mean_a=mean_a, sd_a=sd_a, median_a=med_a, iqr_a=iqr_a,
-                         mean_b=mean_b, sd_b=sd_b, median_b=med_b, iqr_b=iqr_b,
-                         test=test, p_value=p, significant=bool(p < alpha),
-                         alpha=alpha)
+                         test=test, p_value=p, significant=bool(p < alpha))
 
 
 # --- analysis windows and cohort summaries --------------------------------------
@@ -319,9 +305,7 @@ class GlycemicSummary:
     tdd_u_per_day: float
 
 
-METRIC_FIELDS = ("tir_pct", "tbr1_pct", "tbr2_pct", "tar_pct", "hypo_events",
-                 "hyper_events", "mean_glucose", "hba1c_pct", "lbgi",
-                 "tdd_u_per_day")
+METRIC_FIELDS = tuple(f.name for f in fields(GlycemicSummary))
 
 
 def summarize_window(glucose_by_day: list[np.ndarray],

@@ -313,8 +313,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-_TABLE_METRICS = ("tir_pct", "tbr1_pct", "tbr2_pct", "tar_pct", "hypo_events",
-                  "hyper_events", "hba1c_pct", "lbgi", "tdd_u_per_day")
+_TABLE_METRICS = tuple(m for m in ana.METRIC_FIELDS if m != "mean_glucose")
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -6,8 +6,9 @@ run_trial is single-threaded per patient. The patient kernel steps every
 minute of a day; it stops at each event minute and at each minute where the
 rescue fires, a handler of the Trial state takes the event, and what it
 delivers is deposited before the kernel steps that minute. The Trial keeps
-each fact once: the collection log, the overnight readings, the previous
-day's total dose and the insulin on board come from its day records. The
+each fact once: its handlers append to the day's DayTrace, the only record
+of that day, and the collection log, the overnight readings, the previous
+day's total dose and the insulin on board come from those records. The
 cohort runner fans out with disjoint per-patient seed streams derived from
 the master seed, so the arm never perturbs its twin's meals, announcement
 errors or sensitivity draws. Reading noise is shared too until one arm has a
@@ -47,6 +48,7 @@ POST_PRANDIAL_DELAY = 120            # minutes after meal start (scenario 4)
 RESCUE_GRAMS = 20.0
 
 PRE_MEAL_SLOTS = ("pre_breakfast", "pre_lunch", "pre_dinner")
+RESCUE_SLOT = "rescue"
 
 _TRIAL_TAG = 0x7121A1
 
@@ -158,12 +160,6 @@ class MealEvent:
 
 
 @dataclass(frozen=True)
-class RescueEvent:
-    minute: int
-    trigger_mgdl: float
-
-
-@dataclass(frozen=True)
 class TherapySnapshot:
     icr: tuple[float, float, float]
     ps: tuple[float, float, float]
@@ -173,14 +169,24 @@ class TherapySnapshot:
 
 @dataclass
 class DayTrace:
+    """One trial day, the only record of it: the therapy active that day,
+    its meals, and the SMBG readings and insulin deliveries in the order
+    they were taken. Trial opens it at the start of the day and its handlers
+    append to it; midnight sets the day's plasma glucose (mg/dL, one value
+    per minute) and its total delivered insulin. A rescue is the reading of
+    slot RESCUE_SLOT taken the minute it fires."""
     day: int
-    glucose: np.ndarray
-    measurements: list
-    insulin: list
-    meals: list
-    rescues: list
     therapy: TherapySnapshot
-    total_insulin_u: float
+    meals: list
+    measurements: list = dataclasses.field(default_factory=list)
+    insulin: list = dataclasses.field(default_factory=list)
+    glucose: np.ndarray | None = None
+    total_insulin_u: float = 0.0
+
+    @property
+    def rescues(self) -> tuple:
+        """The day's rescue readings, in the order they fired."""
+        return tuple(m for m in self.measurements if m.slot == RESCUE_SLOT)
 
 
 @dataclass
@@ -230,7 +236,7 @@ class Trial:
     """One patient's trial under one arm, as the state events act on.
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's records, the finished days' DayTraces and the seed
+    current day's open DayTrace, the finished days' DayTraces and the seed
     streams. run_trial's day loop calls a handler at each event minute with
     the true plasma glucose; a handler returns what it delivers that minute:
     insulin (U), or the rescue's carbohydrate (g).
@@ -260,14 +266,13 @@ class Trial:
         self.day_traces: list[DayTrace] = []
 
     def start_day(self, day: int) -> tuple[array, dict, dict, int]:
-        """Draw day `day`'s schedule and reset the day's records.
+        """Draw day `day`'s schedule and open its DayTrace.
 
         Returns the per-minute CHO delivery (g, the kernel's `array('d')`)
         and the event minutes: meal by pre-meal reading minute, meal by
         post-prandial reading minute (S4 only), and the bedtime injection
         minute.
         """
-        self.day = day
         self.day_offset = (day - 1) * MINUTES_PER_DAY
         self.collecting = day <= init.COLLECTION_DAYS
         self.learning = self.arm == ABBA and not self.collecting
@@ -289,37 +294,34 @@ class Trial:
                     if m < sched.basal_minute:
                         post_prandial_at[m] = meal
 
-        self.measurements: list[adv.Measurement] = []
-        self.insulin_today: list[adv.InsulinRecord] = []
-        self.meals_today = [MealEvent(slot=m.slot, minute=m.start_minute,
-                                      duration_min=m.duration_min, cho_g=m.cho_g,
-                                      announced_g=None)
-                            for m in sched.meals]
-        self.rescues_today: list[RescueEvent] = []
-        self.snapshot = _snapshot(self.therapy)
+        self.today = DayTrace(
+            day=day, therapy=_snapshot(self.therapy),
+            meals=[MealEvent(slot=m.slot, minute=m.start_minute,
+                             duration_min=m.duration_min, cho_g=m.cho_g,
+                             announced_g=None) for m in sched.meals])
         return cho_by_minute, pre_meal_at, post_prandial_at, sched.basal_minute
 
     def _read(self, minute: int, slot: str, g: float) -> float:
         value = pat.read_smbg(g, self.streams["smbg"])
-        self.measurements.append(adv.Measurement(
+        self.today.measurements.append(adv.Measurement(
             value=value, timestamp=float(self.day_offset + minute), slot=slot))
         self.day_pool.append(value)
         return value
 
     def _deliver(self, dose: float, kind: str, minute: int) -> float:
-        self.insulin_today.append(adv.InsulinRecord(
+        self.today.insulin.append(adv.InsulinRecord(
             dose_u=dose, kind=kind, timestamp=float(self.day_offset + minute)))
         return dose
 
     def _overnight(self) -> np.ndarray:
         """Today's first reading against yesterday's last (none on day 1)."""
         last_night = self.day_traces[-1].measurements[-1].value if self.day_traces else None
-        return adv.overnight_delta(self.measurements[0].value, last_night)
+        return adv.overnight_delta(self.today.measurements[0].value, last_night)
 
     def _iob(self, minute: int) -> float:
         # Records older than yesterday's are past DIA_MIN, which iob skips.
         yesterday = self.day_traces[-1].insulin if self.day_traces else []
-        return adv.iob([*yesterday, *self.insulin_today],
+        return adv.iob([*yesterday, *self.today.insulin],
                        float(self.day_offset + minute))
 
     def _close_window(self, closing_value: float) -> None:
@@ -345,10 +347,9 @@ class Trial:
     def rescue(self, minute: int, g: float) -> float:
         """Rescue carbohydrate fired: the patient takes a reading and
         RESCUE_GRAMS of fast glucose."""
-        value = self._read(minute, "rescue", g)
+        value = self._read(minute, RESCUE_SLOT, g)
         if self.open_slot is not None:
             self.open_values.append(value)
-        self.rescues_today.append(RescueEvent(minute=minute, trigger_mgdl=value))
         return RESCUE_GRAMS
 
     def pre_meal(self, meal: MealPlan, minute: int, g: float) -> float:
@@ -368,9 +369,9 @@ class Trial:
                                          self.therapy.a_init(kind), agent.m_smooth)
                 self.therapy.set_current(kind, new_a)
         announced = announce_cho(meal.cho_g, self.spec, self.streams["announce"])
-        self.meals_today[slot] = MealEvent(slot=slot, minute=meal.start_minute,
-                                           duration_min=meal.duration_min,
-                                           cho_g=meal.cho_g, announced_g=announced)
+        self.today.meals[slot] = MealEvent(slot=slot, minute=meal.start_minute,
+                                          duration_min=meal.duration_min,
+                                          cho_g=meal.cho_g, announced_g=announced)
         dose = adv.bolus_recommendation(announced, reading, self.therapy, slot,
                                         self._iob(minute))
         self.open_slot = slot
@@ -393,7 +394,7 @@ class Trial:
         reading = self._read(minute, "bedtime", g)
         self._close_window(reading)
         if self.learning:
-            feats = adv.basal_features(self.day_pool)
+            feats = adv.bolus_features(self.day_pool)
             s_now = adv.build_state(adv.AgentKind.BASAL, feats, self._overnight())
             agent = self.bundle[adv.AgentKind.BASAL]
             if self.basal_state_prev is not None:
@@ -407,7 +408,7 @@ class Trial:
                 agent.m_smooth, prev_tdd=self.day_traces[-1].total_insulin_u)
             self.basal_state_prev = s_now
         elif self.collecting:
-            feats = adv.basal_features(self.day_pool)
+            feats = adv.bolus_features(self.day_pool)
             if feats is not None:
                 self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL,
                                                         feats, self._overnight())
@@ -415,16 +416,15 @@ class Trial:
         return self._deliver(self.therapy.basal, "basal", minute)
 
     def midnight(self, glucose: array) -> None:
-        """Store the day, and on the last collection day initialise the ABBA
-        agents."""
+        """Close the day's record, and on the last collection day initialise
+        the ABBA agents."""
+        today = self.today
         total = 0.0
-        for rec in self.insulin_today:      # in order: sum() compensates from 3.12 on
+        for rec in today.insulin:           # in order: sum() compensates from 3.12 on
             total += rec.dose_u
-        self.day_traces.append(DayTrace(
-            day=self.day, glucose=np.array(glucose), measurements=self.measurements,
-            insulin=self.insulin_today, meals=self.meals_today,
-            rescues=self.rescues_today, therapy=self.snapshot, total_insulin_u=total))
-        if self.day == init.COLLECTION_DAYS and self.arm == ABBA:
+        today.glucose, today.total_insulin_u = np.array(glucose), total
+        self.day_traces.append(today)
+        if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
                 self._collection_log(), self.params.diabetes_type, self.streams["agents"])
 
@@ -528,16 +528,16 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     T  therapy field active that day (aux = icr1|icr2|icr3|ps1|ps2|ps3|cf|basal)
 #     G  the day's plasma glucose (mg/dL), one row per day at minute 0 whose
 #        value is the base64 of 1440 little-endian float64s, one per minute
-#     M  SMBG reading (aux = measurement slot label)
+#     M  SMBG reading (aux = measurement slot label); a rescue is the reading
+#        of slot `rescue` taken the minute it fires
 #     I  insulin delivery (aux = kind:dia_minutes)
 #     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
-#     R  rescue controller firing (value = trigger reading mg/dL)
 #     U  day's total delivered insulin, written once at minute 1439
 #
 # Every other float is written with repr(). Both forms parse back to the exact
 # values, so a rewrite of a parsed file reproduces it byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v3"
+TRACE_SCHEMA = "abbalab-trace v4"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -592,8 +592,6 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
             announced = "-" if meal.announced_g is None else _fmt(meal.announced_g)
             lines.append(f"{d},{meal.minute},C,{_fmt(meal.cho_g)},"
                          f"{meal.slot}:{meal.duration_min}:{announced}")
-        for rescue in trace.rescues:
-            lines.append(f"{d},{rescue.minute},R,{_fmt(rescue.trigger_mgdl)},")
         lines.append(f"{d},{MINUTES_PER_DAY - 1},U,{_fmt(trace.total_insulin_u)},")
     return "\n".join(lines) + "\n"
 
@@ -653,7 +651,7 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
         d = int(parts[0])
         bucket = per_day.setdefault(d, {
             "therapy": {}, "glucose": None, "measurements": [], "insulin": [],
-            "meals": [], "rescues": [], "total": None})
+            "meals": [], "total": None})
         minute, kind, value, aux = parts[1], parts[2], parts[3], parts[4]
         offset = float((d - 1) * MINUTES_PER_DAY)
         if kind == "T":
@@ -687,16 +685,19 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
                 slot=int(slot), minute=int(minute), duration_min=int(duration),
                 cho_g=float(value),
                 announced_g=None if announced == "-" else float(announced)))
-        elif kind == "R":
-            bucket["rescues"].append(RescueEvent(minute=int(minute),
-                                                 trigger_mgdl=float(value)))
         elif kind == "U":
             bucket["total"] = float(value)
         else:
             raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
 
+    expected = range(1, days + 1)
+    if sorted(per_day) != list(expected):
+        missing = sorted(set(expected) - set(per_day))
+        extra = sorted(set(per_day) - set(expected))
+        raise ValueError(f"expected days 1 to {days}: missing {missing}, "
+                         f"unexpected {extra}")
     day_traces = []
-    for d in sorted(per_day):
+    for d in expected:
         bucket = per_day[d]
         if bucket["glucose"] is None or bucket["total"] is None:
             raise ValueError(f"day {d} incomplete; file truncated?")
@@ -706,11 +707,8 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
         day_traces.append(DayTrace(
             day=d, glucose=bucket["glucose"], measurements=bucket["measurements"],
             insulin=bucket["insulin"], meals=bucket["meals"],
-            rescues=bucket["rescues"],
             therapy=snapshot_from([bucket["therapy"][f] for f in _THERAPY_FIELDS]),
             total_insulin_u=bucket["total"]))
-    if len(day_traces) != days:
-        raise ValueError(f"expected {days} days, found {len(day_traces)}")
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
                          collection_days=collection_days, day_traces=day_traces,

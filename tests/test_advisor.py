@@ -62,13 +62,8 @@ def test_bolus_features_accepts_measurements():
     assert f.f_hyper == pytest.approx(40.0 / 220.0, abs=1e-9)
 
 
-def test_basal_features_pool_the_whole_day():
-    day = [200.0, 240.0, 100.0]
-    assert adv.basal_features(day) == adv.bolus_features(day)
-
-
 def test_features_mixed_day_has_both_components():
-    f = adv.basal_features([200.0, 60.0])
+    f = adv.bolus_features([200.0, 60.0])
     assert f.f_hyper > 0.0 and f.f_hypo > 0.0
 
 

@@ -314,18 +314,22 @@ def test_trace_text_round_trip_is_exact():
         assert ta.total_insulin_u == tb.total_insulin_u
 
 
-def test_trace_round_trip_is_exact_with_rescues():
+def _rescue_trial():
     # T1D seed 1, patient 6 has rescues on both arms within 20 days.
     params = pat.generate_cohort(7, "T1D", 1)[6]
-    res = proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"],
-                          master_seed=1, days=20)
+    return proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"],
+                           master_seed=1, days=20)
+
+
+def test_trace_round_trip_is_exact_with_rescues():
+    res = _rescue_trial()
     assert any(t.rescues for t in res.day_traces)
     text = proto.trace_to_text(res)
     back, _ = proto.trace_from_text(text)
     assert proto.trace_to_text(back) == text
     for ta, tb in zip(res.day_traces, back.day_traces):
         assert (ta.glucose.view(np.int64) == tb.glucose.view(np.int64)).all()
-        assert ta.rescues == tb.rescues
+        assert ta.measurements == tb.measurements
 
 
 def test_trace_rejects_wrong_schema():
@@ -420,12 +424,40 @@ def test_trace_rejects_a_v1_file():
         proto.trace_from_text("\n".join(v1))
 
 
+def test_trace_rejects_a_v3_file():
+    """The rescue trial as v3 wrote it, from the parsed trial: before each
+    day's U row, an R row repeating each rescue reading's minute and value."""
+    lines = proto.trace_to_text(_rescue_trial()).splitlines()
+    result, _ = proto.trace_from_text("\n".join(lines))
+    rescues = {t.day: t.rescues for t in result.day_traces}
+    v3 = ["# abbalab-trace v3"]
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) == 5 and parts[2] == "U":
+            day = int(parts[0])
+            offset = (day - 1) * proto.MINUTES_PER_DAY
+            v3.extend(f"{day},{int(m.timestamp) - offset},R,{m.value!r},"
+                      for m in rescues[day])
+        v3.append(line)
+    assert sum(",R," in line for line in v3) == sum(map(len, rescues.values())) > 0
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text("\n".join(v3))
+
+
 def test_trace_rejects_a_v2_file():
     v2 = _repr_glucose_lines("v2", per_minute=False)
     assert [len(line.split(",")[3].split(" ")) for line in v2 if ",0,G," in line] \
         == [proto.MINUTES_PER_DAY] * 15
     with pytest.raises(ValueError, match="unsupported trace schema"):
         proto.trace_from_text("\n".join(v2))
+
+
+def test_trace_rejects_days_other_than_one_to_days():
+    lines = _bba_trace_lines()                             # days 1 to 15
+    relabelled = [f"16,{line[3:]}" if line.startswith("15,") else line
+                  for line in lines]
+    with pytest.raises(ValueError, match=r"missing \[15\], unexpected \[16\]"):
+        proto.trace_from_text("\n".join(relabelled))
 
 
 def test_trace_rejects_truncation():
