@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from .initialisation import COLLECTION_DAYS
-from .patient import HYPER, HYPO, SEVERE_HYPO
+from .patient import HYPER, HYPO, MINUTES_PER_DAY, SEVERE_HYPO
 
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
@@ -27,12 +27,15 @@ def time_in_ranges(series) -> tuple[float, float, float, float]:
     g = np.asarray(series, dtype=float)
     if g.size == 0:
         raise ValueError("empty glucose series")
-    n = g.size
-    tbr1 = np.count_nonzero(g < HYPO)
-    tbr2 = np.count_nonzero(g < SEVERE_HYPO)
-    tar = np.count_nonzero(g > HYPER)
-    tir = n - tbr1 - tar
-    return (100.0 * tir / n, 100.0 * tbr1 / n, 100.0 * tbr2 / n, 100.0 * tar / n)
+    return _range_pcts(g < HYPO, g < SEVERE_HYPO, g > HYPER)
+
+
+def _range_pcts(low, severe, high) -> tuple[float, float, float, float]:
+    """time_in_ranges from the per-minute band masks."""
+    n = low.size
+    tbr1, tbr2, tar = (np.count_nonzero(m) for m in (low, severe, high))
+    return (100.0 * (n - tbr1 - tar) / n, 100.0 * tbr1 / n, 100.0 * tbr2 / n,
+            100.0 * tar / n)
 
 
 def _count_runs(beyond: np.ndarray, persist: int, rearm: int) -> int:
@@ -63,12 +66,15 @@ def count_events(series) -> tuple[int, int]:
 
 def lbgi(series) -> float:
     """Kovatchev low-blood-glucose index: mean of 10*f(G)^2 over f < 0."""
-    g = np.asarray(series, dtype=float)
+    return float(np.mean(_low_risk(np.asarray(series, dtype=float))))
+
+
+def _low_risk(g: np.ndarray) -> np.ndarray:
+    """Per-minute low-glucose risk 10*f(G)^2, 0 where f >= 0."""
     if np.any(g <= 0):
         raise ValueError("glucose values must be > 0")
     f = 1.509 * (np.log(g) ** 1.084 - 5.381)
-    rl = np.where(f < 0.0, 10.0 * f * f, 0.0)
-    return float(np.mean(rl))
+    return np.where(f < 0.0, 10.0 * f * f, 0.0)
 
 
 def estimate_hba1c(series) -> float:
@@ -308,21 +314,6 @@ class GlycemicSummary:
 METRIC_FIELDS = tuple(f.name for f in fields(GlycemicSummary))
 
 
-def summarize_window(glucose_by_day: list[np.ndarray],
-                     insulin_by_day: list[float], window: Window) -> GlycemicSummary:
-    """Metrics over the window's days (1-based inclusive day indices)."""
-    days = range(window.start_day - 1, window.end_day)
-    g = np.concatenate([np.asarray(glucose_by_day[i]) for i in days])
-    tdd = float(np.mean([insulin_by_day[i] for i in days]))
-    tir, tbr1, tbr2, tar = time_in_ranges(g)
-    hypo, hyper = count_events(g)
-    return GlycemicSummary(
-        tir_pct=tir, tbr1_pct=tbr1, tbr2_pct=tbr2, tar_pct=tar,
-        hypo_events=hypo, hyper_events=hyper,
-        mean_glucose=float(np.mean(g)), hba1c_pct=estimate_hba1c(g),
-        lbgi=lbgi(g), tdd_u_per_day=tdd)
-
-
 @dataclass(frozen=True)
 class PatientOutcome:
     """Per-patient reduction of one trial: window summaries + event tallies."""
@@ -347,32 +338,41 @@ class CohortSummary:
                         dtype=float)
 
 
-def summarize_cohort(results, windows: list[Window] | None = None) -> CohortSummary:
-    """Reduce one arm's TrialResults to per-patient, per-window summaries.
+def summarize_cohort(outcomes, windows: list[Window]) -> CohortSummary:
+    """One arm's per-patient outcomes over the windows they were reduced on.
 
-    All results must share scenario and advisor arm; pairing across arms
+    All outcomes must share scenario and advisor arm; pairing across arms
     happens in build_report.
     """
-    results = list(results)
-    if not results:
-        raise ValueError("no results")
-    arms = {r.arm for r in results}
-    scenarios = {r.scenario for r in results}
-    if len(arms) != 1 or len(scenarios) != 1:
-        raise ValueError("results must share scenario and advisor arm")
-    if windows is None:
-        windows = standard_windows(results[0].days, results[0].collection_days)
-    outcomes = [reduce_trial(r, windows) for r in results]
-    return CohortSummary(arm=results[0].arm, scenario=results[0].scenario,
-                         diabetes_type=results[0].patient.diabetes_type,
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    if len({(o.arm, o.scenario) for o in outcomes}) != 1:
+        raise ValueError("outcomes must share scenario and advisor arm")
+    first = outcomes[0]
+    return CohortSummary(arm=first.arm, scenario=first.scenario,
+                         diabetes_type=first.diabetes_type,
                          windows=list(windows), outcomes=outcomes)
 
 
 def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
-    glucose_by_day = [t.glucose for t in result.day_traces]
-    insulin_by_day = [t.total_insulin_u for t in result.day_traces]
-    summaries = {w.name: summarize_window(glucose_by_day, insulin_by_day, w)
-                 for w in windows}
+    """Metrics per window (1-based inclusive days), read as slices of the
+    trial's minutes and of their band masks and low-glucose risk."""
+    g = np.concatenate([t.glucose for t in result.day_traces])
+    minutes = (g, g < HYPO, g < SEVERE_HYPO, g > HYPER, _low_risk(g))
+    tdd = [t.total_insulin_u for t in result.day_traces]
+    summaries = {}
+    for w in windows:
+        span = slice((w.start_day - 1) * MINUTES_PER_DAY, w.end_day * MINUTES_PER_DAY)
+        wg, low, severe, high, risk = (a[span] for a in minutes)
+        tir, tbr1, tbr2, tar = _range_pcts(low, severe, high)
+        summaries[w.name] = GlycemicSummary(
+            tir_pct=tir, tbr1_pct=tbr1, tbr2_pct=tbr2, tar_pct=tar,
+            hypo_events=_count_runs(low, EVENT_PERSIST_MIN, EVENT_REARM_MIN),
+            hyper_events=_count_runs(high, EVENT_PERSIST_MIN, EVENT_REARM_MIN),
+            mean_glucose=float(np.mean(wg)), hba1c_pct=estimate_hba1c(wg),
+            lbgi=float(np.mean(risk)),
+            tdd_u_per_day=float(np.mean(tdd[w.start_day - 1:w.end_day])))
     rescues = sum(len(t.rescues) for t in result.day_traces)
     return PatientOutcome(patient_id=result.patient.id, arm=result.arm,
                           scenario=result.scenario,

@@ -3,9 +3,11 @@
 `abbalab run` simulates a cohort under the configured scenario and arms,
 writing per-patient trace files, one checkpoint per ABBA trial holding the
 final agents (written once, after the trial completes), a failures
-manifest, and the comparison report (CSV + SVG chart). The report step
-re-reads the trace files it just wrote, so `replay` over the same directory
-reproduces it byte for byte. A config document plus a master seed fully
+manifest, and the comparison report (CSV + SVG chart). Each trial is
+reduced to its per-window outcome where it ran, so no command holds more
+than one trial's minutes, and the report is built from the outcomes alone.
+`replay` over the same directory reproduces it byte for byte because the
+trace round trip is exact. A config document plus a master seed fully
 determines every artifact; per-patient seed streams are split by patient id,
 so growing the cohort never perturbs existing patients.
 """
@@ -167,60 +169,72 @@ def _checkpoint_path(out: Path, patient_id: int, arm: str) -> Path:
 
 
 def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
-             ) -> tuple[int, str, str | None]:
-    """Simulate one patient+arm and write its artifacts. Returns an error
-    string instead of raising so a failed patient never kills the pool."""
+             ) -> tuple[int, str, ana.PatientOutcome | None, str | None]:
+    """Simulate and reduce one patient+arm, then write its artifacts. Returns
+    the outcome, or an error string instead of raising so a failed patient
+    never kills the pool."""
     cfg, headers, params, arm = task
     out = Path(cfg.out)
     try:
         result = proto.run_trial(
             params, arm, cfg.scenario_spec(), master_seed=cfg.seed,
             days=cfg.days, dawn=cfg.dawn, rescue_threshold=cfg.rescue_threshold)
+        outcome = ana.reduce_trial(
+            result, ana.standard_windows(result.days, result.collection_days))
         if result.final_agents is not None:
             header_lines = [f"{k} {v}" for k, v in headers.items()]
             _checkpoint_path(out, params.id, arm).write_text(adv.bundle_to_text(
                 result.final_agents, header_lines + [f"day {result.days}"]))
         _trace_path(out, params.id, arm).write_text(
             proto.trace_to_text(result, headers))
-        return (params.id, arm, None)
+        return (params.id, arm, outcome, None)
     except Exception as exc:                    # noqa: BLE001 - manifest entry
-        return (params.id, arm, f"{type(exc).__name__}: {exc}")
+        return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
 
 
-def _reduce_from_traces(out: Path) -> tuple[dict[str, list], dict[str, str]]:
-    """Parse every trace under out/traces, grouped by arm, headers verified.
+def _pair(outcomes: list[ana.PatientOutcome]) -> dict[str, list]:
+    """Outcomes grouped by arm, keeping only patients with an outcome for
+    every arm present, so a failed trial drops its patient from both sides
+    of the paired comparison."""
+    by_arm: dict[str, list] = {}
+    for o in outcomes:
+        by_arm.setdefault(o.arm, []).append(o)
+    paired = set.intersection(*({o.patient_id for o in arm_outcomes}
+                                for arm_outcomes in by_arm.values()))
+    if not paired:
+        raise ValueError("no patient has a trace for every arm")
+    return {arm: sorted((o for o in arm_outcomes if o.patient_id in paired),
+                        key=lambda o: o.patient_id)
+            for arm, arm_outcomes in by_arm.items()}
 
-    Only patients with a trace for every arm present are kept, so a failed
-    trial drops its patient from both sides of the paired comparison.
-    """
+
+def _reduce_from_traces(out: Path) -> tuple[dict[str, list], list[ana.Window],
+                                           dict[str, str]]:
+    """Parse and reduce the traces under out/traces one at a time, headers
+    verified; the paired outcomes, their windows and the run headers."""
     paths = sorted((out / "traces").glob("p*.txt"))
     if not paths:
         raise ValueError(f"no trace files under {out / 'traces'}")
-    by_arm: dict[str, list] = {}
-    headers: dict[str, str] | None = None
+    outcomes, first = [], None
     for path in paths:
-        result, extra = proto.trace_from_text(path.read_text())
-        if headers is None:
-            headers = extra
-        elif extra != headers:
+        result, headers = proto.trace_from_text(path.read_text())
+        windows = ana.standard_windows(result.days, result.collection_days)
+        if first is None:
+            first = (headers, windows)
+        elif (headers, windows) != first:
             raise ValueError(f"{path.name} carries different run headers; "
                              "directory mixes runs")
-        by_arm.setdefault(result.arm, []).append(result)
-    paired = set.intersection(*({r.patient.id for r in results}
-                                for results in by_arm.values()))
-    if not paired:
-        raise ValueError("no patient has a trace for every arm")
-    by_arm = {arm: sorted((r for r in results if r.patient.id in paired),
-                          key=lambda r: r.patient.id)
-              for arm, results in by_arm.items()}
-    return by_arm, headers or {}
+        outcomes.append(ana.reduce_trial(result, windows))
+        del result                  # before the next parse: one trial at a time
+    return _pair(outcomes), windows, headers
 
 
-def _build_report(by_arm: dict[str, list]) -> ana.TrialReport:
+def _build_report(by_arm: dict[str, list], windows: list[ana.Window]
+                  ) -> ana.TrialReport:
     """The paired comparison of both arms, or one arm's summary alone, from
-    parsed trials."""
-    summaries = {arm: ana.summarize_cohort(results)
-                 for arm, results in sorted(by_arm.items())}
+    reduced trials."""
+    summaries = {arm: ana.summarize_cohort(outcomes, windows)
+                 for arm, outcomes in sorted(by_arm.items())}
     if proto.ABBA in summaries and proto.BBA in summaries:
         return ana.build_report(summaries[proto.ABBA], summaries[proto.BBA])
     (arm, summary), = summaries.items()
@@ -231,10 +245,10 @@ def _build_report(by_arm: dict[str, list]) -> ana.TrialReport:
                            comparisons=[])
 
 
-def _write_report(out: Path, by_arm: dict[str, list],
+def _write_report(out: Path, by_arm: dict[str, list], windows: list[ana.Window],
                   headers: dict[str, str]) -> list[Path]:
-    """Report CSV (+ chart when both arms are present) from parsed trials."""
-    report = _build_report(by_arm)
+    """Report CSV (+ chart when both arms are present) from reduced trials."""
+    report = _build_report(by_arm, windows)
     csv_path = out / f"report_{report.diabetes_type}.csv"
     csv_path.write_text(ana.report_to_csv(report, headers))
     written = [csv_path]
@@ -276,21 +290,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         statuses = [_run_one(t) for t in tasks]
 
-    failures = [(pid, arm, err) for pid, arm, err in statuses if err is not None]
+    failures = [(pid, arm, err) for pid, arm, _, err in statuses if err is not None]
     manifest = [f"# config_hash {headers['config_hash']}",
                 f"# master_seed {cfg.seed}",
                 f"# failures {len(failures)} of {len(tasks)} trials"]
     manifest += [f"p{pid:03d} {arm} {err}" for pid, arm, err in sorted(failures)]
     (out / "failures.txt").write_text("\n".join(manifest) + "\n")
 
-    completed = [s for s in statuses if s[2] is None]
+    completed = [outcome for _, _, outcome, err in statuses if err is None]
     if completed:
         try:
-            by_arm, _ = _reduce_from_traces(out)
+            by_arm = _pair(completed)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        for path in _write_report(out, by_arm, headers):
+        for path in _write_report(out, by_arm, ana.standard_windows(cfg.days),
+                                  headers):
             print(f"wrote {path}")
     print(f"{len(completed)}/{len(tasks)} trials completed; "
           f"failures manifest: {out / 'failures.txt'}")
@@ -303,8 +318,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
-        by_arm, headers = _reduce_from_traces(out)
-        written = _write_report(out, by_arm, headers)
+        by_arm, windows, headers = _reduce_from_traces(out)
+        written = _write_report(out, by_arm, windows, headers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -319,11 +334,11 @@ _TABLE_METRICS = tuple(m for m in ana.METRIC_FIELDS if m != "mean_glucose")
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
-        by_arm, _ = _reduce_from_traces(out)
+        by_arm, windows, _ = _reduce_from_traces(out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _build_report(by_arm)
+    report = _build_report(by_arm, windows)
     summaries = report.arm_summaries
     arms = sorted(summaries)
     first = summaries[arms[0]]

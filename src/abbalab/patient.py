@@ -398,12 +398,16 @@ def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> tuple:
     return (0.0, 0.0, 0.0, 0.0, depot, depot, ip, ip, g)
 
 
-def read_smbg(g: float, rng: np.random.Generator, cv: float = 0.05) -> float:
-    """Fingerstick reading: multiplicative Gaussian noise, clamped to [20, 600]."""
-    g = float(g)
+def read_smbg(g, rng: np.random.Generator, cv: float = 0.05):
+    """Fingerstick reading: multiplicative Gaussian noise, clamped to [20, 600].
+    An array of glucose values is read in one draw, value for value as the
+    same number of scalar calls would read it."""
+    batch = isinstance(g, np.ndarray)
     if cv > 0.0:
-        g = g * (1.0 + cv * rng.standard_normal())
-    return min(max(g, SMBG_FLOOR), SMBG_CEIL)
+        g = g * (1.0 + cv * rng.standard_normal(g.size if batch else None))
+    if batch:
+        return np.clip(g, SMBG_FLOOR, SMBG_CEIL)
+    return min(max(float(g), SMBG_FLOOR), SMBG_CEIL)
 
 
 # --- cohort generation -------------------------------------------------------

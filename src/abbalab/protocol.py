@@ -435,10 +435,10 @@ class Trial:
         changes in the on-line phase."""
         days = self.day_traces[:init.COLLECTION_DAYS]
         minutes = range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN)
-        cgm_rng = self.streams["cgm"]
-        cgm = [pat.read_smbg(t.glucose[m], cgm_rng) for t in days for m in minutes]
+        cgm = pat.read_smbg(np.concatenate(
+            [t.glucose[::init.CGM_INTERVAL_MIN] for t in days]), self.streams["cgm"])
         return init.CollectionLog(
-            cgm=np.array(cgm),
+            cgm=cgm,
             cgm_times=np.array([float((t.day - 1) * MINUTES_PER_DAY + m)
                                 for t in days for m in minutes]),
             insulin_records=tuple(r for t in days for r in t.insulin),

@@ -299,7 +299,8 @@ def test_single_patient_cohort_has_zero_sd():
     p = pat.generate_cohort(1, "T1D", 52)[0]
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=52,
                           days=20)
-    summary = ana.summarize_cohort([res])
+    windows = ana.standard_windows(20, 14)
+    summary = ana.summarize_cohort([ana.reduce_trial(res, windows)], windows)
     vals = summary.metric("full", "tir_pct")
     assert vals.size == 1
     assert np.std(vals) == 0.0
@@ -310,15 +311,20 @@ def test_summarize_cohort_rejects_mixed_arms():
     spec = proto.SCENARIOS["S1"]
     res_a = proto.run_trial(p1, proto.ABBA, spec, master_seed=53, days=20)
     res_b = proto.run_trial(p2, proto.BBA, spec, master_seed=53, days=20)
+    windows = ana.standard_windows(20, 14)
     with pytest.raises(ValueError):
-        ana.summarize_cohort([res_a, res_b])
+        ana.summarize_cohort([ana.reduce_trial(res_a, windows),
+                              ana.reduce_trial(res_b, windows)], windows)
 
 
 def test_build_report_requires_identical_cohorts():
     p1, p2 = pat.generate_cohort(2, "T1D", 54)
     spec = proto.SCENARIOS["S1"]
-    sa = ana.summarize_cohort([proto.run_trial(p1, proto.ABBA, spec, 54, days=20)])
-    sb = ana.summarize_cohort([proto.run_trial(p2, proto.BBA, spec, 54, days=20)])
+    windows = ana.standard_windows(20, 14)
+    sa = ana.summarize_cohort([ana.reduce_trial(
+        proto.run_trial(p1, proto.ABBA, spec, 54, days=20), windows)], windows)
+    sb = ana.summarize_cohort([ana.reduce_trial(
+        proto.run_trial(p2, proto.BBA, spec, 54, days=20), windows)], windows)
     with pytest.raises(ValueError):
         ana.build_report(sa, sb)
 
@@ -329,9 +335,10 @@ def test_report_round_trip_through_csv_and_svg():
     windows = ana.standard_windows(30, 14)
     arms = {}
     for arm in (proto.ABBA, proto.BBA):
-        results = [proto.run_trial(p, arm, spec, master_seed=55, days=30)
-                   for p in cohort]
-        arms[arm] = ana.summarize_cohort(results, windows)
+        outcomes = [ana.reduce_trial(
+                        proto.run_trial(p, arm, spec, master_seed=55, days=30), windows)
+                    for p in cohort]
+        arms[arm] = ana.summarize_cohort(outcomes, windows)
     report = ana.build_report(arms[proto.ABBA], arms[proto.BBA])
     csv_text = ana.report_to_csv(report, {"master_seed": "55"})
     assert csv_text.startswith(f"# {ana.REPORT_SCHEMA}")

@@ -1,7 +1,11 @@
 import filecmp
 import itertools
+import weakref
+
+import pytest
 
 from abbalab import advisor as adv
+from abbalab import analytics as ana
 from abbalab import cli
 from abbalab import patient as pat
 from abbalab import protocol as proto
@@ -230,6 +234,42 @@ def test_parallel_run_matches_serial_run(tmp_path):
         (out_par / "report_T1D.csv").read_bytes()
 
 
+def test_run_reports_without_parsing_a_trace(tmp_path, monkeypatch):
+    def no_parse(text):
+        raise AssertionError("run parsed a trace")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(proto, "trace_from_text", no_parse)
+        rc, out = _run(tmp_path, "out_a")
+    assert rc == 0
+    report = (out / "report_T1D.csv").read_bytes()
+    chart = (out / "chart_T1D.svg").read_bytes()
+    assert cli.main(["replay", "--out", str(out)]) == 0
+    assert (out / "report_T1D.csv").read_bytes() == report
+    assert (out / "chart_T1D.svg").read_bytes() == chart
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_each_trial_is_released_before_the_next_is_reduced(tmp_path, monkeypatch,
+                                                           command):
+    _, out = _run(tmp_path, "out_a")
+    real_reduce = ana.reduce_trial
+    seen = []
+
+    def reduce_trial(result, windows):
+        assert all(ref() is None for ref in seen), "an earlier trial is still held"
+        seen.append(weakref.ref(result))
+        return real_reduce(result, windows)
+
+    monkeypatch.setattr(ana, "reduce_trial", reduce_trial)
+    if command == "run":
+        rc, _ = _run(tmp_path, "out_b", ["--jobs", "1"])
+    else:
+        rc = cli.main(["replay", "--out", str(out)])
+    assert rc == 0
+    assert len(seen) == 4
+
+
 # --- failures, dirty directories, worker count ------------------------------------
 
 def test_failed_trial_is_reported_and_its_patient_left_unpaired(tmp_path, monkeypatch):
@@ -300,3 +340,33 @@ def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
                          "--jobs", str(jobs)]) == 0
     # 4 tasks: capped by the tasks, then the CPUs, then jobs; 1 CPU runs serially.
     assert sizes == [4, 3, 2]
+
+
+def test_trial_that_cannot_be_reduced_writes_nothing_and_is_left_unpaired(
+        tmp_path, monkeypatch):
+    real_reduce = ana.reduce_trial
+
+    def reduce_trial(result, windows):
+        if (result.patient.id, result.arm) == (0, proto.ABBA):
+            raise ValueError("injected")
+        return real_reduce(result, windows)
+
+    monkeypatch.setattr(ana, "reduce_trial", reduce_trial)
+    rc, out = _run(tmp_path, "out_a")
+    monkeypatch.setattr(ana, "reduce_trial", real_reduce)
+    assert rc == 1
+    manifest = (out / "failures.txt").read_text().splitlines()
+    assert "# failures 1 of 4 trials" in manifest
+    assert "p000 abba ValueError: injected" in manifest
+    assert sorted(p.name for p in (out / "traces").glob("*.txt")) == \
+        ["p000_bba.txt", "p001_abba.txt", "p001_bba.txt"]
+    assert [p.name for p in (out / "checkpoints").glob("*.txt")] == \
+        ["p001_abba_agents.txt"]
+    report = (out / "report_T1D.csv").read_bytes()
+    rows = [line.split(",") for line in report.decode().splitlines()
+            if line.startswith("full,tir_pct,")]
+    assert len(rows) == 3 and all(row[3] == "1" for row in rows)   # p001 only
+    chart = (out / "chart_T1D.svg").read_bytes()
+    assert cli.main(["replay", "--out", str(out)]) == 0
+    assert (out / "report_T1D.csv").read_bytes() == report
+    assert (out / "chart_T1D.svg").read_bytes() == chart
