@@ -13,13 +13,27 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .initialisation import COLLECTION_DAYS
 from .patient import HYPER, HYPO, MINUTES_PER_DAY, SEVERE_HYPO
 
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
+
+
+# scipy.special is imported on first use: a report on fewer than five pairs
+# never needs a normal or t tail, and the import costs more than such a run.
+
+def ndtr(x):
+    """Standard normal CDF, scipy.special.ndtr."""
+    from scipy import special
+    return special.ndtr(x)
+
+
+def stdtr(df, t):
+    """Student t CDF with df degrees of freedom, scipy.special.stdtr."""
+    from scipy import special
+    return special.stdtr(df, t)
 
 
 def time_in_ranges(series) -> tuple[float, float, float, float]:
@@ -89,6 +103,7 @@ def estimate_hba1c(series) -> float:
 
 _LILLIEFORS_MC = 10_000
 _LILLIEFORS_SEED = 0x11EF0125
+_LILLIEFORS_CHUNK = 1_000   # null samples drawn and reduced at a time
 
 
 def _ks_stat_normal(x: np.ndarray) -> float:
@@ -107,16 +122,23 @@ def _ks_stat_normal(x: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _lilliefors_table(n: int, n_mc: int) -> np.ndarray:
-    """Null distribution of the statistic for sample size n, seeded."""
+    """Null distribution of the statistic for sample size n, seeded.
+
+    The n_mc samples come from one generator in row chunks, which yields the
+    same draws as one (n_mc, n) call while holding only a chunk at a time.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([_LILLIEFORS_SEED, n, n_mc]))
-    draws = rng.standard_normal((n_mc, n))
-    mu = draws.mean(axis=1, keepdims=True)
-    sd = draws.std(axis=1, ddof=1, keepdims=True)
-    z = np.sort((draws - mu) / sd, axis=1)
-    cdf = ndtr(z)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
-    stat = np.maximum((grid_hi - cdf).max(axis=1), (cdf - grid_lo).max(axis=1))
+    stat = np.empty(n_mc)
+    for lo in range(0, n_mc, _LILLIEFORS_CHUNK):
+        hi = min(lo + _LILLIEFORS_CHUNK, n_mc)
+        draws = rng.standard_normal((hi - lo, n))
+        mu = draws.mean(axis=1, keepdims=True)
+        sd = draws.std(axis=1, ddof=1, keepdims=True)
+        cdf = ndtr(np.sort((draws - mu) / sd, axis=1))
+        stat[lo:hi] = np.maximum((grid_hi - cdf).max(axis=1),
+                                 (cdf - grid_lo).max(axis=1))
     return np.sort(stat)
 
 

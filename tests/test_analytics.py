@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from abbalab import analytics as ana
 from abbalab import patient as pat
@@ -201,13 +201,83 @@ def test_normal_and_t_tails_equal_scipy_stats():
         assert (ana.stdtr(df, -t) == stats.t.sf(t, df)).all()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def _run_python(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports abbalab from src."""
     src = str(Path(ana.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import abbalab.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+    return subprocess.run([sys.executable, "-c", code, src, *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    out = _run_python("import abbalab.cli; "
+                      "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    assert out.strip() == "False False"
+
+
+def test_small_cohort_run_never_loads_scipy(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nscenario = S1\ndiabetes_type = T1D\ncohort_size = 2\n"
+                      "seed = 7\ndays = 30\narms = abba,bba\n")
+    out = _run_python("import abbalab.cli; "
+                      "rc = abbalab.cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]]); "
+                      "print(rc, 'scipy.special' in sys.modules)",
+                      str(config), str(tmp_path / "out"))
+    assert out.splitlines()[-1].split() == ["0", "False"]
+    assert (tmp_path / "out" / "report_T1D.csv").exists()
+
+
+def test_five_normal_pairs_load_scipy_for_the_t_test():
+    a = [61.0, 64.5, 66.0, 69.5, 72.0]
+    b = [55.0, 60.0, 58.5, 65.0, 63.0]
+    out = _run_python("from abbalab import analytics as ana; "
+                      "before = 'scipy.special' in sys.modules; "
+                      f"row = ana.paired_compare({a}, {b}); "
+                      "print(before, 'scipy.special' in sys.modules, row.test, repr(row.p_value))")
+    before, after, test, p = out.split()
+    assert (before, after, test) == ("False", "True", "t")
+    d = np.array(a) - np.array(b)
+    t = d.mean() / (d.std(ddof=1) / np.sqrt(d.size))
+    assert float(p) == 2.0 * stats.t.sf(abs(t), d.size - 1)
+
+
+def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("fewer than five pairs need no normal or t tail")
+    monkeypatch.setattr(ana, "ndtr", forbidden)
+    monkeypatch.setattr(ana, "stdtr", forbidden)
+    rng = np.random.default_rng(56)
+    for n in range(1, 5):
+        row = ana.paired_compare(rng.normal(100, 10, n), rng.normal(90, 10, n))
+        assert row.test == "wilcoxon" and 0.0 < row.p_value <= 1.0
+    windows = ana.standard_windows(30, 14)
+    arms = {}
+    for arm in ("abba", "bba"):
+        outcomes = []
+        for pid in range(4):
+            summary = ana.GlycemicSummary(*rng.uniform(1.0, 90.0, len(ana.METRIC_FIELDS)))
+            outcomes.append(ana.PatientOutcome(
+                patient_id=pid, arm=arm, scenario="S1", diabetes_type="T1D",
+                summaries={w.name: summary for w in windows}, rescue_count=pid))
+        arms[arm] = ana.summarize_cohort(outcomes, windows)
+    report = ana.build_report(arms["abba"], arms["bba"])
+    assert len(report.comparisons) == len(windows) * len(ana.METRIC_FIELDS)
+    assert {row.test for row in report.comparisons} == {"wilcoxon"}
+
+
+@pytest.mark.parametrize("n", [5, 20, 101])
+def test_lilliefors_table_in_chunks_equals_one_shot_table(n):
+    n_mc = ana._LILLIEFORS_MC
+    rng = np.random.default_rng(np.random.SeedSequence([ana._LILLIEFORS_SEED, n, n_mc]))
+    draws = rng.standard_normal((n_mc, n))
+    z = np.sort((draws - draws.mean(axis=1, keepdims=True))
+                / draws.std(axis=1, ddof=1, keepdims=True), axis=1)
+    cdf = special.ndtr(z)
+    stat = np.maximum((np.arange(1, n + 1) / n - cdf).max(axis=1),
+                      (cdf - np.arange(0, n) / n).max(axis=1))
+    table = ana._lilliefors_table(n, n_mc)
+    assert n_mc > ana._LILLIEFORS_CHUNK
+    assert (table.view(np.int64) == np.sort(stat).view(np.int64)).all()
 
 
 # --- paired comparison ----------------------------------------------------------------
