@@ -1,5 +1,10 @@
+import os
 import sys
 
-from .cli import main
+# Before numpy loads: abbalab's BLAS products are tiny, so more threads only spin.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-sys.exit(main())
+from .cli import main  # noqa: E402
+
+if __name__ == "__main__":
+    sys.exit(main())

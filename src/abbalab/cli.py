@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError(f"unknown diabetes_type {self.diabetes_type!r}")
         if self.cohort_size < 1:
             raise ValueError("cohort_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.days <= init.COLLECTION_DAYS:
             raise ValueError(f"days must be at least {init.COLLECTION_DAYS + 1}: "
                              "the on-line phase requires the "
@@ -65,6 +67,8 @@ class RunConfig:
         bad = [a for a in self.arms if a not in (proto.ABBA, proto.BBA)]
         if bad or not self.arms:
             raise ValueError(f"arms must be drawn from abba/bba, got {self.arms}")
+        if len(set(self.arms)) != len(self.arms):
+            raise ValueError(f"arms must not repeat, got {self.arms}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.dawn not in ("auto", "on", "off"):

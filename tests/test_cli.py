@@ -1,6 +1,10 @@
 import filecmp
 import itertools
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,32 @@ def test_seed_flag_overrides_config(tmp_path):
 def test_short_trial_is_rejected(tmp_path):
     cfg = _config(tmp_path, SMOKE.replace("days = 30", "days = 14"))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_negative_seed_is_rejected_before_any_output(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", _config(tmp_path, SMOKE),
+                     "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_arm_flag_is_rejected(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    assert cli.main(["run", "--config", _config(tmp_path, SMOKE), "--out", str(out),
+                     "--arm", "abba", "--arm", "abba"]) == 2
+    assert calls == [] and not out.exists()
+
+
+def test_repeated_arm_in_config_is_rejected(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    cfg = _config(tmp_path, SMOKE.replace("arms = abba,bba", "arms = abba, abba, bba"))
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path):
@@ -370,3 +400,43 @@ def test_trial_that_cannot_be_reduced_writes_nothing_and_is_left_unpaired(
     assert cli.main(["replay", "--out", str(out)]) == 0
     assert (out / "report_T1D.csv").read_bytes() == report
     assert (out / "chart_T1D.svg").read_bytes() == chart
+
+
+# --- entry point ------------------------------------------------------------------
+
+def _blas_probe(module, openblas_threads):
+    """Import `module` then scipy.special in a fresh interpreter whose
+    OPENBLAS_NUM_THREADS is `openblas_threads` (None: unset); its thread
+    count (-1 without /proc) and OPENBLAS_NUM_THREADS afterwards."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (f"import os, {module}, scipy.special; t = '/proc/self/task'; "
+            "print(len(os.listdir(t)) if os.path.isdir(t) else -1, "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return int(out[0]), out[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_command_process_runs_one_blas_thread():
+    assert _blas_probe("abbalab.__main__", None) == (1, "1")
+
+
+def test_explicit_blas_thread_count_wins():
+    assert _blas_probe("abbalab.__main__", "2")[1] == "2"
+
+
+def test_library_import_leaves_the_environment_alone():
+    assert _blas_probe("abbalab.cli", None)[1] == "None"
+
+
+def test_console_script_enters_through_the_thread_pin():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads(
+        (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["abbalab"] == "abbalab.__main__:main"
