@@ -114,19 +114,14 @@ def glucose_error(g: float) -> float:
     return 0.0
 
 
-def _values(window) -> list[float]:
-    return [m.value if isinstance(m, Measurement) else float(m) for m in window]
-
-
 def bolus_features(window) -> FeatureVector | None:
     """Feature vector of one post-meal window, or of the whole day's readings
     for the basal agent; None signals skip-update."""
-    vals = _values(window)
-    if not vals:
+    if len(window) == 0:
         return None
     hyper_sum = hypo_sum = 0.0
     n_h = n_l = 0
-    for v in vals:
+    for v in window:
         e = glucose_error(v)
         if e > 0.0:
             hyper_sum += e
@@ -143,8 +138,7 @@ def overnight_delta(first_morning, last_night) -> np.ndarray:
     """Morning-vs-night excursion pair, normalized; zeros when either is missing."""
     if first_morning is None or last_night is None:
         return np.zeros(2)
-    g_m = first_morning.value if isinstance(first_morning, Measurement) else float(first_morning)
-    g_n = last_night.value if isinstance(last_night, Measurement) else float(last_night)
+    g_m, g_n = float(first_morning), float(last_night)
     b_hyper = b_hypo = 0.0
     if g_m > HYPER and g_n < HYPER:
         b_hyper = g_m - g_n
@@ -156,9 +150,9 @@ def overnight_delta(first_morning, last_night) -> np.ndarray:
 
 def build_state(kind: AgentKind, features: FeatureVector,
                 b_k: np.ndarray | None = None) -> np.ndarray:
-    f = features.as_array() if isinstance(features, FeatureVector) else np.asarray(features, dtype=float)
+    f = features.as_array()
     if kind.state_dim == 2:
-        return f.copy()
+        return f
     if b_k is None:
         log.warning("missing overnight delta for %s; treated as (0, 0)", kind.value)
         b_k = np.zeros(2)
@@ -224,8 +218,7 @@ def critic_update(agent: AgentState, s_t: np.ndarray, s_next: np.ndarray,
     return d
 
 
-def policy(agent: AgentState, s_t: np.ndarray,
-           f_prev_day: FeatureVector | np.ndarray) -> float:
+def policy(agent: AgentState, s_t: np.ndarray, f_prev_day: FeatureVector) -> float:
     """Blended policy output P (fractional change driver).
 
     The linear policy reads the full state; for ICR agents a supervisory
@@ -236,8 +229,7 @@ def policy(agent: AgentState, s_t: np.ndarray,
     lp = float(np.asarray(agent.theta) @ np.asarray(s_t, dtype=float))
     if not agent.kind.is_icr:
         return lp
-    f = list(f_prev_day)
-    f0, f1 = float(f[0]), float(f[1])
+    f0, f1 = f_prev_day
     if f0 == 0.0 and f1 == 0.0:
         return 0.0                                   # alpha_LP = 0 and SP = 0
     if (f0 > 0.0 and f1 == 0.0) or f0 > f1:

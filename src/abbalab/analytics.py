@@ -3,7 +3,9 @@
 Time-in-range percentages, persistence-gated event counts, the Kovatchev
 low-blood-glucose index, an ADAG HbA1c estimator, a Monte-Carlo Lilliefors
 normality test, and a paired comparison that gates between the paired t-test
-and an exact-capable Wilcoxon signed-rank test. All functions are pure.
+and an exact-capable Wilcoxon signed-rank test. `build_report` is the one home
+of the pairing rule and the arm order: it turns per-patient outcomes into the
+report that `report_to_csv` and `chart_svg` export. All functions are pure.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _lilliefors_table(n: int, n_mc: int) -> np.ndarray:
     return np.sort(stat)
 
 
-def lilliefors(sample, n_mc: int = _LILLIEFORS_MC) -> tuple[float, float]:
+def lilliefors(sample) -> tuple[float, float]:
     """(statistic, p) for normality with estimated parameters.
 
     The p-value is the upper tail of a seeded Monte-Carlo null table, so the
@@ -154,7 +156,7 @@ def lilliefors(sample, n_mc: int = _LILLIEFORS_MC) -> tuple[float, float]:
     if np.ptp(x) == 0.0:
         return 1.0, 0.0
     stat = _ks_stat_normal(x)
-    table = _lilliefors_table(x.size, n_mc)
+    table = _lilliefors_table(x.size, _LILLIEFORS_MC)
     n_ge = table.size - np.searchsorted(table, stat, side="left")
     p = (n_ge + 1.0) / (table.size + 1.0)
     return stat, float(p)
@@ -286,7 +288,7 @@ def paired_compare(a, b, alpha: float = 0.01, metric: str = "",
                          test=test, p_value=p, significant=bool(p < alpha))
 
 
-# --- analysis windows and cohort summaries --------------------------------------
+# --- analysis windows and reports ---------------------------------------------
 
 WINDOW_WEEKS = 4
 WINDOW_STEP_WEEKS = 1
@@ -347,36 +349,6 @@ class PatientOutcome:
     rescue_count: int
 
 
-@dataclass(frozen=True)
-class CohortSummary:
-    arm: str
-    scenario: str
-    diabetes_type: str
-    windows: list[Window]
-    outcomes: list[PatientOutcome]
-
-    def metric(self, window: str, name: str) -> np.ndarray:
-        return np.array([getattr(o.summaries[window], name) for o in self.outcomes],
-                        dtype=float)
-
-
-def summarize_cohort(outcomes, windows: list[Window]) -> CohortSummary:
-    """One arm's per-patient outcomes over the windows they were reduced on.
-
-    All outcomes must share scenario and advisor arm; pairing across arms
-    happens in build_report.
-    """
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("no outcomes")
-    if len({(o.arm, o.scenario) for o in outcomes}) != 1:
-        raise ValueError("outcomes must share scenario and advisor arm")
-    first = outcomes[0]
-    return CohortSummary(arm=first.arm, scenario=first.scenario,
-                         diabetes_type=first.diabetes_type,
-                         windows=list(windows), outcomes=outcomes)
-
-
 def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
     """Metrics per window (1-based inclusive days), read as slices of the
     trial's minutes and of their band masks and low-glucose risk."""
@@ -402,35 +374,54 @@ def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
                           summaries=summaries, rescue_count=rescues)
 
 
+def _values(outcomes: list[PatientOutcome], window: str, name: str) -> np.ndarray:
+    return np.array([getattr(o.summaries[window], name) for o in outcomes],
+                    dtype=float)
+
+
 @dataclass(frozen=True)
 class TrialReport:
     scenario: str
     diabetes_type: str
     windows: list[Window]
-    arm_summaries: dict[str, CohortSummary]
+    outcomes: dict[str, list[PatientOutcome]]   # arm -> paired patients by id
     comparisons: list[ComparisonRow]
 
+    def metric(self, arm: str, window: str, name: str) -> np.ndarray:
+        return _values(self.outcomes[arm], window, name)
 
-def build_report(summary_a: CohortSummary, summary_b: CohortSummary,
-                 alpha: float = 0.01) -> TrialReport:
-    """Pair two arms (same cohort, same scenario) into a single report."""
-    if summary_a.scenario != summary_b.scenario:
-        raise ValueError("arms ran different scenarios")
-    ids_a = [o.patient_id for o in summary_a.outcomes]
-    ids_b = [o.patient_id for o in summary_b.outcomes]
-    if ids_a != ids_b:
-        raise ValueError("mismatched cohorts; pairing requires identical patients")
+
+def build_report(outcomes, windows: list[Window]) -> TrialReport:
+    """Pair per-patient outcomes of one scenario and diabetes type into a report.
+
+    A patient without an outcome for every arm present is dropped from every
+    arm, so a failed trial leaves its patient out of both sides. With two
+    arms the first in sorted order (abba) is compared against the second
+    (bba) on every window and metric; one arm gives its summaries alone.
+    """
+    outcomes = sorted(outcomes, key=lambda o: o.patient_id)
+    if not outcomes:
+        raise ValueError("no outcomes")
+    if len({(o.scenario, o.diabetes_type) for o in outcomes}) != 1:
+        raise ValueError("outcomes must share scenario and diabetes type")
+    arms = sorted({o.arm for o in outcomes})
+    if len(arms) > 2:
+        raise ValueError(f"expected one or two arms, got {arms}")
+    paired = set.intersection(*({o.patient_id for o in outcomes if o.arm == arm}
+                                for arm in arms))
+    if not paired:
+        raise ValueError("no patient has an outcome for every arm")
+    by_arm = {arm: [o for o in outcomes if o.arm == arm and o.patient_id in paired]
+              for arm in arms}
     comparisons = []
-    for w in summary_a.windows:
-        for metric in METRIC_FIELDS:
-            comparisons.append(paired_compare(
-                summary_a.metric(w.name, metric), summary_b.metric(w.name, metric),
-                alpha=alpha, metric=metric, window=w.name))
-    return TrialReport(scenario=summary_a.scenario,
-                       diabetes_type=summary_a.diabetes_type,
-                       windows=list(summary_a.windows),
-                       arm_summaries={summary_a.arm: summary_a,
-                                      summary_b.arm: summary_b},
+    if len(arms) == 2:
+        a, b = by_arm.values()
+        comparisons = [paired_compare(_values(a, w.name, m), _values(b, w.name, m),
+                                      metric=m, window=w.name)
+                       for w in windows for m in METRIC_FIELDS]
+    first = outcomes[0]
+    return TrialReport(scenario=first.scenario, diabetes_type=first.diabetes_type,
+                       windows=list(windows), outcomes=by_arm,
                        comparisons=comparisons)
 
 
@@ -465,18 +456,16 @@ def report_to_csv(report: TrialReport, headers: dict[str, str] | None = None) ->
     lines.append(f"# scenario {report.scenario}")
     lines.append(f"# diabetes_type {report.diabetes_type}")
     lines.append(_csv_row(_SUMMARY_COLUMNS))
-    arms = sorted(report.arm_summaries)
     for window in report.windows:
         for metric in METRIC_FIELDS:
-            for arm in arms:
-                values = report.arm_summaries[arm].metric(window.name, metric)
+            for arm in report.outcomes:
+                values = report.metric(arm, window.name, metric)
                 mean, sd, median, iqr = _describe(values)
                 lines.append(_csv_row((
                     window.name, metric, arm, values.size, repr(mean), repr(sd),
                     repr(median), repr(iqr[0]), repr(iqr[1]), "", "", "")))
-    for arm in arms:
-        rescues = np.array([o.rescue_count
-                            for o in report.arm_summaries[arm].outcomes], dtype=float)
+    for arm, arm_outcomes in report.outcomes.items():
+        rescues = np.array([o.rescue_count for o in arm_outcomes], dtype=float)
         mean, sd, median, iqr = _describe(rescues)
         lines.append(_csv_row((
             "trial", "rescue_count", arm, rescues.size, repr(mean), repr(sd),
@@ -509,7 +498,7 @@ def chart_svg(report: TrialReport, headers: dict[str, str] | None = None) -> str
     weekly = [w for w in report.windows if w.name.startswith("week")]
     if not weekly:
         raise ValueError("report has no sliding windows to plot")
-    arms = sorted(report.arm_summaries)
+    arms = list(report.outcomes)
     weeks = [int(w.name[4:]) for w in weekly]
     x_lo, x_hi = min(weeks), max(weeks)
     plot_w = _CHART_W - _MARGIN_L - _MARGIN_R
@@ -562,12 +551,11 @@ def chart_svg(report: TrialReport, headers: dict[str, str] | None = None) -> str
                f'% of time</text>')
     legend_y = _MARGIN_T + 6.0
     for arm in arms:
-        summary = report.arm_summaries[arm]
         dash = '' if arm == arms[0] else ' stroke-dasharray="6 3"'
         for metric, color, label in _CHART_SERIES:
-            points = " ".join(
-                f"{x_of(week):.2f},{y_of(float(np.mean(summary.metric(w.name, metric)))):.2f}"
-                for week, w in zip(weeks, weekly))
+            means = (np.mean(report.metric(arm, w.name, metric)) for w in weekly)
+            points = " ".join(f"{x_of(week):.2f},{y_of(mean):.2f}"
+                              for week, mean in zip(weeks, means))
             out.append(f'<polyline fill="none" stroke="{color}" '
                        f'stroke-width="1.8"{dash} points="{points}"/>')
             lx = _MARGIN_L + plot_w + 14.0

@@ -5,11 +5,13 @@ writing per-patient trace files, one checkpoint per ABBA trial holding the
 final agents (written once, after the trial completes), a failures
 manifest, and the comparison report (CSV + SVG chart). Each trial is
 reduced to its per-window outcome where it ran, so no command holds more
-than one trial's minutes, and the report is built from the outcomes alone.
-`replay` over the same directory reproduces it byte for byte because the
-trace round trip is exact. A config document plus a master seed fully
-determines every artifact; per-patient seed streams are split by patient id,
-so growing the cohort never perturbs existing patients.
+than one trial's minutes, and `analytics.build_report` pairs the outcomes
+into the report. `replay` and `report` hand it the outcomes reduced from the
+traces, so all three commands apply one pairing rule, and `replay` over the
+same directory reproduces the report byte for byte because the trace round
+trip is exact. A config document plus a master seed fully determines every
+artifact; per-patient seed streams are split by patient id, so growing the
+cohort never perturbs existing patients.
 """
 
 from __future__ import annotations
@@ -196,26 +198,10 @@ def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
         return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
 
 
-def _pair(outcomes: list[ana.PatientOutcome]) -> dict[str, list]:
-    """Outcomes grouped by arm, keeping only patients with an outcome for
-    every arm present, so a failed trial drops its patient from both sides
-    of the paired comparison."""
-    by_arm: dict[str, list] = {}
-    for o in outcomes:
-        by_arm.setdefault(o.arm, []).append(o)
-    paired = set.intersection(*({o.patient_id for o in arm_outcomes}
-                                for arm_outcomes in by_arm.values()))
-    if not paired:
-        raise ValueError("no patient has a trace for every arm")
-    return {arm: sorted((o for o in arm_outcomes if o.patient_id in paired),
-                        key=lambda o: o.patient_id)
-            for arm, arm_outcomes in by_arm.items()}
-
-
-def _reduce_from_traces(out: Path) -> tuple[dict[str, list], list[ana.Window],
-                                           dict[str, str]]:
+def _reduce_from_traces(out: Path) -> tuple[list[ana.PatientOutcome],
+                                           list[ana.Window], dict[str, str]]:
     """Parse and reduce the traces under out/traces one at a time, headers
-    verified; the paired outcomes, their windows and the run headers."""
+    verified; the outcomes, their windows and the run headers."""
     paths = sorted((out / "traces").glob("p*.txt"))
     if not paths:
         raise ValueError(f"no trace files under {out / 'traces'}")
@@ -230,29 +216,12 @@ def _reduce_from_traces(out: Path) -> tuple[dict[str, list], list[ana.Window],
                              "directory mixes runs")
         outcomes.append(ana.reduce_trial(result, windows))
         del result                  # before the next parse: one trial at a time
-    return _pair(outcomes), windows, headers
+    return outcomes, windows, headers
 
 
-def _build_report(by_arm: dict[str, list], windows: list[ana.Window]
-                  ) -> ana.TrialReport:
-    """The paired comparison of both arms, or one arm's summary alone, from
-    reduced trials."""
-    summaries = {arm: ana.summarize_cohort(outcomes, windows)
-                 for arm, outcomes in sorted(by_arm.items())}
-    if proto.ABBA in summaries and proto.BBA in summaries:
-        return ana.build_report(summaries[proto.ABBA], summaries[proto.BBA])
-    (arm, summary), = summaries.items()
-    return ana.TrialReport(scenario=summary.scenario,
-                           diabetes_type=summary.diabetes_type,
-                           windows=summary.windows,
-                           arm_summaries={arm: summary},
-                           comparisons=[])
-
-
-def _write_report(out: Path, by_arm: dict[str, list], windows: list[ana.Window],
+def _write_report(out: Path, report: ana.TrialReport,
                   headers: dict[str, str]) -> list[Path]:
-    """Report CSV (+ chart when both arms are present) from reduced trials."""
-    report = _build_report(by_arm, windows)
+    """Report CSV (+ chart when both arms are present)."""
     csv_path = out / f"report_{report.diabetes_type}.csv"
     csv_path.write_text(ana.report_to_csv(report, headers))
     written = [csv_path]
@@ -304,12 +273,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     completed = [outcome for _, _, outcome, err in statuses if err is None]
     if completed:
         try:
-            by_arm = _pair(completed)
+            report = ana.build_report(completed, ana.standard_windows(cfg.days))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        for path in _write_report(out, by_arm, ana.standard_windows(cfg.days),
-                                  headers):
+        for path in _write_report(out, report, headers):
             print(f"wrote {path}")
     print(f"{len(completed)}/{len(tasks)} trials completed; "
           f"failures manifest: {out / 'failures.txt'}")
@@ -322,8 +290,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
-        by_arm, windows, headers = _reduce_from_traces(out)
-        written = _write_report(out, by_arm, windows, headers)
+        outcomes, windows, headers = _reduce_from_traces(out)
+        written = _write_report(out, ana.build_report(outcomes, windows), headers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,16 +306,14 @@ _TABLE_METRICS = tuple(m for m in ana.METRIC_FIELDS if m != "mean_glucose")
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
-        by_arm, windows, _ = _reduce_from_traces(out)
+        outcomes, windows, _ = _reduce_from_traces(out)
+        report = ana.build_report(outcomes, windows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = _build_report(by_arm, windows)
-    summaries = report.arm_summaries
-    arms = sorted(summaries)
-    first = summaries[arms[0]]
-    print(f"scenario {first.scenario}  {first.diabetes_type}  "
-          f"n={len(first.outcomes)}")
+    arms = list(report.outcomes)
+    print(f"scenario {report.scenario}  {report.diabetes_type}  "
+          f"n={len(report.outcomes[arms[0]])}")
     for window in ("full", "first4w", "last4w"):
         print(f"\n[{window}]")
         header = f"{'metric':<14}" + "".join(f"{a:>22}" for a in arms)
@@ -355,8 +321,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         for metric in _TABLE_METRICS:
             cells = ""
             for arm in arms:
-                values = summaries[arm].metric(window, metric)
-                cells += f"{values.mean():>13.2f} ±{values.std(ddof=1) if len(values) > 1 else 0.0:>6.2f}"
+                mean, sd, _, _ = ana._describe(report.metric(arm, window, metric))
+                cells += f"{mean:>13.2f} ±{sd:>6.2f}"
             line = f"{metric:<14}" + cells
             if report.comparisons:
                 row = next(r for r in report.comparisons
@@ -364,8 +330,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 line += f"{row.test:>12}{row.p_value:>8.4f}"
             print(line)
     rescue_note = "  ".join(
-        f"{arm}: {sum(o.rescue_count for o in summaries[arm].outcomes)}"
-        for arm in arms)
+        f"{arm}: {sum(o.rescue_count for o in arm_outcomes)}"
+        for arm, arm_outcomes in report.outcomes.items())
     print(f"\nrescue activations  {rescue_note}")
     return 0
 
@@ -402,7 +368,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

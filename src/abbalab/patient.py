@@ -496,8 +496,7 @@ class NominalTherapy:
     cf_mgdl_per_u: float
 
 
-def nominal_therapy(params: PatientParams,
-                    fasting_target: float = T1D_FASTING_TARGET) -> NominalTherapy:
+def nominal_therapy(params: PatientParams) -> NominalTherapy:
     """Starting therapy a clinician would prescribe for a T1D patient.
 
     Bolus factors and basal rest on different evidence. Meal responses are
@@ -506,7 +505,7 @@ def nominal_therapy(params: PatientParams,
     the patient's own sensitivity, bioavailability, and distribution
     volume. The overnight fasting need is not separable from those same
     readings, so basal falls back on a population model: it solves the
-    fasting fixed point at `fasting_target` for a patient with nominal
+    fasting fixed point at `T1D_FASTING_TARGET` for a patient with nominal
     physiology and this body weight. The basal misfit is what the adaptive
     arm has available to learn. (T2D uses weight-based rules.)
     """
@@ -522,13 +521,13 @@ def nominal_therapy(params: PatientParams,
         residual_insulin_secretion_gain=0.0,
         glucose_distribution_volume=_VG_PER_KG[0] * params.body_weight)
     lo, hi = 0.05 * params.body_weight, 2.0 * params.body_weight
-    if fasting_glucose(pop, lo) < fasting_target:
+    if fasting_glucose(pop, lo) < T1D_FASTING_TARGET:
         raise ValueError("fasting target unreachable with basal alone")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if fasting_glucose(pop, mid) > fasting_target:
+        if fasting_glucose(pop, mid) > T1D_FASTING_TARGET:
             lo = mid
         else:
             hi = mid

@@ -257,7 +257,7 @@ class Trial:
         self.risk: init.RiskClass | None = None
 
         # Feature bookkeeping.
-        self.slot_features: dict[int, np.ndarray] = {}
+        self.slot_features: dict[int, adv.FeatureVector] = {}
         self.open_slot: int | None = None
         self.open_values: list[float] = []
         self.day_pool: list[float] = []
@@ -329,7 +329,7 @@ class Trial:
         slot = self.open_slot
         if slot is None:
             return
-        f_new = adv.bolus_features(self.open_values + [closing_value]).as_array()
+        f_new = adv.bolus_features(self.open_values + [closing_value])
         if self.learning and slot in self.slot_features:
             b_k = self._overnight()
             f_prev = self.slot_features[slot]
@@ -359,12 +359,11 @@ class Trial:
         self._close_window(reading)
         if self.learning and slot in self.slot_features:
             f_prev = self.slot_features[slot]
-            fv = adv.FeatureVector(float(f_prev[0]), float(f_prev[1]))
             b_k = self._overnight()
             for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
                 agent = self.bundle[kind]
                 s_t = adv.build_state(kind, f_prev, b_k)
-                p = adv.policy(agent, s_t, fv)
+                p = adv.policy(agent, s_t, f_prev)
                 new_a = adv.apply_action(kind, p, self.therapy.current(kind),
                                          self.therapy.a_init(kind), agent.m_smooth)
                 self.therapy.set_current(kind, new_a)
@@ -401,8 +400,7 @@ class Trial:
                 d = adv.critic_update(agent, self.basal_state_prev, s_now, self.beta)
                 if np.isfinite(d):
                     adv.actor_update(agent, d, self.basal_state_prev)
-            p = adv.policy(agent, s_now,
-                           adv.FeatureVector(float(s_now[0]), float(s_now[1])))
+            p = adv.policy(agent, s_now, feats)
             self.therapy.basal = adv.apply_action(
                 adv.AgentKind.BASAL, p, self.therapy.basal, self.therapy.basal_init,
                 agent.m_smooth, prev_tdd=self.day_traces[-1].total_insulin_u)
@@ -606,6 +604,14 @@ def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
     return fields, i
 
 
+def _header_values(fields: dict[str, str], key: str, count: int) -> list[str]:
+    values = fields[key].split()
+    if len(values) != count:
+        raise ValueError(f"trace header '{key}' holds {len(values)} values, "
+                         f"expected {count}")
+    return values
+
+
 def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     """Parse a trace document back into a TrialResult (agents are not stored).
 
@@ -622,7 +628,7 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     if body_start >= len(lines) or lines[body_start] != "day,minute,kind,value,aux":
         raise ValueError("trace column header missing; file truncated?")
 
-    raw = fields["patient"].split()
+    raw = _header_values(fields, "patient", len(_PATIENT_FIELDS))
     params = pat.PatientParams(
         id=int(raw[0]), diabetes_type=raw[1],
         **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
@@ -641,7 +647,8 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
         return TherapySnapshot(icr=tuple(values[0:3]), ps=tuple(values[3:6]),
                                cf=values[6], basal=values[7])
 
-    initial = snapshot_from([float(v) for v in fields["initial_therapy"].split()])
+    initial = snapshot_from([float(v) for v in _header_values(
+        fields, "initial_therapy", len(_THERAPY_FIELDS))])
 
     per_day: dict[int, dict] = {}
     for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):

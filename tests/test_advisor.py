@@ -3,7 +3,7 @@ import pytest
 
 from abbalab import advisor as adv
 from abbalab import patient as pat
-from abbalab.advisor import AgentKind, FeatureVector, InsulinRecord, Measurement
+from abbalab.advisor import AgentKind, FeatureVector, InsulinRecord
 
 
 def _agent(kind, theta, w=None, z=None, **kw):
@@ -53,13 +53,6 @@ def test_bolus_features_hypo_window():
 
 def test_bolus_features_empty_window_signals_skip():
     assert adv.bolus_features([]) is None
-
-
-def test_bolus_features_accepts_measurements():
-    window = [Measurement(200.0, 10.0, "post_prandial"),
-              Measurement(240.0, 40.0, "pre_lunch")]
-    f = adv.bolus_features(window)
-    assert f.f_hyper == pytest.approx(40.0 / 220.0, abs=1e-9)
 
 
 def test_features_mixed_day_has_both_components():

@@ -251,16 +251,9 @@ def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
         row = ana.paired_compare(rng.normal(100, 10, n), rng.normal(90, 10, n))
         assert row.test == "wilcoxon" and 0.0 < row.p_value <= 1.0
     windows = ana.standard_windows(30, 14)
-    arms = {}
-    for arm in ("abba", "bba"):
-        outcomes = []
-        for pid in range(4):
-            summary = ana.GlycemicSummary(*rng.uniform(1.0, 90.0, len(ana.METRIC_FIELDS)))
-            outcomes.append(ana.PatientOutcome(
-                patient_id=pid, arm=arm, scenario="S1", diabetes_type="T1D",
-                summaries={w.name: summary for w in windows}, rescue_count=pid))
-        arms[arm] = ana.summarize_cohort(outcomes, windows)
-    report = ana.build_report(arms["abba"], arms["bba"])
+    outcomes = [_outcome(pid, arm, windows, rng.uniform(1.0, 90.0))
+                for arm in ("abba", "bba") for pid in range(4)]
+    report = ana.build_report(outcomes, windows)
     assert len(report.comparisons) == len(windows) * len(ana.METRIC_FIELDS)
     assert {row.test for row in report.comparisons} == {"wilcoxon"}
 
@@ -370,46 +363,89 @@ def test_single_patient_cohort_has_zero_sd():
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=52,
                           days=20)
     windows = ana.standard_windows(20, 14)
-    summary = ana.summarize_cohort([ana.reduce_trial(res, windows)], windows)
-    vals = summary.metric("full", "tir_pct")
+    report = ana.build_report([ana.reduce_trial(res, windows)], windows)
+    vals = report.metric(proto.BBA, "full", "tir_pct")
     assert vals.size == 1
     assert np.std(vals) == 0.0
 
 
-def test_summarize_cohort_rejects_mixed_arms():
-    p1, p2 = pat.generate_cohort(2, "T1D", 53)
-    spec = proto.SCENARIOS["S1"]
-    res_a = proto.run_trial(p1, proto.ABBA, spec, master_seed=53, days=20)
-    res_b = proto.run_trial(p2, proto.BBA, spec, master_seed=53, days=20)
-    windows = ana.standard_windows(20, 14)
-    with pytest.raises(ValueError):
-        ana.summarize_cohort([ana.reduce_trial(res_a, windows),
-                              ana.reduce_trial(res_b, windows)], windows)
+def _outcome(pid, arm, windows, value=50.0, scenario="S1", diabetes_type="T1D"):
+    summary = ana.GlycemicSummary(*np.full(len(ana.METRIC_FIELDS), value))
+    return ana.PatientOutcome(
+        patient_id=pid, arm=arm, scenario=scenario, diabetes_type=diabetes_type,
+        summaries={w.name: summary for w in windows}, rescue_count=pid)
 
 
 def test_build_report_requires_identical_cohorts():
     p1, p2 = pat.generate_cohort(2, "T1D", 54)
     spec = proto.SCENARIOS["S1"]
     windows = ana.standard_windows(20, 14)
-    sa = ana.summarize_cohort([ana.reduce_trial(
-        proto.run_trial(p1, proto.ABBA, spec, 54, days=20), windows)], windows)
-    sb = ana.summarize_cohort([ana.reduce_trial(
-        proto.run_trial(p2, proto.BBA, spec, 54, days=20), windows)], windows)
-    with pytest.raises(ValueError):
-        ana.build_report(sa, sb)
+    outcomes = [ana.reduce_trial(proto.run_trial(p1, proto.ABBA, spec, 54, days=20),
+                                 windows),
+                ana.reduce_trial(proto.run_trial(p2, proto.BBA, spec, 54, days=20),
+                                 windows)]
+    with pytest.raises(ValueError, match="no patient has an outcome for every arm"):
+        ana.build_report(outcomes, windows)
+
+
+def test_build_report_drops_an_unpaired_patient_from_both_arms():
+    windows = ana.standard_windows(30, 14)
+    outcomes = [_outcome(pid, arm, windows, value=10.0 * pid + (arm == "abba"))
+                for arm, pids in (("bba", (3, 0, 2)), ("abba", (2, 1, 0)))
+                for pid in pids]
+    report = ana.build_report(outcomes, windows)
+    assert list(report.outcomes) == ["abba", "bba"]
+    assert {arm: [o.patient_id for o in arm_outcomes]
+            for arm, arm_outcomes in report.outcomes.items()} == \
+        {"abba": [0, 2], "bba": [0, 2]}
+    assert report.metric("abba", "full", "tir_pct").tolist() == [1.0, 21.0]
+    assert {row.n for row in report.comparisons} == {2}
+
+
+def test_build_report_of_one_arm_makes_no_comparisons():
+    windows = ana.standard_windows(30, 14)
+    report = ana.build_report([_outcome(pid, "bba", windows) for pid in (1, 0)],
+                              windows)
+    assert report.comparisons == []
+    assert [o.patient_id for o in report.outcomes["bba"]] == [0, 1]
+
+
+def test_build_report_rejects_mixed_scenarios():
+    windows = ana.standard_windows(30, 14)
+    outcomes = [_outcome(0, "abba", windows),
+                _outcome(0, "bba", windows, scenario="S2")]
+    with pytest.raises(ValueError, match="share scenario and diabetes type"):
+        ana.build_report(outcomes, windows)
+
+
+def test_build_report_rejects_mixed_diabetes_types():
+    windows = ana.standard_windows(30, 14)
+    outcomes = [_outcome(0, "abba", windows),
+                _outcome(0, "bba", windows, diabetes_type="T2D")]
+    with pytest.raises(ValueError, match="share scenario and diabetes type"):
+        ana.build_report(outcomes, windows)
+
+
+def test_build_report_rejects_a_third_arm():
+    windows = ana.standard_windows(30, 14)
+    outcomes = [_outcome(0, arm, windows) for arm in ("abba", "bba", "xyz")]
+    with pytest.raises(ValueError, match="expected one or two arms"):
+        ana.build_report(outcomes, windows)
+
+
+def test_build_report_rejects_no_outcomes():
+    with pytest.raises(ValueError, match="no outcomes"):
+        ana.build_report([], ana.standard_windows(30, 14))
 
 
 def test_report_round_trip_through_csv_and_svg():
     cohort = pat.generate_cohort(2, "T1D", 55)
     spec = proto.SCENARIOS["S1"]
     windows = ana.standard_windows(30, 14)
-    arms = {}
-    for arm in (proto.ABBA, proto.BBA):
-        outcomes = [ana.reduce_trial(
-                        proto.run_trial(p, arm, spec, master_seed=55, days=30), windows)
-                    for p in cohort]
-        arms[arm] = ana.summarize_cohort(outcomes, windows)
-    report = ana.build_report(arms[proto.ABBA], arms[proto.BBA])
+    outcomes = [ana.reduce_trial(proto.run_trial(p, arm, spec, master_seed=55, days=30),
+                                 windows)
+                for arm in (proto.ABBA, proto.BBA) for p in cohort]
+    report = ana.build_report(outcomes, windows)
     csv_text = ana.report_to_csv(report, {"master_seed": "55"})
     assert csv_text.startswith(f"# {ana.REPORT_SCHEMA}")
     assert "tir_pct" in csv_text

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import itertools
 import os
 import subprocess
@@ -251,6 +252,34 @@ def test_report_prints_comparison_table(tmp_path, capsys):
     assert "tir_pct" in text
     assert "rescue activations" in text
     assert "[last4w]" in text
+
+
+# The first 16 hex digits of the sha256 of report_<type>.csv, chart_<type>.svg
+# and the `abbalab report` table, for criterion 9's config and for one with
+# five or more pairs (so the Lilliefors gate and the t-test run). A change that
+# moves the numbers on purpose re-pins them.
+REPORT_DIGESTS = {
+    "s1_t1d_n2": (("S1", "T1D", 2, 7, 30),
+                  ("e745a8264f609afd", "f7d30cb48ded14c6", "3863bf822683c7c3")),
+    "s4_t2d_n6": (("S4", "T2D", 6, 1, 45),
+                  ("acf8548afcb510c4", "df8415851a3bc78d", "edb5023ccec0ec66")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_outputs_keep_their_pinned_digests(tmp_path, capsys, name):
+    (scenario, dtype, n, seed, days), pinned = REPORT_DIGESTS[name]
+    cfg = _config(tmp_path, f"[run]\nscenario = {scenario}\ndiabetes_type = {dtype}\n"
+                            f"cohort_size = {n}\nseed = {seed}\ndays = {days}\n"
+                            "arms = abba,bba\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 0
+    texts = ((out / f"report_{dtype}.csv").read_bytes(),
+             (out / f"chart_{dtype}.svg").read_bytes(),
+             capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts) == pinned
 
 
 def test_parallel_run_matches_serial_run(tmp_path):

@@ -397,6 +397,27 @@ def test_trace_rejects_a_day_without_glucose():
         proto.trace_from_text("\n".join(lines))
 
 
+def _with_header(lines, key, edit):
+    """`lines` with header `key`'s values passed through `edit`."""
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
+    lines[i] = " ".join([f"# {key}", *edit(lines[i].split()[2:])])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("key, edit, count", [
+    ("patient", lambda v: v[:-1], "10 values, expected 11"),
+    ("patient", lambda v: [], "0 values, expected 11"),
+    ("patient", lambda v: v + ["1.0"], "12 values, expected 11"),
+    ("initial_therapy", lambda v: v[:5], "5 values, expected 8"),
+    ("initial_therapy", lambda v: v + ["1.0"], "9 values, expected 8"),
+], ids=["patient_short", "patient_empty", "patient_extra", "therapy_short",
+        "therapy_extra"])
+def test_trace_rejects_a_header_of_the_wrong_value_count(key, edit, count):
+    text = _with_header(_bba_trace_lines(), key, edit)
+    with pytest.raises(ValueError, match=f"'{key}' holds {count}"):
+        proto.trace_from_text(text)
+
+
 def _repr_glucose_lines(schema, per_minute):
     """The BBA trace as an older schema wrote it, from the parsed trial: G
     rows of repr() text, one per minute (v1) or one per day (v2)."""
