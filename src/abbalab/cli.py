@@ -1,17 +1,17 @@
 """Batch experiment runner.
 
 `abbalab run` simulates a cohort under the configured scenario and arms,
-writing per-patient trace files, one checkpoint per ABBA trial holding the
-final agents (written once, after the trial completes), a failures
-manifest, and the comparison report (CSV + SVG chart). Each trial is
-reduced to its per-window outcome where it ran, so no command holds more
-than one trial's minutes, and `analytics.build_report` pairs the outcomes
-into the report. `replay` and `report` hand it the outcomes reduced from the
-traces, so all three commands apply one pairing rule, and `replay` over the
-same directory reproduces the report byte for byte because the trace round
-trip is exact. A config document plus a master seed fully determines every
-artifact; per-patient seed streams are split by patient id, so growing the
-cohort never perturbs existing patients.
+writing one trace pair per trial (`protocol.write_trace`), one checkpoint
+per ABBA trial holding the final agents (written once, after the trial
+completes), a failures manifest, and the comparison report (CSV + SVG
+chart). Each trial is reduced to its per-window outcome where it ran, so no
+command holds more than one trial's minutes, and `analytics.build_report`
+pairs the outcomes into the report. `replay` and `report` hand it the
+outcomes reduced from the traces, so all three commands apply one pairing
+rule, and `replay` over the same directory reproduces the report byte for
+byte because the trace round trip is exact. A config document plus a master
+seed fully determines every artifact; per-patient seed streams are split by
+patient id, so growing the cohort never perturbs existing patients.
 """
 
 from __future__ import annotations
@@ -191,29 +191,32 @@ def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
             header_lines = [f"{k} {v}" for k, v in headers.items()]
             _checkpoint_path(out, params.id, arm).write_text(adv.bundle_to_text(
                 result.final_agents, header_lines + [f"day {result.days}"]))
-        _trace_path(out, params.id, arm).write_text(
-            proto.trace_to_text(result, headers))
+        proto.write_trace(_trace_path(out, params.id, arm), result, headers)
         return (params.id, arm, outcome, None)
     except Exception as exc:                    # noqa: BLE001 - manifest entry
         return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
 
 
-def _reduce_from_traces(out: Path) -> tuple[list[ana.PatientOutcome],
-                                           list[ana.Window], dict[str, str]]:
-    """Parse and reduce the traces under out/traces one at a time, headers
-    verified; the outcomes, their windows and the run headers."""
+def _reduce_from_traces(out: Path, only: tuple[str, ...] | None = None
+                        ) -> tuple[list[ana.PatientOutcome], list[ana.Window],
+                                   dict[str, str]]:
+    """Parse and reduce the traces under out/traces one at a time, headers and
+    windows verified; the outcomes, the windows reduced (those named in `only`,
+    or all) and the run headers."""
     paths = sorted((out / "traces").glob("p*.txt"))
     if not paths:
         raise ValueError(f"no trace files under {out / 'traces'}")
     outcomes, first = [], None
     for path in paths:
-        result, headers = proto.trace_from_text(path.read_text())
+        result, headers = proto.read_trace(path)
         windows = ana.standard_windows(result.days, result.collection_days)
         if first is None:
             first = (headers, windows)
         elif (headers, windows) != first:
             raise ValueError(f"{path.name} carries different run headers; "
                              "directory mixes runs")
+        if only is not None:
+            windows = [w for w in windows if w.name in only]
         outcomes.append(ana.reduce_trial(result, windows))
         del result                  # before the next parse: one trial at a time
     return outcomes, windows, headers
@@ -301,12 +304,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 _TABLE_METRICS = tuple(m for m in ana.METRIC_FIELDS if m != "mean_glucose")
+_TABLE_WINDOWS = ("full", "first4w", "last4w")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
-        outcomes, windows, _ = _reduce_from_traces(out)
+        outcomes, windows, _ = _reduce_from_traces(out, _TABLE_WINDOWS)
         report = ana.build_report(outcomes, windows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -314,7 +318,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     arms = list(report.outcomes)
     print(f"scenario {report.scenario}  {report.diabetes_type}  "
           f"n={len(report.outcomes[arms[0]])}")
-    for window in ("full", "first4w", "last4w"):
+    for window in _TABLE_WINDOWS:
         print(f"\n[{window}]")
         header = f"{'metric':<14}" + "".join(f"{a:>22}" for a in arms)
         print(header + ("        test       p" if report.comparisons else ""))

@@ -17,10 +17,11 @@ rescue the other lacks: rescue readings draw from the same SMBG stream.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
+import hashlib
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -518,43 +519,59 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 
 # --- trace persistence ------------------------------------------------------------
 #
-# One trial serializes to a columnar text file, one row per event:
+# One trial is stored as a pair of files with one stem. The .npy holds the
+# minute plasma glucose (mg/dL): one C-order little-endian float64 array of
+# shape (days, 1440), row d-1 for day d. The .txt is a columnar text file with
+# one row per event:
 #
 #     day,minute,kind,value,aux
 #
 # Kind codes:
-#     T  therapy field active that day (aux = icr1|icr2|icr3|ps1|ps2|ps3|cf|basal)
-#     G  the day's plasma glucose (mg/dL), one row per day at minute 0 whose
-#        value is the base64 of 1440 little-endian float64s, one per minute
+#     T  the therapy active that day, one row per day at minute 0 whose value
+#        is the eight fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
 #     M  SMBG reading (aux = measurement slot label); a rescue is the reading
 #        of slot `rescue` taken the minute it fires
 #     I  insulin delivery (aux = kind:dia_minutes)
 #     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
 #     U  day's total delivered insulin, written once at minute 1439
 #
-# Every other float is written with repr(). Both forms parse back to the exact
-# values, so a rewrite of a parsed file reproduces it byte for byte.
+# Every float in the text is written with repr(), and the array holds the
+# exact bits, so a rewrite of a parsed pair reproduces both files byte for
+# byte. The text's `# glucose` header is the sha256 of the array's bytes,
+# which binds the two files together.
 
-TRACE_SCHEMA = "abbalab-trace v4"
+TRACE_SCHEMA = "abbalab-trace v5"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
 # Header fields that describe the trial itself; any other header field is run
 # provenance (config hash, master seed) handed back to the caller.
 _RESULT_HEADERS = ("patient", "arm", "scenario", "days", "transfer_entropy",
-                   "risk_class", "initial_therapy")
+                   "risk_class", "initial_therapy", "glucose")
+_GLUCOSE_DTYPE = np.dtype("<f8")
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _therapy_values(snapshot: TherapySnapshot) -> tuple:
-    return (*snapshot.icr, *snapshot.ps, snapshot.cf, snapshot.basal)
+def _therapy_text(snapshot: TherapySnapshot) -> str:
+    return " ".join(_fmt(v) for v in
+                    (*snapshot.icr, *snapshot.ps, snapshot.cf, snapshot.basal))
+
+
+def _glucose_array(result: TrialResult) -> np.ndarray:
+    """The trial's minute glucose as stored: (days, 1440) C-order `<f8`."""
+    return np.stack([t.glucose for t in result.day_traces]).astype(_GLUCOSE_DTYPE,
+                                                                   copy=False)
+
+
+def _digest(glucose: np.ndarray) -> str:
+    return hashlib.sha256(glucose).hexdigest()
 
 
 def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) -> str:
-    """Serialize one trial to the columnar trace document."""
+    """Serialize one trial to the columnar text trace, without its glucose."""
     lines = [f"# {TRACE_SCHEMA}"]
     for key, value in (headers or {}).items():
         lines.append(f"# {key} {value}")
@@ -570,16 +587,13 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
     rc = result.risk_class
     lines.append("# risk_class " +
                  ("-" if rc is None else f"{rc.variability}:{rc.nocturnal_risk}"))
-    lines.append("# initial_therapy " +
-                 " ".join(_fmt(v) for v in _therapy_values(result.initial_therapy)))
+    lines.append(f"# initial_therapy {_therapy_text(result.initial_therapy)}")
+    lines.append(f"# glucose {_digest(_glucose_array(result))}")
     lines.append("day,minute,kind,value,aux")
     for trace in result.day_traces:
         d = trace.day
-        for name, value in zip(_THERAPY_FIELDS, _therapy_values(trace.therapy)):
-            lines.append(f"{d},0,T,{_fmt(value)},{name}")
+        lines.append(f"{d},0,T,{_therapy_text(trace.therapy)},")
         offset = float((d - 1) * MINUTES_PER_DAY)
-        glucose = base64.b64encode(trace.glucose.astype("<f8").tobytes()).decode()
-        lines.append(f"{d},0,G,{glucose},")
         for meas in trace.measurements:
             lines.append(f"{d},{_fmt(meas.timestamp - offset)},M,"
                          f"{_fmt(meas.value)},{meas.slot}")
@@ -592,6 +606,34 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
                          f"{meal.slot}:{meal.duration_min}:{announced}")
         lines.append(f"{d},{MINUTES_PER_DAY - 1},U,{_fmt(trace.total_insulin_u)},")
     return "\n".join(lines) + "\n"
+
+
+def write_trace(path: str | Path, result: TrialResult,
+                headers: dict[str, str] | None = None) -> None:
+    """Write one trial as its trace pair: the glucose array to `path` with the
+    suffix .npy, then the text trace to `path`. The text goes last, so a
+    directory listing of text traces names only complete pairs."""
+    path = Path(path)
+    with open(path.with_suffix(".npy"), "wb") as fh:
+        np.save(fh, _glucose_array(result), allow_pickle=False)
+    path.write_text(trace_to_text(result, headers))
+
+
+def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
+    """Load the trace pair that `write_trace(path, ...)` wrote; see
+    trace_from_text. A missing, malformed or mismatched file raises
+    ValueError naming it."""
+    path = Path(path)
+    npy = path.with_suffix(".npy")
+    try:
+        with open(npy, "rb") as fh:
+            glucose = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{npy.name}: cannot load the glucose array: {exc}") from None
+    try:
+        return trace_from_text(path.read_text(), glucose)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
@@ -612,8 +654,15 @@ def _header_values(fields: dict[str, str], key: str, count: int) -> list[str]:
     return values
 
 
-def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
-    """Parse a trace document back into a TrialResult (agents are not stored).
+def _snapshot_from(values: list[str]) -> TherapySnapshot:
+    icr1, icr2, icr3, ps1, ps2, ps3, cf, basal = (float(v) for v in values)
+    return TherapySnapshot(icr=(icr1, icr2, icr3), ps=(ps1, ps2, ps3), cf=cf,
+                           basal=basal)
+
+
+def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
+    """Parse a text trace and its glucose array back into a TrialResult
+    (agents are not stored). Each day's glucose is a row of `glucose`.
 
     Returns the result plus every header field, so a rerun of the analytics
     can carry the original provenance lines through to its own outputs.
@@ -633,8 +682,13 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
         id=int(raw[0]), diabetes_type=raw[1],
         **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
     arm = fields["arm"]
+    if arm not in (ABBA, BBA):
+        raise ValueError(f"trace arm {arm!r} is not {ABBA} or {BBA}")
     scenario = fields["scenario"]
-    days, collection_days = (int(x) for x in fields["days"].split())
+    if scenario not in SCENARIOS:
+        raise ValueError(f"trace scenario {scenario!r} is not one of "
+                         f"{sorted(SCENARIOS)}")
+    days, collection_days = (int(x) for x in _header_values(fields, "days", 2))
     te_raw = fields["transfer_entropy"]
     te = None if te_raw == "-" else float(te_raw)
     rc_raw = fields["risk_class"]
@@ -642,13 +696,19 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     if rc_raw != "-":
         variability, nocturnal = rc_raw.split(":")
         risk = init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
+    initial = _snapshot_from(_header_values(fields, "initial_therapy",
+                                            len(_THERAPY_FIELDS)))
 
-    def snapshot_from(values: list[float]) -> TherapySnapshot:
-        return TherapySnapshot(icr=tuple(values[0:3]), ps=tuple(values[3:6]),
-                               cf=values[6], basal=values[7])
-
-    initial = snapshot_from([float(v) for v in _header_values(
-        fields, "initial_therapy", len(_THERAPY_FIELDS))])
+    (digest,) = _header_values(fields, "glucose", 1)
+    if not isinstance(glucose, np.ndarray) or glucose.dtype != _GLUCOSE_DTYPE:
+        found = getattr(glucose, "dtype", type(glucose).__name__)
+        raise ValueError(f"glucose array holds {found}, expected {_GLUCOSE_DTYPE.str}")
+    if glucose.shape != (days, MINUTES_PER_DAY):
+        raise ValueError(f"glucose array has shape {glucose.shape}, "
+                         f"expected {(days, MINUTES_PER_DAY)}")
+    glucose = np.ascontiguousarray(glucose)
+    if _digest(glucose) != digest:
+        raise ValueError("glucose array does not match the trace's glucose digest")
 
     per_day: dict[int, dict] = {}
     for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):
@@ -657,27 +717,18 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
             raise ValueError(f"malformed trace row at line {lineno}: {line!r}")
         d = int(parts[0])
         bucket = per_day.setdefault(d, {
-            "therapy": {}, "glucose": None, "measurements": [], "insulin": [],
-            "meals": [], "total": None})
+            "therapy": None, "measurements": [], "insulin": [], "meals": [],
+            "total": None})
         minute, kind, value, aux = parts[1], parts[2], parts[3], parts[4]
         offset = float((d - 1) * MINUTES_PER_DAY)
         if kind == "T":
-            bucket["therapy"][aux] = float(value)
-        elif kind == "G":
-            if bucket["glucose"] is not None:
-                raise ValueError(f"second glucose row for day {d} at line {lineno}")
-            try:
-                raw = base64.b64decode(value, validate=True)
-            except ValueError as exc:
-                raise ValueError(f"glucose row at line {lineno} is not base64: "
-                                 f"{exc}") from None
-            if len(raw) % 8:
-                raise ValueError(f"glucose row at line {lineno} holds {len(raw)} "
-                                 "bytes, not a whole number of float64 values")
-            if len(raw) != 8 * MINUTES_PER_DAY:
-                raise ValueError(f"glucose row at line {lineno} holds {len(raw) // 8} "
-                                 f"values, expected {MINUTES_PER_DAY}")
-            bucket["glucose"] = np.frombuffer(raw, "<f8").astype(float)
+            if bucket["therapy"] is not None:
+                raise ValueError(f"second therapy row for day {d} at line {lineno}")
+            values = value.split()
+            if len(values) != len(_THERAPY_FIELDS):
+                raise ValueError(f"therapy row at line {lineno} holds {len(values)} "
+                                 f"values, expected {len(_THERAPY_FIELDS)}")
+            bucket["therapy"] = _snapshot_from(values)
         elif kind == "M":
             bucket["measurements"].append(adv.Measurement(
                 value=float(value), timestamp=float(minute) + offset, slot=aux))
@@ -706,16 +757,12 @@ def trace_from_text(text: str) -> tuple[TrialResult, dict[str, str]]:
     day_traces = []
     for d in expected:
         bucket = per_day[d]
-        if bucket["glucose"] is None or bucket["total"] is None:
+        if bucket["therapy"] is None or bucket["total"] is None:
             raise ValueError(f"day {d} incomplete; file truncated?")
-        missing_therapy = [f for f in _THERAPY_FIELDS if f not in bucket["therapy"]]
-        if missing_therapy:
-            raise ValueError(f"day {d} missing therapy rows: {missing_therapy}")
         day_traces.append(DayTrace(
-            day=d, glucose=bucket["glucose"], measurements=bucket["measurements"],
+            day=d, glucose=glucose[d - 1], measurements=bucket["measurements"],
             insulin=bucket["insulin"], meals=bucket["meals"],
-            therapy=snapshot_from([bucket["therapy"][f] for f in _THERAPY_FIELDS]),
-            total_insulin_u=bucket["total"]))
+            therapy=bucket["therapy"], total_insulin_u=bucket["total"]))
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
                          collection_days=collection_days, day_traces=day_traces,

@@ -51,6 +51,8 @@ def test_smoke_run_emits_comparison_artifacts(tmp_path):
     traces = sorted(p.name for p in (out / "traces").glob("*.txt"))
     assert traces == ["p000_abba.txt", "p000_bba.txt",
                       "p001_abba.txt", "p001_bba.txt"]
+    arrays = sorted(p.name for p in (out / "traces").glob("*.npy"))
+    assert arrays == [name.replace(".txt", ".npy") for name in traces]
     checkpoints = list((out / "checkpoints").glob("*.txt"))
     assert len(checkpoints) == 2          # one bundle file per ABBA patient
 
@@ -60,6 +62,7 @@ def test_identical_runs_are_byte_identical(tmp_path):
     _, out_b = _run(tmp_path, "out_b")
     for rel in ("report_T1D.csv", "chart_T1D.svg", "failures.txt",
                 "traces/p000_abba.txt", "traces/p001_bba.txt",
+                "traces/p000_abba.npy", "traces/p001_bba.npy",
                 "checkpoints/p000_abba_agents.txt"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
@@ -245,6 +248,31 @@ def test_replay_rejects_foreign_schema(tmp_path):
     assert cli.main(["replay", "--out", str(out)]) == 2
 
 
+def _edit_header(path, key, value):
+    lines = path.read_text().splitlines()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
+    lines[i] = f"# {key} {value}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda traces: [_edit_header(traces / f"p00{i}_bba.txt", "arm", "xyz")
+                    for i in (0, 1)],
+    lambda traces: _edit_header(traces / "p001_abba.txt", "scenario", "S9"),
+    lambda traces: (traces / "p000_bba.npy").unlink(),
+], ids=["arm", "scenario", "missing_npy"])
+def test_replay_rejects_a_bad_trace_pair_and_writes_no_report(tmp_path, capsys, edit):
+    _, out = _run(tmp_path, "out_a")
+    for report in (out / "report_T1D.csv", out / "chart_T1D.svg"):
+        report.unlink()
+    edit(out / "traces")
+    capsys.readouterr()
+    assert cli.main(["replay", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: p00")
+    assert not (out / "report_T1D.csv").exists()
+    assert not (out / "chart_T1D.svg").exists()
+
+
 def test_report_prints_comparison_table(tmp_path, capsys):
     _, out = _run(tmp_path, "out_a")
     assert cli.main(["report", "--out", str(out)]) == 0
@@ -287,14 +315,14 @@ def test_parallel_run_matches_serial_run(tmp_path):
     _, out_par = _run(tmp_path, "parallel", extra_args=["--jobs", "2"])
     match, mismatch, errors = filecmp.cmpfiles(
         out_serial / "traces", out_par / "traces",
-        [p.name for p in (out_serial / "traces").glob("*.txt")], shallow=False)
-    assert not mismatch and not errors
+        [p.name for p in (out_serial / "traces").iterdir()], shallow=False)
+    assert len(match) == 8 and not mismatch and not errors
     assert (out_serial / "report_T1D.csv").read_bytes() == \
         (out_par / "report_T1D.csv").read_bytes()
 
 
 def test_run_reports_without_parsing_a_trace(tmp_path, monkeypatch):
-    def no_parse(text):
+    def no_parse(text, glucose):
         raise AssertionError("run parsed a trace")
 
     with monkeypatch.context() as patch:

@@ -3,7 +3,9 @@ import hashlib
 import math
 import re
 import subprocess
+import tempfile
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,22 +194,25 @@ def _build(cache_dir, flags=pat.KERNEL_FLAGS):
 
 
 def _traces(kernel):
-    """Trace text of both arms of every KERNEL_TRIALS trial under `kernel`."""
-    texts = []
-    with pytest.MonkeyPatch.context() as mp:
+    """The trace pair of both arms of every KERNEL_TRIALS trial under
+    `kernel`: (text, bytes of the .npy glucose array) each."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(pat, "_kernel", kernel)
+        path = Path(tmp) / "trace.txt"
         for dtype, seed, pid, scenario, days in KERNEL_TRIALS:
             params = pat.generate_cohort(pid + 1, dtype, seed)[pid]
             for arm in (proto.ABBA, proto.BBA):
                 result = proto.run_trial(params, arm, proto.SCENARIOS[scenario],
                                          master_seed=seed, days=days)
-                texts.append(proto.trace_to_text(result))
-    return texts
+                proto.write_trace(path, result)
+                pairs.append((path.read_text(), path.with_suffix(".npy").read_bytes()))
+    return pairs
 
 
-def _mismatches(texts, reference):
+def _mismatches(pairs, reference):
     labels = [(trial, arm) for trial in KERNEL_TRIALS for arm in (proto.ABBA, proto.BBA)]
-    return [label for label, a, b in zip(labels, texts, reference) if a != b]
+    return [label for label, a, b in zip(labels, pairs, reference) if a != b]
 
 
 @pytest.fixture(scope="module")
@@ -217,17 +222,19 @@ def compiled():
 
 @pytest.fixture(scope="module")
 def python_traces():
-    texts = _traces(pat.integrate)
+    pairs = _traces(pat.integrate)
     rescue_row = re.compile(r"^\d+,[\d.]+,M,[\d.]+,rescue$", re.MULTILINE)
-    assert rescue_row.search(texts[0]) and rescue_row.search(texts[1])  # both arms
-    return texts
+    assert rescue_row.search(pairs[0][0]) and rescue_row.search(pairs[1][0])  # both arms
+    return pairs
 
 
-# The first 16 hex digits of the sha256 of each python_traces text, in order.
-# A change of trace schema re-pins them too.
-TRACE_DIGESTS = ("a4d3081c6a0a1875", "39955b269327c152",     # T1D seed 1 p6 S1
-                 "c36cd03d4d191ffa", "df9153bbbd9df3a9",     # T2D seed 3 p0 S4
-                 "5eba7e8258cf91c6", "545544ee0298c7af")     # T1D seed 3 p1 S2
+# The first 16 hex digits of the sha256 of each python_traces pair (the text,
+# then the .npy bytes), in order. A change of trace schema re-pins them too:
+# schema v5 moved the glucose out of the text into the .npy, so these differ
+# from v4's although every value in the pair is the same.
+TRACE_DIGESTS = ("9ce9a8c4cbde4876", "a3ac4495eecf8ec4",     # T1D seed 1 p6 S1
+                 "036437eab770f001", "d380bb19e7b76df7",     # T2D seed 3 p0 S4
+                 "a8ef3ea6f9769922", "9ceb1001af841084")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):
@@ -235,7 +242,8 @@ def test_python_traces_keep_their_pinned_digests(python_traces):
     the driver or the Trial state moves both sides alike; these digests
     catch it. A change that moves the numbers on purpose re-pins them, as
     ROADMAP item 1 (common random numbers across arms) will."""
-    digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in python_traces]
+    digests = [hashlib.sha256(text.encode() + npy).hexdigest()[:16]
+               for text, npy in python_traces]
     assert digests == list(TRACE_DIGESTS)
 
 

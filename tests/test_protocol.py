@@ -1,4 +1,5 @@
 import base64
+import hashlib
 
 import numpy as np
 import pytest
@@ -299,19 +300,48 @@ def test_basal_guard_reverts_a_cut_below_a_quarter_of_yesterdays_dose(monkeypatc
 
 # --- trace persistence -------------------------------------------------------------
 
-def test_trace_text_round_trip_is_exact():
+def _glucose(res):
+    """The trial's minute glucose as a trace pair stores it: row d-1 for day d."""
+    return np.stack([t.glucose for t in res.day_traces])
+
+
+def _assert_same_trial(a, b):
+    for ta, tb in zip(a.day_traces, b.day_traces, strict=True):
+        assert (ta.glucose.view(np.int64) == tb.glucose.view(np.int64)).all()
+        assert tb.glucose.dtype == np.float64 and tb.glucose.flags.writeable
+        assert ta.therapy == tb.therapy
+        assert ta.measurements == tb.measurements
+        assert ta.insulin == tb.insulin
+        assert ta.meals == tb.meals
+        assert ta.total_insulin_u == tb.total_insulin_u
+
+
+def test_trace_text_round_trip_is_exact(tmp_path):
     res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=16)
     headers = {"config_hash": "deadbeef", "master_seed": "29"}
-    text = proto.trace_to_text(res, headers)
-    back, extra = proto.trace_from_text(text)
+    proto.write_trace(tmp_path / "a.txt", res, headers)
+    back, extra = proto.read_trace(tmp_path / "a.txt")
     assert extra == headers
-    assert proto.trace_to_text(back, extra) == text
-    for ta, tb in zip(res.day_traces, back.day_traces):
-        assert (ta.glucose == tb.glucose).all()
-        assert tb.glucose.dtype == np.float64 and tb.glucose.flags.writeable
-        assert ta.therapy == tb.therapy
-        assert ta.total_insulin_u == tb.total_insulin_u
+    _assert_same_trial(res, back)
+    proto.write_trace(tmp_path / "b.txt", back, extra)
+    for suffix in (".txt", ".npy"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == \
+            (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
+    res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=15)
+    proto.write_trace(tmp_path / "p000_bba.txt", res)
+    glucose = np.load(tmp_path / "p000_bba.npy", allow_pickle=False)
+    assert glucose.dtype.str == "<f8" and glucose.shape == (15, proto.MINUTES_PER_DAY)
+    assert glucose.flags.c_contiguous
+    assert (glucose.view(np.int64) == _glucose(res).view(np.int64)).all()
+    text = (tmp_path / "p000_bba.txt").read_text()
+    digest = hashlib.sha256(glucose.tobytes()).hexdigest()
+    assert f"\n# glucose {digest}\n" in text
+    assert sum(",T," in line for line in text.splitlines()) == 15
 
 
 def _rescue_trial():
@@ -321,80 +351,110 @@ def _rescue_trial():
                            master_seed=1, days=20)
 
 
-def test_trace_round_trip_is_exact_with_rescues():
+def test_trace_round_trip_is_exact_with_rescues(tmp_path):
     res = _rescue_trial()
     assert any(t.rescues for t in res.day_traces)
-    text = proto.trace_to_text(res)
-    back, _ = proto.trace_from_text(text)
-    assert proto.trace_to_text(back) == text
-    for ta, tb in zip(res.day_traces, back.day_traces):
-        assert (ta.glucose.view(np.int64) == tb.glucose.view(np.int64)).all()
-        assert ta.measurements == tb.measurements
+    proto.write_trace(tmp_path / "a.txt", res)
+    back, _ = proto.read_trace(tmp_path / "a.txt")
+    _assert_same_trial(res, back)
+    assert proto.trace_to_text(back) == (tmp_path / "a.txt").read_text()
 
 
 def test_trace_rejects_wrong_schema():
     with pytest.raises(ValueError):
-        proto.trace_from_text("# some-other-format v9\n")
+        proto.trace_from_text("# some-other-format v9\n",
+                              np.zeros((0, proto.MINUTES_PER_DAY)))
 
 
-def _bba_trace_lines():
+def _bba_trace():
+    """The text lines and glucose array of a 15-day BBA trial."""
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=15)
-    return proto.trace_to_text(res).splitlines()
+    return proto.trace_to_text(res).splitlines(), _glucose(res)
 
 
-def _glucose_row(lines, day):
-    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{day},0,G,")]
+def _written_bba_trace(tmp_path):
+    """A 15-day BBA trial's trace pair under tmp_path: the .txt and .npy paths."""
+    res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=15)
+    path = tmp_path / "p000_bba.txt"
+    proto.write_trace(path, res)
+    return path, path.with_suffix(".npy")
+
+
+def test_read_trace_rejects_a_missing_glucose_file(tmp_path):
+    path, npy = _written_bba_trace(tmp_path)
+    npy.unlink()
+    with pytest.raises(ValueError, match="p000_bba.npy"):
+        proto.read_trace(path)
+
+
+@pytest.mark.parametrize("keep", [
+    lambda n: n - 4, lambda n: n - 8 * proto.MINUTES_PER_DAY, lambda n: 50,
+    lambda n: 0], ids=["part_value", "one_day", "header", "empty"])
+def test_read_trace_rejects_a_truncated_glucose_file(tmp_path, keep):
+    path, npy = _written_bba_trace(tmp_path)
+    raw = npy.read_bytes()
+    npy.write_bytes(raw[:keep(len(raw))])
+    with pytest.raises(ValueError, match="p000_bba.npy"):
+        proto.read_trace(path)
+
+
+def test_trace_rejects_a_glucose_array_of_the_wrong_dtype(tmp_path):
+    path, npy = _written_bba_trace(tmp_path)
+    glucose = np.load(npy)
+    for wrong in (glucose.astype("<f4"), glucose.astype(">f8")):
+        np.save(npy, wrong)
+        with pytest.raises(ValueError, match="p000_bba.txt: glucose array holds"):
+            proto.read_trace(path)
+
+
+def test_trace_rejects_a_glucose_array_of_the_wrong_shape():
+    lines, glucose = _bba_trace()
+    for wrong in (glucose[:, :-1], glucose[:-1], glucose.reshape(-1)):
+        with pytest.raises(ValueError, match="glucose array has shape"):
+            proto.trace_from_text("\n".join(lines), np.ascontiguousarray(wrong))
+
+
+def test_trace_rejects_a_glucose_array_that_does_not_match_its_digest(tmp_path):
+    path, npy = _written_bba_trace(tmp_path)
+    glucose = np.load(npy)
+    glucose[1, 700] = np.nextafter(glucose[1, 700], np.inf)     # one ulp, one minute
+    np.save(npy, glucose)
+    with pytest.raises(ValueError, match="p000_bba.txt: glucose array does not match"):
+        proto.read_trace(path)
+    lines, original = _bba_trace()
+    with pytest.raises(ValueError, match="does not match"):       # days 1, 2 swapped
+        proto.trace_from_text("\n".join(lines), original[[1, 0, *range(2, 15)]])
+
+
+def _therapy_row(lines, day):
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{day},0,T,")]
     return i
 
 
-def _with_glucose_bytes(lines, day, raw):
-    """`lines` with day `day`'s G row holding `raw` as base64."""
-    i = _glucose_row(lines, day)
-    lines[i] = f"{day},0,G,{base64.b64encode(raw).decode()},"
-    return "\n".join(lines)
+def test_trace_rejects_a_therapy_row_of_the_wrong_value_count():
+    lines, glucose = _bba_trace()
+    i = _therapy_row(lines, 2)
+    day, minute, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, minute, kind, " ".join(value.split()[:7]), aux])
+    with pytest.raises(ValueError, match=f"therapy row at line {i + 1} holds 7 values"):
+        proto.trace_from_text("\n".join(lines), glucose)
 
 
-def _day_glucose_bytes(lines, day):
-    return base64.b64decode(lines[_glucose_row(lines, day)].split(",")[3])
-
-
-def test_trace_rejects_a_glucose_row_cut_short():
-    lines = _bba_trace_lines()
-    raw = _day_glucose_bytes(lines, 2)[:-8]                # 1,439 values
-    with pytest.raises(ValueError, match="holds 1439 values"):
-        proto.trace_from_text(_with_glucose_bytes(lines, 2, raw))
-
-
-def test_trace_rejects_a_glucose_row_of_part_values():
-    lines = _bba_trace_lines()
-    raw = _day_glucose_bytes(lines, 2)[:-4]                # 1,439.5 values
-    with pytest.raises(ValueError, match="not a whole number of float64 values"):
-        proto.trace_from_text(_with_glucose_bytes(lines, 2, raw))
-
-
-def test_trace_rejects_a_glucose_row_that_is_not_base64():
-    lines = _bba_trace_lines()
-    i = _glucose_row(lines, 2)
-    # Without validation b64decode drops the stray characters and decodes the rest.
-    lines[i] = lines[i][:100] + "****" + lines[i][100:]
-    with pytest.raises(ValueError, match="is not base64"):
-        proto.trace_from_text("\n".join(lines))
-
-
-def test_trace_rejects_a_second_glucose_row():
-    lines = _bba_trace_lines()
-    i = _glucose_row(lines, 2)
+def test_trace_rejects_a_second_therapy_row():
+    lines, glucose = _bba_trace()
+    i = _therapy_row(lines, 2)
     lines.insert(i + 1, lines[i])
-    with pytest.raises(ValueError, match="second glucose row"):
-        proto.trace_from_text("\n".join(lines))
+    with pytest.raises(ValueError, match="second therapy row for day 2"):
+        proto.trace_from_text("\n".join(lines), glucose)
 
 
-def test_trace_rejects_a_day_without_glucose():
-    lines = _bba_trace_lines()
-    del lines[_glucose_row(lines, 2)]
+def test_trace_rejects_a_day_without_therapy():
+    lines, glucose = _bba_trace()
+    del lines[_therapy_row(lines, 2)]
     with pytest.raises(ValueError, match="day 2 incomplete"):
-        proto.trace_from_text("\n".join(lines))
+        proto.trace_from_text("\n".join(lines), glucose)
 
 
 def _with_header(lines, key, edit):
@@ -410,49 +470,90 @@ def _with_header(lines, key, edit):
     ("patient", lambda v: v + ["1.0"], "12 values, expected 11"),
     ("initial_therapy", lambda v: v[:5], "5 values, expected 8"),
     ("initial_therapy", lambda v: v + ["1.0"], "9 values, expected 8"),
+    ("days", lambda v: v + ["1"], "3 values, expected 2"),
+    ("days", lambda v: v[:1], "1 values, expected 2"),
+    ("glucose", lambda v: v + v, "2 values, expected 1"),
 ], ids=["patient_short", "patient_empty", "patient_extra", "therapy_short",
-        "therapy_extra"])
+        "therapy_extra", "days_extra", "days_short", "glucose_extra"])
 def test_trace_rejects_a_header_of_the_wrong_value_count(key, edit, count):
-    text = _with_header(_bba_trace_lines(), key, edit)
+    lines, glucose = _bba_trace()
     with pytest.raises(ValueError, match=f"'{key}' holds {count}"):
-        proto.trace_from_text(text)
+        proto.trace_from_text(_with_header(lines, key, edit), glucose)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("arm", "xyz"), ("arm", "BBA"), ("arm", ""), ("scenario", "S9"),
+    ("scenario", "s1"),
+])
+def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
+    lines, glucose = _bba_trace()
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
+    lines[i] = f"# {key} {value}"
+    with pytest.raises(ValueError, match=f"trace {key} '{value}' is not"):
+        proto.trace_from_text("\n".join(lines), glucose)
+
+
+def _v4_lines():
+    """The BBA trace as schema v4 wrote it: no glucose header, eight T rows a
+    day named in aux, then the day's glucose as one G row of base64."""
+    lines, glucose = _bba_trace()
+    v4 = ["# abbalab-trace v4"]
+    for line in lines[1:]:
+        parts = line.split(",")
+        if line.startswith("# glucose "):
+            continue
+        if len(parts) == 5 and parts[2] == "T":
+            day = int(parts[0])
+            v4.extend(f"{day},0,T,{v},{name}"
+                      for name, v in zip(proto._THERAPY_FIELDS, parts[3].split()))
+            raw = glucose[day - 1].astype("<f8").tobytes()
+            v4.append(f"{day},0,G,{base64.b64encode(raw).decode()},")
+        else:
+            v4.append(line)
+    return v4, glucose
+
+
+def test_trace_rejects_a_v4_file():
+    v4, glucose = _v4_lines()
+    assert sum(",0,T," in line for line in v4) == 8 * 15
+    assert sum(",0,G," in line for line in v4) == 15
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text("\n".join(v4), glucose)
 
 
 def _repr_glucose_lines(schema, per_minute):
-    """The BBA trace as an older schema wrote it, from the parsed trial: G
-    rows of repr() text, one per minute (v1) or one per day (v2)."""
-    lines = _bba_trace_lines()
-    result, _ = proto.trace_from_text("\n".join(lines))
-    glucose = {t.day: t.glucose.tolist() for t in result.day_traces}
+    """The BBA trace as an older schema wrote it: the v4 rows with G rows of
+    repr() text, one per minute (v1) or one per day (v2)."""
+    v4, glucose = _v4_lines()
     old = [f"# abbalab-trace {schema}"]
-    for line in lines[1:]:
+    for line in v4[1:]:
         parts = line.split(",")
         if len(parts) != 5 or parts[2] != "G":
             old.append(line)
             continue
         day = int(parts[0])
+        values = glucose[day - 1].tolist()
         if per_minute:
-            old.extend(f"{day},{m},G,{g!r}," for m, g in enumerate(glucose[day]))
+            old.extend(f"{day},{m},G,{g!r}," for m, g in enumerate(values))
         else:
-            old.append(f"{day},0,G,{' '.join(map(repr, glucose[day]))},")
-    return old
+            old.append(f"{day},0,G,{' '.join(map(repr, values))},")
+    return old, glucose
 
 
 def test_trace_rejects_a_v1_file():
-    v1 = _repr_glucose_lines("v1", per_minute=True)
+    v1, glucose = _repr_glucose_lines("v1", per_minute=True)
     assert len(v1) > 15 * proto.MINUTES_PER_DAY
     with pytest.raises(ValueError, match="unsupported trace schema"):
-        proto.trace_from_text("\n".join(v1))
+        proto.trace_from_text("\n".join(v1), glucose)
 
 
 def test_trace_rejects_a_v3_file():
-    """The rescue trial as v3 wrote it, from the parsed trial: before each
-    day's U row, an R row repeating each rescue reading's minute and value."""
-    lines = proto.trace_to_text(_rescue_trial()).splitlines()
-    result, _ = proto.trace_from_text("\n".join(lines))
-    rescues = {t.day: t.rescues for t in result.day_traces}
+    """The rescue trial as v3 wrote it: the v4 rows plus, before each day's U
+    row, an R row repeating each rescue reading's minute and value."""
+    res = _rescue_trial()
+    rescues = {t.day: t.rescues for t in res.day_traces}
     v3 = ["# abbalab-trace v3"]
-    for line in lines[1:]:
+    for line in proto.trace_to_text(res).splitlines()[1:]:
         parts = line.split(",")
         if len(parts) == 5 and parts[2] == "U":
             day = int(parts[0])
@@ -462,23 +563,23 @@ def test_trace_rejects_a_v3_file():
         v3.append(line)
     assert sum(",R," in line for line in v3) == sum(map(len, rescues.values())) > 0
     with pytest.raises(ValueError, match="unsupported trace schema"):
-        proto.trace_from_text("\n".join(v3))
+        proto.trace_from_text("\n".join(v3), _glucose(res))
 
 
 def test_trace_rejects_a_v2_file():
-    v2 = _repr_glucose_lines("v2", per_minute=False)
+    v2, glucose = _repr_glucose_lines("v2", per_minute=False)
     assert [len(line.split(",")[3].split(" ")) for line in v2 if ",0,G," in line] \
         == [proto.MINUTES_PER_DAY] * 15
     with pytest.raises(ValueError, match="unsupported trace schema"):
-        proto.trace_from_text("\n".join(v2))
+        proto.trace_from_text("\n".join(v2), glucose)
 
 
 def test_trace_rejects_days_other_than_one_to_days():
-    lines = _bba_trace_lines()                             # days 1 to 15
+    lines, glucose = _bba_trace()                          # days 1 to 15
     relabelled = [f"16,{line[3:]}" if line.startswith("15,") else line
                   for line in lines]
     with pytest.raises(ValueError, match=r"missing \[15\], unexpected \[16\]"):
-        proto.trace_from_text("\n".join(relabelled))
+        proto.trace_from_text("\n".join(relabelled), glucose)
 
 
 def test_trace_rejects_truncation():
@@ -487,4 +588,4 @@ def test_trace_rejects_truncation():
     text = proto.trace_to_text(res)
     truncated = "\n".join(text.splitlines()[:-200])
     with pytest.raises(ValueError):
-        proto.trace_from_text(truncated)
+        proto.trace_from_text(truncated, _glucose(res))
