@@ -187,17 +187,14 @@ class AgentState:
 
     def __post_init__(self):
         dim = self.kind.state_dim
-        for name in ("theta", "w", "z"):
+        for name in ("adam_m", "adam_v"):
+            if getattr(self, name) is None:
+                setattr(self, name, np.zeros(dim))
+        for name in ("theta", "w", "z", "adam_m", "adam_v"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (dim,):
                 raise ValueError(f"{name} must have dim {dim} for {self.kind.value}")
             setattr(self, name, arr.copy())
-        if self.adam_m is None:
-            self.adam_m = np.zeros(dim)
-        if self.adam_v is None:
-            self.adam_v = np.zeros(dim)
-        self.adam_m = np.asarray(self.adam_m, dtype=float).copy()
-        self.adam_v = np.asarray(self.adam_v, dtype=float).copy()
         if self.lr_a <= 0 or self.lr_c <= 0:
             raise ValueError("learning rates must be > 0")
 
@@ -379,54 +376,53 @@ def make_bundle(theta_by_kind: dict[AgentKind, np.ndarray],
     return agents
 
 
-# Serialization: versioned human-readable key-value text.
+# Serialization: one line `<agent>.<field> <values>` per field, floats by repr()
+# so a parsed bundle rewrites byte for byte. The trace that holds it is versioned.
 
-_BUNDLE_SCHEMA = "abbalab-agents v1"
-_VEC_FIELDS = ("theta", "w", "z", "adam_m", "adam_v")
-_SCALAR_FIELDS = ("step_count", "lr_a", "lr_c", "gamma", "lam", "alpha_sp",
-                  "m_smooth", "frozen_faults")
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(x) for x in text.split()])
 
 
-def bundle_to_text(bundle: dict[AgentKind, AgentState],
-                   header_lines: list[str] | None = None) -> str:
-    lines = [f"# {_BUNDLE_SCHEMA}"]
-    for h in header_lines or ():
-        lines.append(f"# {h}")
-    for kind in AgentKind:
-        a = bundle[kind]
-        for f in _VEC_FIELDS:
-            vec = " ".join(repr(float(v)) for v in getattr(a, f))
-            lines.append(f"{kind.value}.{f} = {vec}")
-        for f in _SCALAR_FIELDS:
-            lines.append(f"{kind.value}.{f} = {getattr(a, f)!r}")
-    return "\n".join(lines) + "\n"
+# Each field of AgentState but `kind`, with the parser of its text.
+_FIELDS = {**dict.fromkeys(("theta", "w", "z", "adam_m", "adam_v"), _vector),
+           "step_count": int, "lr_a": float, "lr_c": float, "gamma": float,
+           "lam": float, "alpha_sp": float, "m_smooth": float, "frozen_faults": int}
+
+
+def _field_text(parse, value) -> str:
+    if parse is _vector:
+        return " ".join(repr(float(v)) for v in value)
+    return repr(parse(value))
+
+
+def bundle_to_text(bundle: dict[AgentKind, AgentState]) -> str:
+    return "".join(f"{kind.value}.{f} {_field_text(parse, getattr(bundle[kind], f))}\n"
+                   for kind in AgentKind for f, parse in _FIELDS.items())
 
 
 def bundle_from_text(text: str) -> dict[AgentKind, AgentState]:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {_BUNDLE_SCHEMA}"):
-        raise ValueError("not an agent bundle file (schema tag missing)")
-    raw: dict[str, dict[str, str]] = {}
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        key, _, value = ln.partition(" = ")
-        name, _, fieldname = key.partition(".")
-        raw.setdefault(name, {})[fieldname] = value
+    """Parse bundle_to_text's lines; a missing, repeated, unknown or
+    malformed field raises ValueError naming it."""
+    raw = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(" ")
+        if key in raw:
+            raise ValueError(f"agent field {key} given twice")
+        raw[key] = value
     agents = {}
     for kind in AgentKind:
-        fields = raw[kind.value]
-        vecs = {f: np.array([float(x) for x in fields[f].split()]) for f in _VEC_FIELDS}
-        agents[kind] = AgentState(
-            kind=kind,
-            theta=vecs["theta"], w=vecs["w"], z=vecs["z"],
-            adam_m=vecs["adam_m"], adam_v=vecs["adam_v"],
-            step_count=int(fields["step_count"]),
-            lr_a=float(fields["lr_a"]), lr_c=float(fields["lr_c"]),
-            gamma=float(fields["gamma"]), lam=float(fields["lam"]),
-            alpha_sp=float(fields["alpha_sp"]), m_smooth=float(fields["m_smooth"]),
-            frozen_faults=int(fields["frozen_faults"]),
-        )
+        values = {}
+        for f, parse in _FIELDS.items():
+            key = f"{kind.value}.{f}"
+            try:
+                values[f] = parse(raw.pop(key))
+            except KeyError:
+                raise ValueError(f"agent field {key} missing") from None
+            except ValueError as exc:
+                raise ValueError(f"agent field {key}: {exc}") from None
+        agents[kind] = AgentState(kind=kind, **values)
+    if raw:
+        raise ValueError(f"unknown agent field {next(iter(raw))!r}")
     return agents
 
 

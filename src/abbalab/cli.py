@@ -1,17 +1,17 @@
 """Batch experiment runner.
 
 `abbalab run` simulates a cohort under the configured scenario and arms,
-writing one trace pair per trial (`protocol.write_trace`), one checkpoint
-per ABBA trial holding the final agents (written once, after the trial
-completes), a failures manifest, and the comparison report (CSV + SVG
-chart). Each trial is reduced to its per-window outcome where it ran, so no
-command holds more than one trial's minutes, and `analytics.build_report`
-pairs the outcomes into the report. `replay` and `report` hand it the
-outcomes reduced from the traces, so all three commands apply one pairing
-rule, and `replay` over the same directory reproduces the report byte for
-byte because the trace round trip is exact. A config document plus a master
-seed fully determines every artifact; per-patient seed streams are split by
-patient id, so growing the cohort never perturbs existing patients.
+writing one trace pair per trial (`protocol.write_trace`; an ABBA trace
+also holds the trial's final agents), a failures manifest, and the
+comparison report (CSV + SVG chart). Each trial is reduced to its
+per-window outcome where it ran, so no command holds more than one trial's
+minutes, and `analytics.build_report` pairs the outcomes into the report.
+`replay` and `report` hand it the outcomes reduced from the traces, so all
+three commands apply one pairing rule, and `replay` over the same directory
+reproduces the report byte for byte because the trace round trip is exact.
+A config document plus a master seed fully determines every artifact;
+per-patient seed streams are split by patient id, so growing the cohort
+never perturbs existing patients.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import advisor as adv
 from . import analytics as ana
 from . import initialisation as init
 from . import patient as pat
@@ -166,32 +165,20 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # --- run --------------------------------------------------------------------------
 
 
-def _trace_path(out: Path, patient_id: int, arm: str) -> Path:
-    return out / "traces" / f"p{patient_id:03d}_{arm}.txt"
-
-
-def _checkpoint_path(out: Path, patient_id: int, arm: str) -> Path:
-    return out / "checkpoints" / f"p{patient_id:03d}_{arm}_agents.txt"
-
-
 def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
              ) -> tuple[int, str, ana.PatientOutcome | None, str | None]:
-    """Simulate and reduce one patient+arm, then write its artifacts. Returns
+    """Simulate and reduce one patient+arm, then write its trace pair. Returns
     the outcome, or an error string instead of raising so a failed patient
     never kills the pool."""
     cfg, headers, params, arm = task
-    out = Path(cfg.out)
     try:
         result = proto.run_trial(
             params, arm, cfg.scenario_spec(), master_seed=cfg.seed,
             days=cfg.days, dawn=cfg.dawn, rescue_threshold=cfg.rescue_threshold)
         outcome = ana.reduce_trial(
             result, ana.standard_windows(result.days, result.collection_days))
-        if result.final_agents is not None:
-            header_lines = [f"{k} {v}" for k, v in headers.items()]
-            _checkpoint_path(out, params.id, arm).write_text(adv.bundle_to_text(
-                result.final_agents, header_lines + [f"day {result.days}"]))
-        proto.write_trace(_trace_path(out, params.id, arm), result, headers)
+        path = Path(cfg.out) / "traces" / f"p{params.id:03d}_{arm}.txt"
+        proto.write_trace(path, result, headers)
         return (params.id, arm, outcome, None)
     except Exception as exc:                    # noqa: BLE001 - manifest entry
         return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
@@ -243,13 +230,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(cfg.out)
-    dirty = [d for d in ("traces", "checkpoints") if any((out / d).glob("*"))]
-    if dirty:
-        print(f"error: {out} already holds {' and '.join(dirty)} of another run; "
+    if any((out / "traces").glob("*")):
+        print(f"error: {out} already holds traces of another run; "
               "use an empty output directory", file=sys.stderr)
         return 2
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    (out / "checkpoints").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "traces").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     headers = {"config_hash": cfg.config_hash(), "master_seed": str(cfg.seed)}
     (out / "config.resolved.txt").write_text(
         f"# config_hash {headers['config_hash']}\n"

@@ -538,9 +538,11 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # Every float in the text is written with repr(), and the array holds the
 # exact bits, so a rewrite of a parsed pair reproduces both files byte for
 # byte. The text's `# glucose` header is the sha256 of the array's bytes,
-# which binds the two files together.
+# which binds the two files together. An ABBA trace also holds the final
+# agent bundle as header lines `# agent.<agent>.<field> <values>`, one per
+# line of advisor.bundle_to_text; a BBA trace holds none.
 
-TRACE_SCHEMA = "abbalab-trace v5"
+TRACE_SCHEMA = "abbalab-trace v6"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -549,6 +551,7 @@ _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
 _RESULT_HEADERS = ("patient", "arm", "scenario", "days", "transfer_entropy",
                    "risk_class", "initial_therapy", "glucose")
 _GLUCOSE_DTYPE = np.dtype("<f8")
+_AGENT_PREFIX = "# agent."
 
 
 def _fmt(x) -> str:
@@ -589,6 +592,9 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
                  ("-" if rc is None else f"{rc.variability}:{rc.nocturnal_risk}"))
     lines.append(f"# initial_therapy {_therapy_text(result.initial_therapy)}")
     lines.append(f"# glucose {_digest(_glucose_array(result))}")
+    if result.final_agents is not None:
+        lines.extend(_AGENT_PREFIX + line for line in
+                     adv.bundle_to_text(result.final_agents).splitlines())
     lines.append("day,minute,kind,value,aux")
     for trace in result.day_traces:
         d = trace.day
@@ -636,14 +642,18 @@ def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
         raise ValueError(f"{path.name}: {exc}") from None
 
 
-def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
-    fields = {}
+def _parse_header(lines: list[str]) -> tuple[dict[str, str], list[str], int]:
+    """The header fields, the agent bundle's lines, and where the body starts."""
+    fields, bundle = {}, []
     i = 1                       # line 0 is the schema tag
     while i < len(lines) and lines[i].startswith("# "):
-        key, _, rest = lines[i][2:].partition(" ")
-        fields[key] = rest
+        if lines[i].startswith(_AGENT_PREFIX):
+            bundle.append(lines[i][len(_AGENT_PREFIX):])
+        else:
+            key, _, rest = lines[i][2:].partition(" ")
+            fields[key] = rest
         i += 1
-    return fields, i
+    return fields, bundle, i
 
 
 def _header_values(fields: dict[str, str], key: str, count: int) -> list[str]:
@@ -661,8 +671,8 @@ def _snapshot_from(values: list[str]) -> TherapySnapshot:
 
 
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
-    """Parse a text trace and its glucose array back into a TrialResult
-    (agents are not stored). Each day's glucose is a row of `glucose`.
+    """Parse a text trace and its glucose array back into a TrialResult,
+    with an ABBA trial's final agents. Each day's glucose is a row of `glucose`.
 
     Returns the result plus every header field, so a rerun of the analytics
     can carry the original provenance lines through to its own outputs.
@@ -670,7 +680,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     lines = text.splitlines()
     if not lines or lines[0] != f"# {TRACE_SCHEMA}":
         raise ValueError(f"unsupported trace schema; expected '# {TRACE_SCHEMA}'")
-    fields, body_start = _parse_header(lines)
+    fields, bundle, body_start = _parse_header(lines)
     missing = [k for k in _RESULT_HEADERS if k not in fields]
     if missing:
         raise ValueError(f"trace header missing fields: {', '.join(missing)}")
@@ -688,6 +698,10 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     if scenario not in SCENARIOS:
         raise ValueError(f"trace scenario {scenario!r} is not one of "
                          f"{sorted(SCENARIOS)}")
+    if (arm == ABBA) != bool(bundle):
+        raise ValueError(f"{arm} trace {'lacks' if arm == ABBA else 'holds'} "
+                         "an agent bundle")
+    agents = adv.bundle_from_text("\n".join(bundle)) if bundle else None
     days, collection_days = (int(x) for x in _header_values(fields, "days", 2))
     te_raw = fields["transfer_entropy"]
     te = None if te_raw == "-" else float(te_raw)
@@ -766,7 +780,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
                          collection_days=collection_days, day_traces=day_traces,
-                         final_agents=None, transfer_entropy_bits=te,
+                         final_agents=agents, transfer_entropy_bits=te,
                          risk_class=risk, initial_therapy=initial)
     extra = {k: v for k, v in fields.items() if k not in _RESULT_HEADERS}
     return result, extra

@@ -395,7 +395,7 @@ def test_bundle_text_round_trip():
     hyper = {k: {"lr_a": 0.1, "lr_c": 0.05, "m": 0.5} for k in AgentKind}
     bundle = adv.make_bundle(theta, hyper, rng)
     bundle[AgentKind.ICR2].step_count = 17
-    text = adv.bundle_to_text(bundle, header_lines=["day = 3"])
+    text = adv.bundle_to_text(bundle)
     back = adv.bundle_from_text(text)
     for kind in AgentKind:
         a, b = bundle[kind], back[kind]
@@ -403,9 +403,9 @@ def test_bundle_text_round_trip():
         assert (a.w == b.w).all()
         assert (a.z == b.z).all()
         assert a.step_count == b.step_count
-    assert adv.bundle_to_text(back, header_lines=["day = 3"]) == text
+    assert adv.bundle_to_text(back) == text
 
 
-def test_bundle_rejects_missing_schema():
-    with pytest.raises(ValueError):
+def test_bundle_rejects_text_that_is_not_a_bundle():
+    with pytest.raises(ValueError, match="agent field Basal.theta missing"):
         adv.bundle_from_text("icr1.theta = 0.5 0.5\n")

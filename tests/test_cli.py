@@ -44,17 +44,14 @@ def _run(tmp_path, out_name, extra_args=()):
 def test_smoke_run_emits_comparison_artifacts(tmp_path):
     rc, out = _run(tmp_path, "out_a")
     assert rc == 0
-    assert (out / "report_T1D.csv").exists()
-    assert (out / "chart_T1D.svg").exists()
-    assert (out / "failures.txt").exists()
-    assert (out / "config.resolved.txt").exists()
-    traces = sorted(p.name for p in (out / "traces").glob("*.txt"))
-    assert traces == ["p000_abba.txt", "p000_bba.txt",
-                      "p001_abba.txt", "p001_bba.txt"]
-    arrays = sorted(p.name for p in (out / "traces").glob("*.npy"))
-    assert arrays == [name.replace(".txt", ".npy") for name in traces]
-    checkpoints = list((out / "checkpoints").glob("*.txt"))
-    assert len(checkpoints) == 2          # one bundle file per ABBA patient
+    traces = [f"traces/p00{i}_{arm}{suffix}" for i in (0, 1)
+              for arm in ("abba", "bba") for suffix in (".npy", ".txt")]
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == sorted(
+        ["chart_T1D.svg", "config.resolved.txt", "failures.txt", "report_T1D.csv",
+         "traces", *traces])
+    for i in (0, 1):                    # each ABBA trace holds its final agents
+        result, _ = proto.read_trace(out / "traces" / f"p00{i}_abba.txt")
+        assert set(result.final_agents) == set(adv.AgentKind)
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
@@ -62,9 +59,9 @@ def test_identical_runs_are_byte_identical(tmp_path):
     _, out_b = _run(tmp_path, "out_b")
     for rel in ("report_T1D.csv", "chart_T1D.svg", "failures.txt",
                 "traces/p000_abba.txt", "traces/p001_bba.txt",
-                "traces/p000_abba.npy", "traces/p001_bba.npy",
-                "checkpoints/p000_abba_agents.txt"):
+                "traces/p000_abba.npy", "traces/p001_bba.npy"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+    assert "\n# agent.Basal.theta " in (out_a / "traces/p000_abba.txt").read_text()
 
 
 def test_output_files_carry_config_hash_and_seed(tmp_path):
@@ -72,28 +69,16 @@ def test_output_files_carry_config_hash_and_seed(tmp_path):
     cfg = cli.load_config(_config(tmp_path, SMOKE))
     cfg.out = str(out)
     wanted_hash = cfg.config_hash()
-    for rel in ("report_T1D.csv", "traces/p000_abba.txt", "failures.txt",
-                "checkpoints/p001_abba_agents.txt"):
+    for rel in ("report_T1D.csv", "traces/p000_abba.txt", "failures.txt"):
         text = (out / rel).read_text()
         head = "\n".join(text.splitlines()[:12])
         assert wanted_hash in head, rel
         assert "master_seed" in head or "seed" in head, rel
-
-
-def test_checkpoints_open_with_the_schema_tag_and_parse_back(tmp_path):
-    _, out = _run(tmp_path, "out_a")
-    cfg = cli.load_config(_config(tmp_path, SMOKE))
-    header_lines = [f"config_hash {cfg.config_hash()}", f"master_seed {cfg.seed}",
-                    "day 30"]
-    paths = sorted((out / "checkpoints").glob("*.txt"))
-    assert [p.name for p in paths] == ["p000_abba_agents.txt", "p001_abba_agents.txt"]
-    for path in paths:
-        text = path.read_text()
-        bundle = adv.bundle_from_text(text)
-        lines = text.splitlines()
-        assert lines[0] == "# abbalab-agents v1"
-        assert lines[1:4] == [f"# {h}" for h in header_lines]
-        assert adv.bundle_to_text(bundle, header_lines) == text
+    # The agent bundle shares the ABBA trace's header with the run provenance,
+    # and is not handed back as provenance.
+    result, headers = proto.read_trace(out / "traces" / "p001_abba.txt")
+    assert headers == {"config_hash": wanted_hash, "master_seed": "101"}
+    assert result.final_agents is not None
 
 
 def test_single_arm_run_writes_summaries_only(tmp_path):
@@ -255,12 +240,20 @@ def _edit_header(path, key, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _cut_bundle(path):
+    """Drop the last line of the trace's agent bundle."""
+    lines = path.read_text().splitlines()
+    del lines[max(i for i, line in enumerate(lines) if line.startswith("# agent."))]
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("edit", [
     lambda traces: [_edit_header(traces / f"p00{i}_bba.txt", "arm", "xyz")
                     for i in (0, 1)],
     lambda traces: _edit_header(traces / "p001_abba.txt", "scenario", "S9"),
     lambda traces: (traces / "p000_bba.npy").unlink(),
-], ids=["arm", "scenario", "missing_npy"])
+    lambda traces: _cut_bundle(traces / "p000_abba.txt"),
+], ids=["arm", "scenario", "missing_npy", "cut_bundle"])
 def test_replay_rejects_a_bad_trace_pair_and_writes_no_report(tmp_path, capsys, edit):
     _, out = _run(tmp_path, "out_a")
     for report in (out / "report_T1D.csv", out / "chart_T1D.svg"):
@@ -379,8 +372,8 @@ def test_failed_trial_is_reported_and_its_patient_left_unpaired(tmp_path, monkey
     manifest = (out / "failures.txt").read_text().splitlines()
     assert "# failures 1 of 4 trials" in manifest
     assert "p001 abba SimulationFault: injected" in manifest
-    assert not (out / "checkpoints" / "p001_abba_agents.txt").exists()
-    assert (out / "checkpoints" / "p000_abba_agents.txt").exists()
+    assert not (out / "traces" / "p001_abba.txt").exists()
+    assert proto.read_trace(out / "traces" / "p000_abba.txt")[0].final_agents is not None
     report = (out / "report_T1D.csv").read_bytes()
     rows = [line.split(",") for line in report.decode().splitlines()
             if line.startswith("full,tir_pct,")]
@@ -397,6 +390,20 @@ def test_run_refuses_a_directory_holding_another_runs_traces(tmp_path, monkeypat
     assert rc == 2
     assert calls == []
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below_a_file"])
+def test_run_refuses_an_output_path_that_is_a_file(tmp_path, monkeypatch, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    rc = cli.main(["run", "--config", _config(tmp_path, SMOKE),
+                   "--out", str(taken.joinpath(*below))])
+    assert rc == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: cannot create ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
@@ -447,8 +454,7 @@ def test_trial_that_cannot_be_reduced_writes_nothing_and_is_left_unpaired(
     assert "p000 abba ValueError: injected" in manifest
     assert sorted(p.name for p in (out / "traces").glob("*.txt")) == \
         ["p000_bba.txt", "p001_abba.txt", "p001_bba.txt"]
-    assert [p.name for p in (out / "checkpoints").glob("*.txt")] == \
-        ["p001_abba_agents.txt"]
+    assert proto.read_trace(out / "traces" / "p001_abba.txt")[0].final_agents is not None
     report = (out / "report_T1D.csv").read_bytes()
     rows = [line.split(",") for line in report.decode().splitlines()
             if line.startswith("full,tir_pct,")]

@@ -230,11 +230,11 @@ def python_traces():
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v5 moved the glucose out of the text into the .npy, so these differ
-# from v4's although every value in the pair is the same.
-TRACE_DIGESTS = ("9ce9a8c4cbde4876", "a3ac4495eecf8ec4",     # T1D seed 1 p6 S1
-                 "036437eab770f001", "d380bb19e7b76df7",     # T2D seed 3 p0 S4
-                 "a8ef3ea6f9769922", "9ceb1001af841084")     # T1D seed 3 p1 S2
+# schema v6 added the ABBA agent bundle to the text and bumped its tag, so
+# these differ from v5's although every .npy and every other value is the same.
+TRACE_DIGESTS = ("864bc12c422aeb52", "f67b19e603948f81",     # T1D seed 1 p6 S1
+                 "e56a4c4d2bdad4f8", "2a861a60ccd44ea6",     # T2D seed 3 p0 S4
+                 "712e96aca4ef45a5", "7fe6223823b5472d")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -360,6 +361,34 @@ def test_trace_round_trip_is_exact_with_rescues(tmp_path):
     assert proto.trace_to_text(back) == (tmp_path / "a.txt").read_text()
 
 
+def _assert_same_agents(a, b):
+    assert list(a) == list(b)
+    for kind in a:
+        for field in dataclasses.fields(adv.AgentState):
+            x, y = getattr(a[kind], field.name), getattr(b[kind], field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype == np.float64, (kind, field.name)
+                assert (x.view(np.int64) == y.view(np.int64)).all(), (kind, field.name)
+            else:
+                assert type(x) is type(y) and x == y, (kind, field.name)
+
+
+def test_trace_restores_the_final_agents_of_an_abba_trial(tmp_path):
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=20)
+    path = tmp_path / "p000_abba.txt"
+    proto.write_trace(path, res, {"config_hash": "deadbeef"})
+    back, extra = proto.read_trace(path)
+    assert extra == {"config_hash": "deadbeef"}          # no agent key leaks
+    assert sum(a.step_count for a in back.final_agents.values()) > 0
+    _assert_same_agents(res.final_agents, back.final_agents)
+    assert proto.trace_to_text(back, extra) == path.read_text()
+
+    bba_path, _ = _written_bba_trace(tmp_path)
+    assert "# agent." not in bba_path.read_text()
+    assert proto.read_trace(bba_path)[0].final_agents is None
+
+
 def test_trace_rejects_wrong_schema():
     with pytest.raises(ValueError):
         proto.trace_from_text("# some-other-format v9\n",
@@ -491,6 +520,61 @@ def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
     lines[i] = f"# {key} {value}"
     with pytest.raises(ValueError, match=f"trace {key} '{value}' is not"):
         proto.trace_from_text("\n".join(lines), glucose)
+
+
+def _abba_trace():
+    """The text lines and glucose array of a 15-day ABBA trial."""
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=15)
+    return proto.trace_to_text(res).splitlines(), _glucose(res)
+
+
+def _with_bundle(lines, edit):
+    """The trace text with its agent bundle's header lines passed through `edit`."""
+    bundle = [line for line in lines if line.startswith("# agent.")]
+    rest = [line for line in lines if not line.startswith("# agent.")]
+    at = lines.index(bundle[0]) if bundle else rest.index("day,minute,kind,value,aux")
+    return "\n".join(rest[:at] + edit(bundle) + rest[at:])
+
+
+def test_trace_rejects_an_abba_trace_without_its_bundle():
+    lines, glucose = _abba_trace()
+    with pytest.raises(ValueError, match="abba trace lacks an agent bundle"):
+        proto.trace_from_text(_with_bundle(lines, lambda bundle: []), glucose)
+
+
+def test_trace_rejects_a_bba_trace_with_a_bundle():
+    lines, glucose = _bba_trace()
+    abba, _ = _abba_trace()
+    foreign = [line for line in abba if line.startswith("# agent.")]
+    with pytest.raises(ValueError, match="bba trace holds an agent bundle"):
+        proto.trace_from_text(_with_bundle(lines, lambda bundle: foreign), glucose)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b[:-1], "agent field PS3.frozen_faults missing"),
+    (lambda b: b[:20], "agent field ICR1.lr_c missing"),
+    (lambda b: [b[0] + " x", *b[1:]], "agent field Basal.theta: could not convert"),
+    (lambda b: [b[0].rsplit(" ", 1)[0], *b[1:]], "theta must have dim 4 for Basal"),
+    (lambda b: b + ["# agent.Basal.omega 1.0"], "unknown agent field 'Basal.omega'"),
+    (lambda b: b + b[:1], "agent field Basal.theta given twice"),
+], ids=["cut_last_line", "cut_mid_agent", "not_a_number", "short_vector",
+        "unknown_field", "repeated_field"])
+def test_trace_rejects_a_malformed_agent_bundle(edit, message):
+    lines, glucose = _abba_trace()
+    assert len([line for line in lines if line.startswith("# agent.")]) == 7 * 13
+    with pytest.raises(ValueError, match=message):
+        proto.trace_from_text(_with_bundle(lines, edit), glucose)
+
+
+def test_trace_rejects_a_v5_file():
+    """The ABBA trace as v5 wrote it: no agent lines (v5 kept the final
+    bundle in a checkpoint file of its own)."""
+    lines, glucose = _abba_trace()
+    v5 = _with_bundle(lines, lambda bundle: []).replace(
+        f"# {proto.TRACE_SCHEMA}", "# abbalab-trace v5", 1)
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text(v5, glucose)
 
 
 def _v4_lines():
