@@ -23,19 +23,81 @@ EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
 EVENT_REARM_MIN = 15       # in-range minutes to close it
 
 
-# scipy.special is imported on first use: a report on fewer than five pairs
-# never needs a normal or t tail, and the import costs more than such a run.
+# --- normal and Student t tails -------------------------------------------------
+# Built on math.erfc and math.lgamma: no command imports scipy.
+
+_SQRT1_2 = math.sqrt(0.5)
+_MACHEP = 2.0 ** -53
+_TINY = 1e-300
+
 
 def ndtr(x):
-    """Standard normal CDF, scipy.special.ndtr."""
-    from scipy import special
-    return special.ndtr(x)
+    """Standard normal CDF, 0.5 * erfc(-x / sqrt(2)), of a float or of each
+    element of an array."""
+    if np.ndim(x) == 0:
+        return 0.5 * math.erfc(-x * _SQRT1_2)
+    # Built per call, in under 2 microseconds: built at import, it raised the
+    # peak RSS of `abbalab replay` on a 5-patient 90-day run by about 0.8 MB.
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    return 0.5 * erfc(np.asarray(x, dtype=float) * -_SQRT1_2).astype(float)
 
 
-def stdtr(df, t):
-    """Student t CDF with df degrees of freedom, scipy.special.stdtr."""
-    from scipy import special
-    return special.stdtr(df, t)
+def stdtr(df: int, t: float) -> float:
+    """Student t CDF with an integer df >= 1 degrees of freedom, at a float t.
+
+    For t >= -2 the closed form for integer df (cephes stdtr): an arctangent
+    plus a finite sum for odd df, a finite sum for even df. Below -2, where
+    that form would cancel, half the regularised incomplete beta
+    I_x(df/2, 1/2) at x = df / (df + t^2).
+    """
+    if df < 1 or df != int(df):
+        raise ValueError(f"df must be a positive integer, got {df}")
+    t = float(t)
+    if t == 0.0:
+        return 0.5
+    if t < -2.0:
+        tt = t * t
+        a = 0.5 * df
+        log_front = (-a * math.log1p(tt / df) + 0.5 * math.log(tt / (df + tt))
+                     + math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5))
+        return 0.5 * math.exp(log_front) * _beta_cf(a, 0.5, df / (df + tt)) / a
+    x = abs(t)
+    z = 1.0 + x * x / df
+    f = term = 1.0
+    j = 3 if df % 2 else 2
+    while j <= df - 2 and term / f > _MACHEP:
+        term *= (j - 1) / (z * j)
+        f += term
+        j += 2
+    if df % 2:
+        xsqk = x / math.sqrt(df)
+        p = math.atan(xsqk) + (f * xsqk / z if df > 1 else 0.0)
+        p *= 2.0 / math.pi
+    else:
+        p = f * x / math.sqrt(z * df)
+    return 0.5 + 0.5 * math.copysign(p, t)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta by Lentz's method; it
+    converges in a few dozen steps for x < (a + 1) / (a + b + 2), which holds
+    for every x that stdtr passes (it holds whenever t^2 > 3)."""
+    def nonzero(v):
+        return v if abs(v) > _TINY else _TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / nonzero(1.0 + num * d)
+            c = nonzero(1.0 + num / c)
+            h *= d * c
+        if abs(d * c - 1.0) <= 2.0 * _MACHEP:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction: no convergence "
+                          f"at a={a}, b={b}, x={x}")
 
 
 def time_in_ranges(series) -> tuple[float, float, float, float]:
@@ -206,7 +268,7 @@ def _wilcoxon_exact_p(ranks: np.ndarray, w_plus: float) -> float:
     return float(min(1.0, 2.0 * min(upper, lower)))
 
 
-def _wilcoxon_normal_p(ranks: np.ndarray, signs: np.ndarray, w_plus: float) -> float:
+def _wilcoxon_normal_p(ranks: np.ndarray, w_plus: float) -> float:
     """Normal approximation with continuity and tie corrections."""
     n = ranks.size
     mean = n * (n + 1) / 4.0
@@ -230,7 +292,7 @@ def wilcoxon_signed_rank(diff) -> tuple[float, float, str]:
     w_plus = float(ranks[signs > 0].sum())
     if n <= _WILCOXON_EXACT_MAX:
         return w_plus, _wilcoxon_exact_p(ranks, w_plus), "exact"
-    return w_plus, _wilcoxon_normal_p(ranks, signs, w_plus), "normal"
+    return w_plus, _wilcoxon_normal_p(ranks, w_plus), "normal"
 
 
 def paired_t(diff) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -181,7 +182,7 @@ def test_lilliefors_needs_five_observations():
         ana.lilliefors(np.array([1.0, 2.0, 3.0]))
 
 
-# --- scipy.special in place of scipy.stats ---------------------------------------------
+# --- in-house tails against scipy.special ---------------------------------------------
 
 def test_average_ranks_match_scipy_rankdata_on_ties():
     rng = np.random.default_rng(50)
@@ -191,14 +192,57 @@ def test_average_ranks_match_scipy_rankdata_on_ties():
             assert (ana._average_ranks(x) == stats.rankdata(x)).all()
 
 
-def test_normal_and_t_tails_equal_scipy_stats():
-    rng = np.random.default_rng(51)
-    z = rng.standard_normal(10_000)
-    assert (ana.ndtr(z) == stats.norm.cdf(z)).all()
-    assert (ana.ndtr(-np.abs(z)) == stats.norm.sf(np.abs(z))).all()
-    for df in range(1, 60):
-        t = np.abs(z[:200]) * 3.0
-        assert (ana.stdtr(df, -t) == stats.t.sf(t, df)).all()
+def test_normal_tail_matches_scipy_ndtr():
+    # scipy and ana both take erfc of a rounded x / sqrt(2), and scipy's erfc
+    # rounds x^2 inside exp(-x^2), so the far left tail may differ by x^2 ulps.
+    x = np.concatenate([np.linspace(-37.0, 8.0, 90_001),
+                        np.random.default_rng(51).standard_normal(10_000)])
+    ref = special.ndtr(x)
+    got = ana.ndtr(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    rel = np.abs(got - ref) / ref
+    assert (rel <= 1e-14 + x * x * 2.0 ** -52).all()
+    assert rel[x >= -10.0].max() <= 1e-14
+    assert all(ana.ndtr(float(v)) == g for v, g in zip(x[::101], got[::101]))
+    assert ana.ndtr(0.0) == 0.5
+
+
+def test_t_tail_matches_scipy_stdtr():
+    t = np.concatenate([np.linspace(-40.0, 40.0, 321),
+                        [-2.0, np.nextafter(-2.0, -3.0), np.nextafter(-2.0, 0.0)]])
+    for df in list(range(1, 201)) + [500, 1000]:
+        ref = special.stdtr(df, t)
+        for ti, r in zip(t[ref >= 1e-300].tolist(), ref[ref >= 1e-300]):
+            assert abs(ana.stdtr(df, ti) - r) <= 1e-12 * r, (df, ti)
+
+
+def test_t_tail_closed_forms():
+    for df in (1, 2, 3, 10, 101, 1000):
+        assert ana.stdtr(df, 0.0) == 0.5
+    for t in np.linspace(-40.0, 40.0, 161).tolist():
+        u = abs(t)
+        cauchy = math.atan(1.0 / u) / math.pi if u else 0.5
+        df2 = 1.0 / (math.sqrt(u * u + 2.0) * (math.sqrt(u * u + 2.0) + u))
+        for df, lower in ((1, cauchy), (2, df2)):
+            want = lower if t <= 0.0 else 1.0 - lower
+            assert ana.stdtr(df, t) == pytest.approx(want, rel=1e-14, abs=0.0), (df, t)
+
+
+def test_stdtr_rejects_a_non_integer_df():
+    for df in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            ana.stdtr(df, -1.0)
+
+
+def test_five_normal_pairs_take_the_t_test_with_scipy_p():
+    a = [61.0, 64.5, 66.0, 69.5, 72.0]
+    b = [55.0, 60.0, 58.5, 65.0, 63.0]
+    row = ana.paired_compare(a, b)
+    assert row.test == "t"
+    d = np.array(a) - np.array(b)
+    t = d.mean() / (d.std(ddof=1) / np.sqrt(d.size))
+    assert row.p_value == pytest.approx(2.0 * stats.t.sf(abs(t), d.size - 1),
+                                        rel=1e-12, abs=0.0)
 
 
 def _run_python(code, *args):
@@ -215,30 +259,25 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert out.strip() == "False False"
 
 
-def test_small_cohort_run_never_loads_scipy(tmp_path):
+def test_run_replay_and_report_need_no_scipy(tmp_path):
     config = tmp_path / "run.ini"
-    config.write_text("[run]\nscenario = S1\ndiabetes_type = T1D\ncohort_size = 2\n"
-                      "seed = 7\ndays = 30\narms = abba,bba\n")
-    out = _run_python("import abbalab.cli; "
-                      "rc = abbalab.cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]]); "
-                      "print(rc, 'scipy.special' in sys.modules)",
-                      str(config), str(tmp_path / "out"))
-    assert out.splitlines()[-1].split() == ["0", "False"]
-    assert (tmp_path / "out" / "report_T1D.csv").exists()
-
-
-def test_five_normal_pairs_load_scipy_for_the_t_test():
-    a = [61.0, 64.5, 66.0, 69.5, 72.0]
-    b = [55.0, 60.0, 58.5, 65.0, 63.0]
-    out = _run_python("from abbalab import analytics as ana; "
-                      "before = 'scipy.special' in sys.modules; "
-                      f"row = ana.paired_compare({a}, {b}); "
-                      "print(before, 'scipy.special' in sys.modules, row.test, repr(row.p_value))")
-    before, after, test, p = out.split()
-    assert (before, after, test) == ("False", "True", "t")
-    d = np.array(a) - np.array(b)
-    t = d.mean() / (d.std(ddof=1) / np.sqrt(d.size))
-    assert float(p) == 2.0 * stats.t.sf(abs(t), d.size - 1)
+    config.write_text("[run]\nscenario = S1\ndiabetes_type = T1D\ncohort_size = 5\n"
+                      "seed = 7\ndays = 20\narms = abba,bba\n")
+    out = tmp_path / "out"
+    code = ("sys.modules['scipy'] = None; import abbalab.cli as cli; "
+            "from pathlib import Path; "
+            "csv = Path(sys.argv[3], 'report_T1D.csv'); "
+            "rc = [cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]])]; "
+            "ran = csv.read_bytes(); "
+            "rc.append(cli.main(['replay', '--out', sys.argv[3]])); "
+            "same = csv.read_bytes() == ran; "
+            "rc.append(cli.main(['report', '--out', sys.argv[3]])); "
+            "print(*rc, same)")
+    stdout = _run_python(code, str(config), str(out))
+    assert stdout.splitlines()[-1].split() == ["0", "0", "0", "True"]
+    rows = [line.split(",") for line in (out / "report_T1D.csv").read_text().splitlines()
+            if line.count(",") == 11 and line.split(",")[9] in ("t", "wilcoxon")]
+    assert rows and all(row[3] == "5" for row in rows)
 
 
 def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
@@ -258,19 +297,44 @@ def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
     assert {row.test for row in report.comparisons} == {"wilcoxon"}
 
 
-@pytest.mark.parametrize("n", [5, 20, 101])
-def test_lilliefors_table_in_chunks_equals_one_shot_table(n):
-    n_mc = ana._LILLIEFORS_MC
-    rng = np.random.default_rng(np.random.SeedSequence([ana._LILLIEFORS_SEED, n, n_mc]))
-    draws = rng.standard_normal((n_mc, n))
+def _null_stats(draws, cdf):
+    """Lilliefors statistic of each row of `draws`, with `cdf` the normal CDF."""
+    n = draws.shape[1]
     z = np.sort((draws - draws.mean(axis=1, keepdims=True))
                 / draws.std(axis=1, ddof=1, keepdims=True), axis=1)
-    cdf = special.ndtr(z)
-    stat = np.maximum((np.arange(1, n + 1) / n - cdf).max(axis=1),
-                      (cdf - np.arange(0, n) / n).max(axis=1))
-    table = ana._lilliefors_table(n, n_mc)
-    assert n_mc > ana._LILLIEFORS_CHUNK
+    c = cdf(z)
+    return np.maximum((np.arange(1, n + 1) / n - c).max(axis=1),
+                      (c - np.arange(0, n) / n).max(axis=1))
+
+
+def _null_draws(n):
+    n_mc = ana._LILLIEFORS_MC
+    rng = np.random.default_rng(np.random.SeedSequence([ana._LILLIEFORS_SEED, n, n_mc]))
+    return rng.standard_normal((n_mc, n))
+
+
+@pytest.mark.parametrize("n", [5, 20, 101])
+def test_lilliefors_table_in_chunks_equals_one_shot_table(n):
+    stat = _null_stats(_null_draws(n), ana.ndtr)
+    table = ana._lilliefors_table(n, ana._LILLIEFORS_MC)
+    assert ana._LILLIEFORS_MC > ana._LILLIEFORS_CHUNK
     assert (table.view(np.int64) == np.sort(stat).view(np.int64)).all()
+
+
+@pytest.mark.parametrize("n", [5, 20, 101])
+def test_lilliefors_p_equals_the_p_of_a_scipy_ndtr_table(n):
+    table = np.sort(_null_stats(_null_draws(n), special.ndtr))
+    rng = np.random.default_rng(57 + n)
+    samples = np.concatenate([rng.standard_normal((100, n)),
+                              rng.exponential(1.0, (50, n)),
+                              rng.uniform(0.0, 1.0, (50, n))])
+    ps = []
+    for x in samples:
+        stat = _null_stats(x[None, :], special.ndtr)[0]
+        p = (table.size - np.searchsorted(table, stat, side="left") + 1.0) / (table.size + 1.0)
+        assert ana.lilliefors(x)[1] == p
+        ps.append(p)
+    assert len(set(ps)) > 20
 
 
 # --- paired comparison ----------------------------------------------------------------

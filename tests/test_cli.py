@@ -283,7 +283,7 @@ REPORT_DIGESTS = {
     "s1_t1d_n2": (("S1", "T1D", 2, 7, 30),
                   ("e745a8264f609afd", "f7d30cb48ded14c6", "3863bf822683c7c3")),
     "s4_t2d_n6": (("S4", "T2D", 6, 1, 45),
-                  ("acf8548afcb510c4", "df8415851a3bc78d", "edb5023ccec0ec66")),
+                  ("8d355efb7ceaa80a", "df8415851a3bc78d", "edb5023ccec0ec66")),
 }
 
 
