@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .initialisation import COLLECTION_DAYS
+from .initialisation import COLLECTION_DAYS, linear_quantile
 from .patient import HYPER, HYPO, MINUTES_PER_DAY, SEVERE_HYPO
 
 EVENT_PERSIST_MIN = 15     # minutes beyond threshold to open an event
@@ -317,9 +317,17 @@ class ComparisonRow:
 
 
 def _describe(x: np.ndarray) -> tuple[float, float, float, tuple[float, float]]:
+    """Mean, sample SD, median and quartiles. The median and quartiles equal
+    np.median and np.percentile bit for bit, from one sort and no numpy.ma."""
+    s = np.sort(x).tolist()
+    n = len(s)
+    if s[-1] != s[-1]:                          # a NaN sorts last
+        median = lo = hi = math.nan
+    else:
+        median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+        lo, hi = linear_quantile(s, 0.25), linear_quantile(s, 0.75)
     return (float(np.mean(x)), float(np.std(x, ddof=1)) if x.size > 1 else 0.0,
-            float(np.median(x)),
-            (float(np.percentile(x, 25)), float(np.percentile(x, 75))))
+            float(median), (float(lo), float(hi)))
 
 
 def paired_compare(a, b, alpha: float = 0.01, metric: str = "",

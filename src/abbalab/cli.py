@@ -20,9 +20,13 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
-import multiprocessing
+import io
 import os
+import pickle
+import select
+import signal
 import sys
+import traceback
 from pathlib import Path
 
 from . import analytics as ana
@@ -165,11 +169,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # --- run --------------------------------------------------------------------------
 
 
+def _trace_path(cfg: RunConfig, params: pat.PatientParams, arm: str) -> Path:
+    return Path(cfg.out) / "traces" / f"p{params.id:03d}_{arm}.txt"
+
+
 def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
              ) -> tuple[int, str, ana.PatientOutcome | None, str | None]:
     """Simulate and reduce one patient+arm, then write its trace pair. Returns
-    the outcome, or an error string instead of raising so a failed patient
-    never kills the pool."""
+    the outcome, or an error string instead of raising, so a failed patient
+    never stops the rest of its process's share."""
     cfg, headers, params, arm = task
     try:
         result = proto.run_trial(
@@ -177,11 +185,102 @@ def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
             days=cfg.days, dawn=cfg.dawn, rescue_threshold=cfg.rescue_threshold)
         outcome = ana.reduce_trial(
             result, ana.standard_windows(result.days, result.collection_days))
-        path = Path(cfg.out) / "traces" / f"p{params.id:03d}_{arm}.txt"
-        proto.write_trace(path, result, headers)
+        proto.write_trace(_trace_path(cfg, params, arm), result, headers)
         return (params.id, arm, outcome, None)
     except Exception as exc:                    # noqa: BLE001 - manifest entry
         return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
+
+
+@dataclasses.dataclass
+class _Child:
+    """A forked worker: its share of the task indices, the read end of its
+    pipe (None once closed at EOF), the bytes read, and its exit code."""
+    pid: int
+    share: range
+    fd: int | None
+    data: bytearray = dataclasses.field(default_factory=bytearray)
+    code: int = 0
+
+
+def _read_pipes(children: list[_Child], block: bool) -> None:
+    """Read what the children have written, closing each pipe at EOF: to EOF
+    on every pipe when `block`, else only what is ready now, so no child
+    stalls on a full pipe while this process runs its own share."""
+    while (live := {c.fd: c for c in children if c.fd is not None}):
+        ready, _, _ = select.select(list(live), [], [], None if block else 0)
+        if not ready:
+            return
+        for fd in ready:
+            chunk = os.read(fd, 1 << 16)
+            live[fd].data += chunk
+            if not chunk:
+                os.close(fd)
+                live[fd].fd = None
+
+
+def _run_forked(tasks: list, jobs: int) -> list:
+    """`_run_one` over `tasks` in `jobs` processes, this one included: process
+    k runs tasks k, k + jobs, ... Each forked child pickles one status per
+    finished trial onto its own pipe. A child that dies, exits non-zero or
+    sends an unreadable status fails its unfinished trials, and any trace
+    files they left are deleted. Statuses come back in task order."""
+    statuses: list = [None] * len(tasks)
+    children: list[_Child] = []
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for k in range(1, jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:                    # child: never returns
+                code = 1
+                try:
+                    for fd in (r, *(c.fd for c in children)):
+                        os.close(fd)
+                    with os.fdopen(w, "wb") as pipe:
+                        for i in range(k, len(tasks), jobs):
+                            pickle.dump(_run_one(tasks[i]), pipe)
+                            pipe.flush()
+                    code = 0
+                except Exception:           # noqa: BLE001 - exit status 1 says it
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            os.close(w)                     # so no later child holds it
+            children.append(_Child(pid, range(k, len(tasks), jobs), r))
+        for i in range(0, len(tasks), jobs):
+            statuses[i] = _run_one(tasks[i])
+            _read_pipes(children, block=False)
+        _read_pipes(children, block=True)
+    except BaseException:
+        for child in children:
+            os.kill(child.pid, signal.SIGKILL)
+        raise
+    finally:
+        for child in children:
+            if child.fd is not None:
+                os.close(child.fd)
+            child.code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+    for child in children:
+        why = f"worker exit status {child.code}"
+        if child.code < 0:
+            why += f" ({signal.Signals(-child.code).name})"
+        stream = io.BytesIO(child.data)
+        try:
+            for i in child.share:
+                if stream.tell() == len(child.data):
+                    break
+                statuses[i] = pickle.load(stream)
+        except Exception:                   # noqa: BLE001 - its trials are lost
+            why += ", unreadable status"
+        for i in child.share:
+            if statuses[i] is None:
+                cfg, _, params, arm = tasks[i]
+                path = _trace_path(cfg, params, arm)
+                path.unlink(missing_ok=True)
+                path.with_suffix(".npy").unlink(missing_ok=True)
+                statuses[i] = (params.id, arm, None, f"WorkerLost: {why}")
+    return statuses
 
 
 def _reduce_from_traces(out: Path, only: tuple[str, ...] | None = None
@@ -246,12 +345,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         "".join(f"{key} = {getattr(cfg, key)}\n" for key in UNHASHED_KEYS))
 
     cohort = pat.generate_cohort(cfg.cohort_size, cfg.diabetes_type, cfg.seed)
-    tasks = [(cfg, headers, p, arm) for p in cohort for arm in cfg.arms]
+    # Arm-major, so each process's stride holds an even share of both arms.
+    tasks = [(cfg, headers, p, arm) for arm in cfg.arms for p in cohort]
     jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
-        pat.load_kernel()                       # built once; the workers inherit it
-        with multiprocessing.Pool(jobs) as pool:
-            statuses = pool.map(_run_one, tasks)
+        pat.load_kernel()                       # built once; the children inherit it
+        statuses = _run_forked(tasks, jobs)
     else:
         statuses = [_run_one(t) for t in tasks]
 

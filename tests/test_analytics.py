@@ -433,6 +433,39 @@ def test_single_patient_cohort_has_zero_sd():
     assert np.std(vals) == 0.0
 
 
+@pytest.mark.parametrize("kind", ["normal", "ties", "integer"])
+def test_describe_equals_numpy_median_and_percentiles(kind):
+    rng = np.random.default_rng(7)
+    for n in range(1, 131):             # odd and even n, one value upwards
+        x = {"normal": lambda: rng.normal(60.0, 25.0, n),
+             "ties": lambda: np.round(rng.uniform(0.0, 3.0, n)) * 12.5,
+             "integer": lambda: rng.integers(0, 5, n).astype(float)}[kind]()
+        _, _, median, (lo, hi) = ana._describe(x)
+        assert (median, lo, hi) == (float(np.median(x)), float(np.percentile(x, 25)),
+                                    float(np.percentile(x, 75))), n
+
+
+def test_describe_of_a_sample_with_a_nan_is_nan():
+    for x in ([np.nan], [3.0, np.nan, 1.0], [np.nan, 2.0, 5.0, 1.0]):
+        _, _, median, (lo, hi) = ana._describe(np.array(x))
+        assert all(math.isnan(v) for v in (median, lo, hi))
+        assert math.isnan(np.median(x)) and math.isnan(np.percentile(x, 25))
+
+
+def test_run_replay_and_report_load_neither_numpy_ma_nor_multiprocessing(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nscenario = S1\ndiabetes_type = T1D\ncohort_size = 5\n"
+                      "seed = 7\ndays = 20\narms = abba,bba\njobs = 2\n")
+    code = ("sys.modules['numpy.ma'] = sys.modules['multiprocessing'] = None; "
+            "import abbalab.cli as cli; "
+            "rc = [cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]]), "
+            "cli.main(['replay', '--out', sys.argv[3]]), "
+            "cli.main(['report', '--out', sys.argv[3]])]; "
+            "print(*rc)")
+    stdout = _run_python(code, str(config), str(tmp_path / "out"))
+    assert stdout.splitlines()[-1].split() == ["0", "0", "0"]
+
+
 def _outcome(pid, arm, windows, value=50.0, scenario="S1", diabetes_type="T1D"):
     summary = ana.GlycemicSummary(*np.full(len(ana.METRIC_FIELDS), value))
     return ana.PatientOutcome(

@@ -2,8 +2,11 @@ import filecmp
 import hashlib
 import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
+import types
 import weakref
 from pathlib import Path
 
@@ -303,15 +306,17 @@ def test_report_outputs_keep_their_pinned_digests(tmp_path, capsys, name):
     assert tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts) == pinned
 
 
-def test_parallel_run_matches_serial_run(tmp_path):
+def test_parallel_run_matches_serial_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     _, out_serial = _run(tmp_path, "serial")
-    _, out_par = _run(tmp_path, "parallel", extra_args=["--jobs", "2"])
-    match, mismatch, errors = filecmp.cmpfiles(
-        out_serial / "traces", out_par / "traces",
-        [p.name for p in (out_serial / "traces").iterdir()], shallow=False)
-    assert len(match) == 8 and not mismatch and not errors
-    assert (out_serial / "report_T1D.csv").read_bytes() == \
-        (out_par / "report_T1D.csv").read_bytes()
+    for jobs in (2, 3):                 # 3 processes do not divide the 4 trials
+        _, out_par = _run(tmp_path, f"jobs{jobs}", extra_args=["--jobs", str(jobs)])
+        match, mismatch, errors = filecmp.cmpfiles(
+            out_serial / "traces", out_par / "traces",
+            [p.name for p in (out_serial / "traces").iterdir()], shallow=False)
+        assert len(match) == 8 and not mismatch and not errors
+        for name in ("report_T1D.csv", "chart_T1D.svg", "failures.txt"):
+            assert (out_serial / name).read_bytes() == (out_par / name).read_bytes()
 
 
 def test_run_reports_without_parsing_a_trace(tmp_path, monkeypatch):
@@ -409,22 +414,12 @@ def test_run_refuses_an_output_path_that_is_a_file(tmp_path, monkeypatch, capsys
 def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
     sizes = []
 
-    class FakePool:
-        """Records the worker count it is asked for; runs the tasks in-process."""
+    def run_forked(tasks, jobs):
+        """Records the process count it is asked for; runs the tasks in-process."""
+        sizes.append(jobs)
+        return [cli._run_one(t) for t in tasks]
 
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli, "_run_forked", run_forked)
     short = SMOKE.replace("days = 30", "days = 15")
     cfg = _config(tmp_path, short)
     for n, (cpus, jobs) in enumerate([(64, 8), (3, 8), (64, 2), (1, 8)]):
@@ -434,6 +429,79 @@ def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
                          "--jobs", str(jobs)]) == 0
     # 4 tasks: capped by the tasks, then the CPUs, then jobs; 1 CPU runs serially.
     assert sizes == [4, 3, 2]
+
+
+def test_a_killed_child_fails_only_its_unfinished_trials(tmp_path, monkeypatch):
+    parent, real_run_one, done_in_child = os.getpid(), cli._run_one, []
+
+    def run_one(task):
+        status = real_run_one(task)             # writes the trace pair
+        if os.getpid() != parent:
+            done_in_child.append(task)
+            if len(done_in_child) == 2:         # its status is never sent
+                os.kill(os.getpid(), signal.SIGKILL)
+        return status
+
+    def hung(signum, frame):
+        raise TimeoutError("run did not return")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = _config(tmp_path, SMOKE.replace("cohort_size = 2", "cohort_size = 3")
+                  .replace("days = 30", "days = 15"))
+    out = tmp_path / "out"
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        rc = cli.main(["run", "--config", cfg, "--out", str(out), "--jobs", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 1
+    # Arm-major tasks, the child's stride is abba p1, bba p0, bba p2: it dies
+    # after writing bba p0's trace and before reporting it.
+    manifest = (out / "failures.txt").read_text().splitlines()
+    assert manifest[2:] == [
+        "# failures 2 of 6 trials",
+        "p000 bba WorkerLost: worker exit status -9 (SIGKILL)",
+        "p002 bba WorkerLost: worker exit status -9 (SIGKILL)"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        f"p00{i}_{arm}{suffix}" for i, arm in
+        ((0, "abba"), (1, "abba"), (1, "bba"), (2, "abba"))
+        for suffix in (".npy", ".txt")]
+    rows = [line.split(",") for line in (out / "report_T1D.csv").read_text()
+            .splitlines() if line.startswith("full,tir_pct,")]
+    assert len(rows) == 3 and all(row[3] == "1" for row in rows)   # p001 only
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_never_waits_on_a_full_pipe_while_the_parent_runs(tmp_path,
+                                                                    monkeypatch):
+    parent, done = os.getpid(), tmp_path / "child_done"
+    tasks = [(cli.RunConfig(out=str(tmp_path)), {}, types.SimpleNamespace(id=i),
+              proto.BBA) for i in range(20)]
+    seen = []
+
+    def run_one(task):
+        i = task[2].id
+        if os.getpid() != parent:
+            if i == 19:                         # every earlier status was sent
+                done.touch()
+            return (i, proto.BBA, "x" * (1 << 14), None)    # 10 x 16 KiB > a pipe
+        time.sleep(0.02)
+        if i == 18:                             # the parent's last trial
+            deadline = time.monotonic() + 10.0
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(done.exists())
+        return (i, proto.BBA, None, None)
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    statuses = cli._run_forked(tasks, 2)
+    assert seen == [True]
+    assert [s[0] for s in statuses] == list(range(20))
+    assert all(s[2] == "x" * (1 << 14) for s in statuses[1::2])
 
 
 def test_trial_that_cannot_be_reduced_writes_nothing_and_is_left_unpaired(

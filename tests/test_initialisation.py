@@ -85,6 +85,20 @@ def test_te_never_negative_and_shuffle_kills_coupling():
     assert init.transfer_entropy(x_shuffled, y) < 0.02
 
 
+def test_quantile_bins_equal_the_numpy_quantile_bins():
+    rng = np.random.default_rng(11)
+    for n in range(1, 200, 3):
+        for x in (rng.normal(120.0, 40.0, n), np.round(rng.uniform(0.0, 4.0, n))):
+            for bins in (2, 3, 4, 5, 7):
+                qs = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+                edges = np.quantile(x, qs)
+                s = np.sort(x).tolist()
+                assert [init.linear_quantile(s, q) for q in qs.tolist()] == \
+                    edges.tolist(), (n, bins)
+                assert np.array_equal(init._quantile_bins(x, bins),
+                                      np.searchsorted(edges, x, side="right"))
+
+
 def test_te_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         init.transfer_entropy(np.zeros(100), np.zeros(99))
