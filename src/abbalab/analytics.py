@@ -147,12 +147,34 @@ def lbgi(series) -> float:
     return float(np.mean(_low_risk(np.asarray(series, dtype=float))))
 
 
+_RISK_CHUNK = 1 << 14       # elements squared at a time in _low_risk
+
+
 def _low_risk(g: np.ndarray) -> np.ndarray:
-    """Per-minute low-glucose risk 10*f(G)^2, 0 where f >= 0."""
+    """Per-minute low-glucose risk 10*f(G)^2, 0 where f >= 0 (or f is NaN).
+
+    Bit for bit np.where(f < 0, 10*f*f, 0) with f = 1.509*(log(G)**1.084 -
+    5.381), computed in the one array the log allocates: a 90-day trial's
+    risk costs one copy of its glucose plus a chunk, not three copies.
+    """
     if np.any(g <= 0):
         raise ValueError("glucose values must be > 0")
-    f = 1.509 * (np.log(g) ** 1.084 - 5.381)
-    return np.where(f < 0.0, 10.0 * f * f, 0.0)
+    f = np.log(g)
+    np.power(f, 1.084, out=f)
+    f -= 5.381
+    f *= 1.509
+    flat = f.reshape(-1)
+    for lo in range(0, flat.size, _RISK_CHUNK):
+        chunk = flat[lo:lo + _RISK_CHUNK]
+        not_low = ~(chunk < 0.0)
+        chunk *= 10.0 * chunk
+        chunk[not_low] = 0.0
+    return f
+
+
+def _adag_hba1c(mean_glucose: float) -> float:
+    """ADAG linear HbA1c estimate (%) from a mean glucose (mg/dL)."""
+    return (mean_glucose + 46.7) / 28.7
 
 
 def estimate_hba1c(series) -> float:
@@ -160,7 +182,7 @@ def estimate_hba1c(series) -> float:
     g = np.asarray(series, dtype=float)
     if g.size == 0:
         raise ValueError("empty glucose series")
-    return (float(np.mean(g)) + 46.7) / 28.7
+    return _adag_hba1c(float(np.mean(g)))
 
 
 # --- Lilliefors normality test (Monte-Carlo p-values) --------------------------
@@ -421,8 +443,11 @@ class PatientOutcome:
 
 def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
     """Metrics per window (1-based inclusive days), read as slices of the
-    trial's minutes and of their band masks and low-glucose risk."""
-    g = np.concatenate([t.glucose for t in result.day_traces])
+    trial's minutes and of their band masks and low-glucose risk. The
+    minutes are a flat view of result.glucose; the reduction allocates, for
+    the trial's length, three one-byte masks and one float risk array, so a
+    90-day trial peaks at about 1.5 times its glucose's bytes."""
+    g = result.glucose.reshape(-1)
     minutes = (g, g < HYPO, g < SEVERE_HYPO, g > HYPER, _low_risk(g))
     tdd = [t.total_insulin_u for t in result.day_traces]
     summaries = {}
@@ -430,11 +455,12 @@ def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
         span = slice((w.start_day - 1) * MINUTES_PER_DAY, w.end_day * MINUTES_PER_DAY)
         wg, low, severe, high, risk = (a[span] for a in minutes)
         tir, tbr1, tbr2, tar = _range_pcts(low, severe, high)
+        mean = float(np.mean(wg))
         summaries[w.name] = GlycemicSummary(
             tir_pct=tir, tbr1_pct=tbr1, tbr2_pct=tbr2, tar_pct=tar,
             hypo_events=_count_runs(low, EVENT_PERSIST_MIN, EVENT_REARM_MIN),
             hyper_events=_count_runs(high, EVENT_PERSIST_MIN, EVENT_REARM_MIN),
-            mean_glucose=float(np.mean(wg)), hba1c_pct=estimate_hba1c(wg),
+            mean_glucose=mean, hba1c_pct=_adag_hba1c(mean),
             lbgi=float(np.mean(risk)),
             tdd_u_per_day=float(np.mean(tdd[w.start_day - 1:w.end_day])))
     rescues = sum(len(t.rescues) for t in result.day_traces)

@@ -400,11 +400,11 @@ def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> tuple:
 
 def read_smbg(g, rng: np.random.Generator, cv: float = 0.05):
     """Fingerstick reading: multiplicative Gaussian noise, clamped to [20, 600].
-    An array of glucose values is read in one draw, value for value as the
-    same number of scalar calls would read it."""
+    An array of glucose values, of any shape, is read in one draw in C order,
+    value for value as the same number of scalar calls would read it."""
     batch = isinstance(g, np.ndarray)
     if cv > 0.0:
-        g = g * (1.0 + cv * rng.standard_normal(g.size if batch else None))
+        g = g * (1.0 + cv * rng.standard_normal(g.shape if batch else None))
     if batch:
         return np.clip(g, SMBG_FLOOR, SMBG_CEIL)
     return min(max(float(g), SMBG_FLOOR), SMBG_CEIL)

@@ -7,12 +7,14 @@ minute of a day; it stops at each event minute and at each minute where the
 rescue fires, a handler of the Trial state takes the event, and what it
 delivers is deposited before the kernel steps that minute. The Trial keeps
 each fact once: its handlers append to the day's DayTrace, the only record
-of that day, and the collection log, the overnight readings, the previous
-day's total dose and the insulin on board come from those records. The
-cohort runner fans out with disjoint per-patient seed streams derived from
-the master seed, so the arm never perturbs its twin's meals, announcement
-errors or sensitivity draws. Reading noise is shared too until one arm has a
-rescue the other lacks: rescue readings draw from the same SMBG stream.
+of that day's events, and each midnight copies the day's minute glucose into
+its row of the trial's one (days, 1440) array. The collection log, the
+overnight readings, the previous day's total dose and the insulin on board
+come from those records. The cohort runner fans out with disjoint
+per-patient seed streams derived from the master seed, so the arm never
+perturbs its twin's meals, announcement errors or sensitivity draws. Reading
+noise is shared too until one arm has a rescue the other lacks: rescue
+readings draw from the same SMBG stream.
 """
 
 from __future__ import annotations
@@ -170,18 +172,17 @@ class TherapySnapshot:
 
 @dataclass
 class DayTrace:
-    """One trial day, the only record of it: the therapy active that day,
-    its meals, and the SMBG readings and insulin deliveries in the order
-    they were taken. Trial opens it at the start of the day and its handlers
-    append to it; midnight sets the day's plasma glucose (mg/dL, one value
-    per minute) and its total delivered insulin. A rescue is the reading of
-    slot RESCUE_SLOT taken the minute it fires."""
+    """One trial day's events, the only record of them: the therapy active
+    that day, its meals, and the SMBG readings and insulin deliveries in the
+    order they were taken. Trial opens it at the start of the day and its
+    handlers append to it; midnight sets the day's total delivered insulin.
+    The day's minute glucose is row `day - 1` of TrialResult.glucose. A
+    rescue is the reading of slot RESCUE_SLOT taken the minute it fires."""
     day: int
     therapy: TherapySnapshot
     meals: list
     measurements: list = dataclasses.field(default_factory=list)
     insulin: list = dataclasses.field(default_factory=list)
-    glucose: np.ndarray | None = None
     total_insulin_u: float = 0.0
 
     @property
@@ -192,12 +193,17 @@ class DayTrace:
 
 @dataclass
 class TrialResult:
+    """One patient's trial under one arm. `glucose` is the trial's plasma
+    glucose (mg/dL), the one copy of it: a C-order float64 array of shape
+    (days, 1440), row d-1 for day d, allocated once when the trial starts.
+    `day_traces` holds each day's events."""
     patient: pat.PatientParams
     arm: str
     scenario: str
     days: int
     collection_days: int
     day_traces: list
+    glucose: np.ndarray
     final_agents: dict[adv.AgentKind, adv.AgentState] | None
     transfer_entropy_bits: float | None
     risk_class: init.RiskClass | None
@@ -237,10 +243,10 @@ class Trial:
     """One patient's trial under one arm, as the state events act on.
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's open DayTrace, the finished days' DayTraces and the seed
-    streams. run_trial's day loop calls a handler at each event minute with
-    the true plasma glucose; a handler returns what it delivers that minute:
-    insulin (U), or the rescue's carbohydrate (g).
+    current day's open DayTrace, the finished days' DayTraces, the trial's
+    minute glucose and the seed streams. run_trial's day loop calls a handler
+    at each event minute with the true plasma glucose; a handler returns what
+    it delivers that minute: insulin (U), or the rescue's carbohydrate (g).
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -265,6 +271,7 @@ class Trial:
         self.basal_state_prev: np.ndarray | None = None
 
         self.day_traces: list[DayTrace] = []
+        self.glucose = np.empty((days, MINUTES_PER_DAY), dtype=_GLUCOSE_DTYPE)
 
     def start_day(self, day: int) -> tuple[array, dict, dict, int]:
         """Draw day `day`'s schedule and open its DayTrace.
@@ -415,13 +422,15 @@ class Trial:
         return self._deliver(self.therapy.basal, "basal", minute)
 
     def midnight(self, glucose: array) -> None:
-        """Close the day's record, and on the last collection day initialise
-        the ABBA agents."""
+        """Close the day: copy the kernel's day buffer of minute glucose into
+        the day's row of the trial's array, set the day's total insulin, and
+        on the last collection day initialise the ABBA agents."""
         today = self.today
         total = 0.0
         for rec in today.insulin:           # in order: sum() compensates from 3.12 on
             total += rec.dose_u
-        today.glucose, today.total_insulin_u = np.array(glucose), total
+        self.glucose[today.day - 1] = np.frombuffer(glucose)
+        today.total_insulin_u = total
         self.day_traces.append(today)
         if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
@@ -429,13 +438,15 @@ class Trial:
 
     def _collection_log(self) -> init.CollectionLog:
         """The collection weeks as the initialisation reads them: a CGM sample
-        every CGM_INTERVAL_MIN, drawn day by day in minute order from the
-        day's glucose, the insulin delivered, and the basal rate, which only
-        changes in the on-line phase."""
+        every CGM_INTERVAL_MIN, read in one draw from the strided view
+        glucose[:COLLECTION_DAYS, ::CGM_INTERVAL_MIN] (day by day, in minute
+        order), the insulin delivered, and the basal rate, which only changes
+        in the on-line phase."""
         days = self.day_traces[:init.COLLECTION_DAYS]
         minutes = range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN)
-        cgm = pat.read_smbg(np.concatenate(
-            [t.glucose[::init.CGM_INTERVAL_MIN] for t in days]), self.streams["cgm"])
+        cgm = pat.read_smbg(
+            self.glucose[:init.COLLECTION_DAYS, ::init.CGM_INTERVAL_MIN],
+            self.streams["cgm"]).reshape(-1)
         return init.CollectionLog(
             cgm=cgm,
             cgm_times=np.array([float((t.day - 1) * MINUTES_PER_DAY + m)
@@ -446,7 +457,8 @@ class Trial:
     def result(self) -> TrialResult:
         return TrialResult(patient=self.params, arm=self.arm, scenario=self.spec.id,
                            days=self.days, collection_days=init.COLLECTION_DAYS,
-                           day_traces=self.day_traces, final_agents=self.bundle,
+                           day_traces=self.day_traces, glucose=self.glucose,
+                           final_agents=self.bundle,
                            transfer_entropy_bits=self.te_bits, risk_class=self.risk,
                            initial_therapy=self.initial)
 
@@ -537,8 +549,10 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #
 # Every float in the text is written with repr(), and the array holds the
 # exact bits, so a rewrite of a parsed pair reproduces both files byte for
-# byte. The text's `# glucose` header is the sha256 of the array's bytes,
-# which binds the two files together. An ABBA trace also holds the final
+# byte. The .npy is TrialResult.glucose as it is, written and digested in
+# place with no copy, and a read hands the loaded array to the result whole.
+# The text's `# glucose` header is the sha256 of the array's bytes, which
+# binds the two files together. An ABBA trace also holds the final
 # agent bundle as header lines `# agent.<agent>.<field> <values>`, one per
 # line of advisor.bundle_to_text; a BBA trace holds none.
 
@@ -563,12 +577,6 @@ def _therapy_text(snapshot: TherapySnapshot) -> str:
                     (*snapshot.icr, *snapshot.ps, snapshot.cf, snapshot.basal))
 
 
-def _glucose_array(result: TrialResult) -> np.ndarray:
-    """The trial's minute glucose as stored: (days, 1440) C-order `<f8`."""
-    return np.stack([t.glucose for t in result.day_traces]).astype(_GLUCOSE_DTYPE,
-                                                                   copy=False)
-
-
 def _digest(glucose: np.ndarray) -> str:
     return hashlib.sha256(glucose).hexdigest()
 
@@ -591,7 +599,7 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
     lines.append("# risk_class " +
                  ("-" if rc is None else f"{rc.variability}:{rc.nocturnal_risk}"))
     lines.append(f"# initial_therapy {_therapy_text(result.initial_therapy)}")
-    lines.append(f"# glucose {_digest(_glucose_array(result))}")
+    lines.append(f"# glucose {_digest(result.glucose)}")
     if result.final_agents is not None:
         lines.extend(_AGENT_PREFIX + line for line in
                      adv.bundle_to_text(result.final_agents).splitlines())
@@ -621,7 +629,7 @@ def write_trace(path: str | Path, result: TrialResult,
     directory listing of text traces names only complete pairs."""
     path = Path(path)
     with open(path.with_suffix(".npy"), "wb") as fh:
-        np.save(fh, _glucose_array(result), allow_pickle=False)
+        np.save(fh, result.glucose, allow_pickle=False)
     path.write_text(trace_to_text(result, headers))
 
 
@@ -672,7 +680,8 @@ def _snapshot_from(values: list[str]) -> TherapySnapshot:
 
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
     """Parse a text trace and its glucose array back into a TrialResult,
-    with an ABBA trial's final agents. Each day's glucose is a row of `glucose`.
+    with an ABBA trial's final agents. `glucose` becomes the result's
+    glucose whole, copied only if it is not C-ordered.
 
     Returns the result plus every header field, so a rerun of the analytics
     can carry the original provenance lines through to its own outputs.
@@ -774,13 +783,14 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         if bucket["therapy"] is None or bucket["total"] is None:
             raise ValueError(f"day {d} incomplete; file truncated?")
         day_traces.append(DayTrace(
-            day=d, glucose=glucose[d - 1], measurements=bucket["measurements"],
+            day=d, measurements=bucket["measurements"],
             insulin=bucket["insulin"], meals=bucket["meals"],
             therapy=bucket["therapy"], total_insulin_u=bucket["total"]))
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
                          collection_days=collection_days, day_traces=day_traces,
-                         final_agents=agents, transfer_entropy_bits=te,
-                         risk_class=risk, initial_therapy=initial)
+                         glucose=glucose, final_agents=agents,
+                         transfer_entropy_bits=te, risk_class=risk,
+                         initial_therapy=initial)
     extra = {k: v for k, v in fields.items() if k not in _RESULT_HEADERS}
     return result, extra

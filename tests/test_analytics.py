@@ -139,6 +139,53 @@ def test_lbgi_flags_sustained_lows():
     assert ana.lbgi(np.full(100, 50.0)) > 5.0
 
 
+def _where_low_risk(g):
+    """The low-glucose risk as one np.where over full-length temporaries."""
+    f = 1.509 * (np.log(g) ** 1.084 - 5.381)
+    return np.where(f < 0, 10 * f * f, 0)
+
+
+def _assert_low_risk_bits(g):
+    before = g.copy()
+    risk = ana._low_risk(g)
+    expected = _where_low_risk(g)
+    assert risk.shape == g.shape and risk.dtype == np.float64
+    assert (risk.view(np.int64) == expected.view(np.int64)).all()
+    assert (g == before).all()
+    return expected
+
+
+def test_low_risk_is_bit_equal_to_the_where_form_across_the_zero_crossing():
+    g0 = math.exp(5.381 ** (1 / 1.084))             # f = 0 at about 112.5 mg/dL
+    assert 112.4 < g0 < 112.6
+    ulps = np.arange(-600, 601, dtype=np.int64)
+    g = (np.array([g0]).view(np.int64) + ulps).view(np.float64)
+    expected = _assert_low_risk_bits(g)
+    assert (expected > 0).any() and (expected == 0).any()
+
+
+def test_low_risk_is_bit_equal_at_the_glucose_floor_and_ceiling():
+    # Below 1 mg/dL the log is negative and f is NaN: no risk, as in np.where.
+    g = np.array([pat.GLUCOSE_FLOOR, pat.GLUCOSE_CEIL, 0.5])
+    with np.errstate(invalid="ignore"):
+        expected = _assert_low_risk_bits(g)
+    assert expected[0] > 0 and expected[1] == 0 and expected[2] == 0
+
+
+@pytest.mark.parametrize("n", [1, ana._RISK_CHUNK - 1, ana._RISK_CHUNK,
+                               ana._RISK_CHUNK + 1, 3 * ana._RISK_CHUNK + 17])
+def test_low_risk_is_bit_equal_on_lengths_off_the_chunk(n):
+    rng = np.random.default_rng(n)
+    _assert_low_risk_bits(rng.uniform(pat.GLUCOSE_FLOOR, pat.GLUCOSE_CEIL, n))
+
+
+def test_lbgi_of_a_2d_series_is_bit_equal_to_the_where_form():
+    rng = np.random.default_rng(61)
+    g = rng.uniform(pat.GLUCOSE_FLOOR, 250.0, (7, proto.MINUTES_PER_DAY))
+    expected = _assert_low_risk_bits(g)
+    assert ana.lbgi(g) == float(np.mean(expected))
+
+
 def test_hba1c_at_mean_148():
     estimate = ana.estimate_hba1c(np.full(1440, 148.0))
     assert estimate == pytest.approx((148.0 + 46.7) / 28.7, abs=1e-9)
@@ -420,6 +467,36 @@ def test_full_window_tir_lies_between_sliding_extremes():
                   if name.startswith("week")]
     full = outcome.summaries["full"].tir_pct
     assert min(weekly_tir) - 1e-9 <= full <= max(weekly_tir) + 1e-9
+
+
+def test_reduce_trial_equals_each_window_reduced_from_its_own_minutes():
+    p = pat.generate_cohort(1, "T1D", 53)[0]
+    res = proto.run_trial(p, proto.ABBA, proto.SCENARIOS["S1"], master_seed=53,
+                          days=30)
+    windows = ana.standard_windows(30, 14)
+    outcome = ana.reduce_trial(res, windows)
+    minutes = np.concatenate(list(res.glucose))
+    risk = _where_low_risk(minutes)
+    for w in windows:
+        span = slice((w.start_day - 1) * proto.MINUTES_PER_DAY,
+                     w.end_day * proto.MINUTES_PER_DAY)
+        s = outcome.summaries[w.name]
+        assert s.mean_glucose == float(np.mean(minutes[span]))
+        assert s.hba1c_pct == ana.estimate_hba1c(minutes[span])
+        assert s.lbgi == float(np.mean(risk[span]))
+        assert (s.tir_pct, s.tbr1_pct, s.tbr2_pct, s.tar_pct) == \
+            ana.time_in_ranges(minutes[span])
+        assert (s.hypo_events, s.hyper_events) == ana.count_events(minutes[span])
+
+
+@pytest.mark.parametrize("days", [90, 365])
+def test_reduce_trial_peaks_under_twice_the_trial_glucose(days, traced_peak):
+    p = pat.generate_cohort(1, "T1D", 54)[0]
+    res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=54,
+                          days=days)
+    windows = ana.standard_windows(days, 14)
+    peak = traced_peak(ana.reduce_trial, res, windows)
+    assert peak <= 2 * res.glucose.nbytes, peak / res.glucose.nbytes
 
 
 def test_single_patient_cohort_has_zero_sd():

@@ -152,6 +152,23 @@ def test_smbg_clamps_at_floor():
     assert min(readings) >= 20.0
 
 
+def test_smbg_reads_an_array_of_any_shape_value_for_value():
+    g = np.linspace(15.0, 650.0, 12)
+    scalar_rng = np.random.default_rng(5)
+    scalar = np.array([pat.read_smbg(float(x), scalar_rng) for x in g])
+    flat = pat.read_smbg(g, np.random.default_rng(5))
+    assert (flat.view(np.int64) == scalar.view(np.int64)).all()
+    square = pat.read_smbg(g.reshape(3, 4), np.random.default_rng(5))
+    assert square.shape == (3, 4)
+    assert (square.reshape(-1).view(np.int64) == flat.view(np.int64)).all()
+    # A strided 2-D view reads as its values in C order, as the collection
+    # log reads every fifth minute of each collection day.
+    days = np.full((3, 20), 100.0)
+    days[:, ::5] = g.reshape(3, 4)
+    strided = pat.read_smbg(days[:, ::5], np.random.default_rng(5))
+    assert (strided.reshape(-1).view(np.int64) == flat.view(np.int64)).all()
+
+
 # --- sensitivity schedule --------------------------------------------------------
 
 def test_dawn_multiplier_at_six_am():

@@ -143,8 +143,9 @@ def test_abba_trial_is_deterministic():
     a = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=5, days=25)
     b = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=5, days=25)
     assert a.transfer_entropy_bits == b.transfer_entropy_bits
+    assert a.glucose.shape == b.glucose.shape == (25, proto.MINUTES_PER_DAY)
+    assert (a.glucose == b.glucose).all()
     for ta, tb in zip(a.day_traces, b.day_traces):
-        assert (ta.glucose == tb.glucose).all()
         assert ta.therapy == tb.therapy
         assert [m.value for m in ta.measurements] == [m.value for m in tb.measurements]
         assert [r.dose_u for r in ta.insulin] == [r.dose_u for r in tb.insulin]
@@ -301,15 +302,12 @@ def test_basal_guard_reverts_a_cut_below_a_quarter_of_yesterdays_dose(monkeypatc
 
 # --- trace persistence -------------------------------------------------------------
 
-def _glucose(res):
-    """The trial's minute glucose as a trace pair stores it: row d-1 for day d."""
-    return np.stack([t.glucose for t in res.day_traces])
-
-
 def _assert_same_trial(a, b):
+    assert a.glucose.shape == b.glucose.shape == (a.days, proto.MINUTES_PER_DAY)
+    assert (a.glucose.view(np.int64) == b.glucose.view(np.int64)).all()
+    assert b.glucose.dtype == np.float64 and b.glucose.flags.writeable
+    assert b.glucose.flags.c_contiguous
     for ta, tb in zip(a.day_traces, b.day_traces, strict=True):
-        assert (ta.glucose.view(np.int64) == tb.glucose.view(np.int64)).all()
-        assert tb.glucose.dtype == np.float64 and tb.glucose.flags.writeable
         assert ta.therapy == tb.therapy
         assert ta.measurements == tb.measurements
         assert ta.insulin == tb.insulin
@@ -338,11 +336,28 @@ def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
     glucose = np.load(tmp_path / "p000_bba.npy", allow_pickle=False)
     assert glucose.dtype.str == "<f8" and glucose.shape == (15, proto.MINUTES_PER_DAY)
     assert glucose.flags.c_contiguous
-    assert (glucose.view(np.int64) == _glucose(res).view(np.int64)).all()
+    assert (glucose.view(np.int64) == res.glucose.view(np.int64)).all()
     text = (tmp_path / "p000_bba.txt").read_text()
     digest = hashlib.sha256(glucose.tobytes()).hexdigest()
     assert f"\n# glucose {digest}\n" in text
     assert sum(",T," in line for line in text.splitlines()) == 15
+
+
+def test_trial_glucose_is_one_c_order_array():
+    # _assert_same_trial checks the array a trace read returns.
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=31, days=20)
+    g = res.glucose
+    assert g.shape == (20, proto.MINUTES_PER_DAY) and g.dtype == np.float64
+    assert g.flags.c_contiguous
+    assert not any(hasattr(t, "glucose") for t in res.day_traces)
+
+
+def test_write_trace_peaks_under_half_the_trial_glucose(tmp_path, traced_peak):
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=31, days=90)
+    peak = traced_peak(proto.write_trace, tmp_path / "a.txt", res)
+    assert peak <= 0.5 * res.glucose.nbytes, peak / res.glucose.nbytes
 
 
 def _rescue_trial():
@@ -399,7 +414,7 @@ def _bba_trace():
     """The text lines and glucose array of a 15-day BBA trial."""
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=15)
-    return proto.trace_to_text(res).splitlines(), _glucose(res)
+    return proto.trace_to_text(res).splitlines(), res.glucose
 
 
 def _written_bba_trace(tmp_path):
@@ -526,7 +541,7 @@ def _abba_trace():
     """The text lines and glucose array of a 15-day ABBA trial."""
     res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=15)
-    return proto.trace_to_text(res).splitlines(), _glucose(res)
+    return proto.trace_to_text(res).splitlines(), res.glucose
 
 
 def _with_bundle(lines, edit):
@@ -647,7 +662,7 @@ def test_trace_rejects_a_v3_file():
         v3.append(line)
     assert sum(",R," in line for line in v3) == sum(map(len, rescues.values())) > 0
     with pytest.raises(ValueError, match="unsupported trace schema"):
-        proto.trace_from_text("\n".join(v3), _glucose(res))
+        proto.trace_from_text("\n".join(v3), res.glucose)
 
 
 def test_trace_rejects_a_v2_file():
@@ -672,4 +687,4 @@ def test_trace_rejects_truncation():
     text = proto.trace_to_text(res)
     truncated = "\n".join(text.splitlines()[:-200])
     with pytest.raises(ValueError):
-        proto.trace_from_text(truncated, _glucose(res))
+        proto.trace_from_text(truncated, res.glucose)
