@@ -85,7 +85,6 @@ class InsulinRecord:
     dose_u: float
     kind: str             # bolus / basal / correction
     timestamp: float      # minutes since trial start
-    dia: float = DIA_MIN
 
     def __post_init__(self):
         if self.dose_u < 0:
@@ -170,6 +169,9 @@ def cost(next_state, beta: tuple[float, float]) -> float:
 
 @dataclass
 class AgentState:
+    """One agent's policy, critic and Adam state and its learning rates. The
+    discount GAMMA, the trace decay LAMBDA and the supervisory weight
+    ALPHA_SP are the same for every agent, so they are module constants."""
     kind: AgentKind
     theta: np.ndarray
     w: np.ndarray
@@ -179,9 +181,6 @@ class AgentState:
     step_count: int = 0
     lr_a: float = 0.1
     lr_c: float = 0.1
-    gamma: float = GAMMA
-    lam: float = LAMBDA
-    alpha_sp: float = ALPHA_SP
     m_smooth: float = 0.5
     frozen_faults: int = 0
 
@@ -205,13 +204,13 @@ def critic_update(agent: AgentState, s_t: np.ndarray, s_next: np.ndarray,
     s_t = np.asarray(s_t, dtype=float)
     s_next = np.asarray(s_next, dtype=float)
     c_next = cost(s_next, beta)
-    d = c_next + agent.gamma * float(agent.w @ s_next) - float(agent.w @ s_t)
+    d = c_next + GAMMA * float(agent.w @ s_next) - float(agent.w @ s_t)
     if not math.isfinite(d):
         agent.frozen_faults += 1
         log.error("non-finite TD error for %s; agent frozen this step", agent.kind.value)
         return d
     agent.w = agent.w + agent.lr_c * d * agent.z
-    agent.z = agent.lam * agent.z + s_next
+    agent.z = LAMBDA * agent.z + s_next
     return d
 
 
@@ -230,10 +229,10 @@ def policy(agent: AgentState, s_t: np.ndarray, f_prev_day: FeatureVector) -> flo
     if f0 == 0.0 and f1 == 0.0:
         return 0.0                                   # alpha_LP = 0 and SP = 0
     if (f0 > 0.0 and f1 == 0.0) or f0 > f1:
-        sp = -agent.alpha_sp * f0
+        sp = -ALPHA_SP * f0
         alpha_lp = 0.5
     elif (f1 > 0.0 and f0 == 0.0) or f1 > f0:
-        sp = agent.alpha_sp * f1
+        sp = ALPHA_SP * f1
         alpha_lp = 0.5
     else:                                            # F[0] == F[1] > 0
         sp = 0.0
@@ -284,8 +283,8 @@ def iob(records, now: float) -> float:
         if r.kind == "basal":
             continue
         elapsed = now - r.timestamp
-        if 0.0 <= elapsed < r.dia:
-            total += r.dose_u * (1.0 - elapsed / r.dia)
+        if 0.0 <= elapsed < DIA_MIN:
+            total += r.dose_u * (1.0 - elapsed / DIA_MIN)
     return total
 
 
@@ -371,7 +370,6 @@ def make_bundle(theta_by_kind: dict[AgentKind, np.ndarray],
             lr_a=hp["lr_a"],
             lr_c=hp["lr_c"],
             m_smooth=hp["m"],
-            alpha_sp=hp.get("alpha_sp", ALPHA_SP),
         )
     return agents
 
@@ -385,8 +383,8 @@ def _vector(text: str) -> np.ndarray:
 
 # Each field of AgentState but `kind`, with the parser of its text.
 _FIELDS = {**dict.fromkeys(("theta", "w", "z", "adam_m", "adam_v"), _vector),
-           "step_count": int, "lr_a": float, "lr_c": float, "gamma": float,
-           "lam": float, "alpha_sp": float, "m_smooth": float, "frozen_faults": int}
+           "step_count": int, "lr_a": float, "lr_c": float, "m_smooth": float,
+           "frozen_faults": int}
 
 
 def _field_text(parse, value) -> str:

@@ -151,14 +151,16 @@ _RISK_CHUNK = 1 << 14       # elements squared at a time in _low_risk
 
 
 def _low_risk(g: np.ndarray) -> np.ndarray:
-    """Per-minute low-glucose risk 10*f(G)^2, 0 where f >= 0 (or f is NaN).
+    """Per-minute low-glucose risk 10*f(G)^2, 0 where f >= 0.
 
     Bit for bit np.where(f < 0, 10*f*f, 0) with f = 1.509*(log(G)**1.084 -
     5.381), computed in the one array the log allocates: a 90-day trial's
     risk costs one copy of its glucose plus a chunk, not three copies.
+    Glucose below 1 mg/dL, or NaN, raises ValueError: there the log is
+    negative or NaN and f would be NaN, which would score no risk.
     """
-    if np.any(g <= 0):
-        raise ValueError("glucose values must be > 0")
+    if not np.all(g >= 1.0):
+        raise ValueError("glucose values must be at least 1 mg/dL")
     f = np.log(g)
     np.power(f, 1.084, out=f)
     f -= 5.381

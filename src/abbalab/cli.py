@@ -51,9 +51,6 @@ class RunConfig:
     arms: tuple[str, ...] = (proto.ABBA, proto.BBA)
     out: str = ""
     jobs: int = 1
-    dawn: str = "auto"
-    misestimation: tuple[float, float] | None = None
-    rescue_threshold: float = pat.RESCUE
 
     def validate(self) -> None:
         if self.scenario not in proto.SCENARIOS:
@@ -76,23 +73,8 @@ class RunConfig:
             raise ValueError(f"arms must not repeat, got {self.arms}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.dawn not in ("auto", "on", "off"):
-            raise ValueError("dawn must be auto, on, or off")
-        if self.misestimation is not None:
-            lo, hi = self.misestimation
-            if not 0.0 < lo <= hi:
-                raise ValueError("misestimation interval must be 0 < lo <= hi")
-        if not 0.0 < self.rescue_threshold <= pat.HYPO:
-            raise ValueError(f"rescue_threshold must be positive and at most "
-                             f"the re-arm level {pat.HYPO}")
         if not self.out:
             raise ValueError("no output directory; set out= or pass --out")
-
-    def scenario_spec(self) -> proto.ScenarioSpec:
-        spec = proto.SCENARIOS[self.scenario]
-        if self.misestimation is not None:
-            spec = dataclasses.replace(spec, misestimation=self.misestimation)
-        return spec
 
     def canonical_text(self) -> str:
         parts = []
@@ -102,8 +84,6 @@ class RunConfig:
             value = getattr(self, key)
             if key == "arms":
                 value = ",".join(sorted(value))
-            elif key == "misestimation":
-                value = "scenario" if value is None else f"{value[0]!r},{value[1]!r}"
             parts.append(f"{key} = {value}")
         return "\n".join(parts) + "\n"
 
@@ -120,15 +100,8 @@ def _parse_arms(raw: str) -> tuple[str, ...]:
     return arms
 
 
-def _parse_interval(raw: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo, hi', got {raw!r}")
-    return (float(parts[0]), float(parts[1]))
-
-
 # Keys whose values are not parsed by their default's type.
-_PARSERS = {"arms": _parse_arms, "misestimation": _parse_interval}
+_PARSERS = {"arms": _parse_arms}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -180,11 +153,9 @@ def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
     never stops the rest of its process's share."""
     cfg, headers, params, arm = task
     try:
-        result = proto.run_trial(
-            params, arm, cfg.scenario_spec(), master_seed=cfg.seed,
-            days=cfg.days, dawn=cfg.dawn, rescue_threshold=cfg.rescue_threshold)
-        outcome = ana.reduce_trial(
-            result, ana.standard_windows(result.days, result.collection_days))
+        result = proto.run_trial(params, arm, proto.SCENARIOS[cfg.scenario],
+                                 master_seed=cfg.seed, days=cfg.days)
+        outcome = ana.reduce_trial(result, ana.standard_windows(result.days))
         proto.write_trace(_trace_path(cfg, params, arm), result, headers)
         return (params.id, arm, outcome, None)
     except Exception as exc:                    # noqa: BLE001 - manifest entry
@@ -295,7 +266,7 @@ def _reduce_from_traces(out: Path, only: tuple[str, ...] | None = None
     outcomes, first = [], None
     for path in paths:
         result, headers = proto.read_trace(path)
-        windows = ana.standard_windows(result.days, result.collection_days)
+        windows = ana.standard_windows(result.days)
         if first is None:
             first = (headers, windows)
         elif (headers, windows) != first:

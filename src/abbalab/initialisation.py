@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advisor import ALPHA_SP, AgentKind, AgentState, make_bundle
+from .advisor import DIA_MIN, AgentKind, AgentState, make_bundle
 from .patient import HYPO, MINUTES_PER_DAY
 
 CGM_INTERVAL_MIN = 5
@@ -66,8 +66,8 @@ def active_insulin_series(log: CollectionLog) -> np.ndarray:
         if rec.kind == "basal":
             continue
         elapsed = times - rec.timestamp
-        active = (elapsed >= 0.0) & (elapsed < rec.dia)
-        ai = ai + np.where(active, rec.dose_u * (1.0 - elapsed / rec.dia), 0.0)
+        active = (elapsed >= 0.0) & (elapsed < DIA_MIN)
+        ai = ai + np.where(active, rec.dose_u * (1.0 - elapsed / DIA_MIN), 0.0)
     return ai
 
 
@@ -185,7 +185,7 @@ def select_hyperparameters(rc: RiskClass, diabetes_type: str) -> dict[AgentKind,
                 lr_a = 0.001
             elif increased or high_nocturnal:
                 lr_a = 0.01
-        out[kind] = {"lr_a": lr_a, "lr_c": lr_c, "m": m, "alpha_sp": ALPHA_SP}
+        out[kind] = {"lr_a": lr_a, "lr_c": lr_c, "m": m}
     return out
 
 

@@ -59,10 +59,9 @@ _TRIAL_TAG = 0x7121A1
 @dataclass(frozen=True)
 class ScenarioSpec:
     id: str
-    misestimation: tuple[float, float] | None = (0.70, 1.10)
+    misestimation: tuple[float, float] = (0.70, 1.10)
     interday_sensitivity: float = 0.0
     correction_boluses: bool = False
-    days: int = 90
 
     @property
     def code(self) -> int:
@@ -122,8 +121,6 @@ def announce_cho(true_cho: float, spec: ScenarioSpec, rng: np.random.Generator) 
     """What the patient tells the advisor; the gut digests the true grams."""
     if true_cho <= 0:
         raise ValueError("true CHO must be > 0")
-    if spec.misestimation is None:
-        return true_cho
     return true_cho * float(rng.uniform(*spec.misestimation))
 
 
@@ -196,18 +193,22 @@ class TrialResult:
     """One patient's trial under one arm. `glucose` is the trial's plasma
     glucose (mg/dL), the one copy of it: a C-order float64 array of shape
     (days, 1440), row d-1 for day d, allocated once when the trial starts.
-    `day_traces` holds each day's events."""
+    `day_traces` holds each day's events; the first day's therapy is the
+    starting therapy. The collection phase is always the first
+    init.COLLECTION_DAYS days."""
     patient: pat.PatientParams
     arm: str
     scenario: str
     days: int
-    collection_days: int
     day_traces: list
     glucose: np.ndarray
     final_agents: dict[adv.AgentKind, adv.AgentState] | None
     transfer_entropy_bits: float | None
     risk_class: init.RiskClass | None
-    initial_therapy: TherapySnapshot
+
+    @property
+    def initial_therapy(self) -> TherapySnapshot:
+        return self.day_traces[0].therapy
 
 
 def initial_therapy_for(params: pat.PatientParams,
@@ -257,7 +258,6 @@ class Trial:
         self.days = days
         self.streams = _trial_streams(master_seed, spec, params)
         self.therapy = initial_therapy_for(params, self.streams["therapy"])
-        self.initial = _snapshot(self.therapy)
         self.beta = adv.beta_for(params.diabetes_type)
         self.bundle: dict[adv.AgentKind, adv.AgentState] | None = None
         self.te_bits: float | None = None
@@ -456,20 +456,20 @@ class Trial:
 
     def result(self) -> TrialResult:
         return TrialResult(patient=self.params, arm=self.arm, scenario=self.spec.id,
-                           days=self.days, collection_days=init.COLLECTION_DAYS,
-                           day_traces=self.day_traces, glucose=self.glucose,
-                           final_agents=self.bundle,
-                           transfer_entropy_bits=self.te_bits, risk_class=self.risk,
-                           initial_therapy=self.initial)
+                           days=self.days, day_traces=self.day_traces,
+                           glucose=self.glucose, final_agents=self.bundle,
+                           transfer_entropy_bits=self.te_bits, risk_class=self.risk)
 
 
 def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
-              master_seed: int, days: int | None = None, dawn: str = "auto",
+              master_seed: int, days: int,
               rescue_threshold: float = pat.RESCUE) -> TrialResult:
-    """Simulate one patient under one advisor arm for the whole trial.
+    """Simulate one patient under one advisor arm for `days` days, the first
+    init.COLLECTION_DAYS of them the collection phase.
 
     Environment randomness (meals, misestimation, readings, sensitivity) is
-    seeded independently of the arm, so paired arms face the same world.
+    seeded independently of the arm, so paired arms face the same world. The
+    dawn effect is on for a type 1 patient and off for a type 2 one.
     `pat.load_kernel()`'s integrate steps every minute of the day. It is
     called up to the next event minute, and returns early at a minute where
     its rescue poll fires. At such a minute, and at each event minute after
@@ -481,7 +481,6 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     """
     if advisor_kind not in (ABBA, BBA):
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
-    days = spec.days if days is None else int(days)
     if days <= init.COLLECTION_DAYS:
         raise ValueError("trial must extend past the collection phase")
     if rescue_threshold > pat.HYPO:
@@ -489,9 +488,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
                          f"re-arm level {pat.HYPO}")
 
     trial = Trial(params, advisor_kind, spec, master_seed, days)
-    dawn_enabled = (params.diabetes_type == pat.T1D) if dawn == "auto" else (dawn == "on")
     sensitivity = pat.SensitivitySchedule(
-        dawn_enabled=dawn_enabled,
+        dawn_enabled=params.diabetes_type == pat.T1D,
         interday_variability_pct=spec.interday_sensitivity)
     dawn_base = np.array([pat.dawn_multiplier(sensitivity, m)
                           for m in range(MINUTES_PER_DAY)])
@@ -543,9 +541,15 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #        is the eight fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
 #     M  SMBG reading (aux = measurement slot label); a rescue is the reading
 #        of slot `rescue` taken the minute it fires
-#     I  insulin delivery (aux = kind:dia_minutes)
+#     I  insulin delivery (aux = kind: bolus, correction or basal)
 #     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
-#     U  day's total delivered insulin, written once at minute 1439
+#     U  day's total delivered insulin, written once at minute 1439; as the
+#        day's last row it also marks the day complete
+#
+# The header lines before the column names hold each trial fact once, and a
+# field given twice is rejected. `# days` is the trial length; the collection
+# phase is always its first init.COLLECTION_DAYS days, and the starting
+# therapy is day 1's T row.
 #
 # Every float in the text is written with repr(), and the array holds the
 # exact bits, so a rewrite of a parsed pair reproduces both files byte for
@@ -556,14 +560,14 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # agent bundle as header lines `# agent.<agent>.<field> <values>`, one per
 # line of advisor.bundle_to_text; a BBA trace holds none.
 
-TRACE_SCHEMA = "abbalab-trace v6"
+TRACE_SCHEMA = "abbalab-trace v7"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
 # Header fields that describe the trial itself; any other header field is run
 # provenance (config hash, master seed) handed back to the caller.
 _RESULT_HEADERS = ("patient", "arm", "scenario", "days", "transfer_entropy",
-                   "risk_class", "initial_therapy", "glucose")
+                   "risk_class", "glucose")
 _GLUCOSE_DTYPE = np.dtype("<f8")
 _AGENT_PREFIX = "# agent."
 
@@ -592,13 +596,12 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
     lines.append(f"# patient {patient_vals}")
     lines.append(f"# arm {result.arm}")
     lines.append(f"# scenario {result.scenario}")
-    lines.append(f"# days {result.days} {result.collection_days}")
+    lines.append(f"# days {result.days}")
     te = result.transfer_entropy_bits
     lines.append(f"# transfer_entropy {'-' if te is None else _fmt(te)}")
     rc = result.risk_class
     lines.append("# risk_class " +
                  ("-" if rc is None else f"{rc.variability}:{rc.nocturnal_risk}"))
-    lines.append(f"# initial_therapy {_therapy_text(result.initial_therapy)}")
     lines.append(f"# glucose {_digest(result.glucose)}")
     if result.final_agents is not None:
         lines.extend(_AGENT_PREFIX + line for line in
@@ -613,7 +616,7 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
                          f"{_fmt(meas.value)},{meas.slot}")
         for rec in trace.insulin:
             lines.append(f"{d},{_fmt(rec.timestamp - offset)},I,"
-                         f"{_fmt(rec.dose_u)},{rec.kind}:{_fmt(rec.dia)}")
+                         f"{_fmt(rec.dose_u)},{rec.kind}")
         for meal in trace.meals:
             announced = "-" if meal.announced_g is None else _fmt(meal.announced_g)
             lines.append(f"{d},{meal.minute},C,{_fmt(meal.cho_g)},"
@@ -651,7 +654,8 @@ def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
 
 
 def _parse_header(lines: list[str]) -> tuple[dict[str, str], list[str], int]:
-    """The header fields, the agent bundle's lines, and where the body starts."""
+    """The header fields, the agent bundle's lines, and where the body starts.
+    A field given twice raises ValueError naming it."""
     fields, bundle = {}, []
     i = 1                       # line 0 is the schema tag
     while i < len(lines) and lines[i].startswith("# "):
@@ -659,6 +663,8 @@ def _parse_header(lines: list[str]) -> tuple[dict[str, str], list[str], int]:
             bundle.append(lines[i][len(_AGENT_PREFIX):])
         else:
             key, _, rest = lines[i][2:].partition(" ")
+            if key in fields:
+                raise ValueError(f"trace header '{key}' given twice")
             fields[key] = rest
         i += 1
     return fields, bundle, i
@@ -711,7 +717,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         raise ValueError(f"{arm} trace {'lacks' if arm == ABBA else 'holds'} "
                          "an agent bundle")
     agents = adv.bundle_from_text("\n".join(bundle)) if bundle else None
-    days, collection_days = (int(x) for x in _header_values(fields, "days", 2))
+    (days_raw,) = _header_values(fields, "days", 1)
+    days = int(days_raw)
     te_raw = fields["transfer_entropy"]
     te = None if te_raw == "-" else float(te_raw)
     rc_raw = fields["risk_class"]
@@ -719,8 +726,6 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     if rc_raw != "-":
         variability, nocturnal = rc_raw.split(":")
         risk = init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
-    initial = _snapshot_from(_header_values(fields, "initial_therapy",
-                                            len(_THERAPY_FIELDS)))
 
     (digest,) = _header_values(fields, "glucose", 1)
     if not isinstance(glucose, np.ndarray) or glucose.dtype != _GLUCOSE_DTYPE:
@@ -756,10 +761,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             bucket["measurements"].append(adv.Measurement(
                 value=float(value), timestamp=float(minute) + offset, slot=aux))
         elif kind == "I":
-            rec_kind, _, dia = aux.partition(":")
             bucket["insulin"].append(adv.InsulinRecord(
-                dose_u=float(value), kind=rec_kind,
-                timestamp=float(minute) + offset, dia=float(dia)))
+                dose_u=float(value), kind=aux, timestamp=float(minute) + offset))
         elif kind == "C":
             slot, duration, announced = aux.split(":")
             bucket["meals"].append(MealEvent(
@@ -788,9 +791,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             therapy=bucket["therapy"], total_insulin_u=bucket["total"]))
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
-                         collection_days=collection_days, day_traces=day_traces,
-                         glucose=glucose, final_agents=agents,
-                         transfer_entropy_bits=te, risk_class=risk,
-                         initial_therapy=initial)
+                         day_traces=day_traces, glucose=glucose, final_agents=agents,
+                         transfer_entropy_bits=te, risk_class=risk)
     extra = {k: v for k, v in fields.items() if k not in _RESULT_HEADERS}
     return result, extra

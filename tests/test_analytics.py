@@ -165,11 +165,21 @@ def test_low_risk_is_bit_equal_to_the_where_form_across_the_zero_crossing():
 
 
 def test_low_risk_is_bit_equal_at_the_glucose_floor_and_ceiling():
-    # Below 1 mg/dL the log is negative and f is NaN: no risk, as in np.where.
-    g = np.array([pat.GLUCOSE_FLOOR, pat.GLUCOSE_CEIL, 0.5])
-    with np.errstate(invalid="ignore"):
-        expected = _assert_low_risk_bits(g)
-    assert expected[0] > 0 and expected[1] == 0 and expected[2] == 0
+    g = np.array([pat.GLUCOSE_FLOOR, pat.GLUCOSE_CEIL])
+    expected = _assert_low_risk_bits(g)
+    assert expected[0] > 0 and expected[1] == 0
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, -3.0, math.nan])
+def test_low_risk_rejects_glucose_below_one_and_nan(bad):
+    # Below 1 mg/dL the log is negative and f is NaN, as it is for NaN
+    # glucose; np.where would score either as no risk.
+    g = np.array([pat.GLUCOSE_FLOOR, bad, 120.0])
+    with pytest.raises(ValueError, match="at least 1 mg/dL"):
+        ana._low_risk(g)
+    with pytest.raises(ValueError, match="at least 1 mg/dL"):
+        ana.lbgi(g.reshape(1, 3))
+    assert ana.lbgi(np.array([1.0])) == float(_where_low_risk(np.array([1.0]))[0])
 
 
 @pytest.mark.parametrize("n", [1, ana._RISK_CHUNK - 1, ana._RISK_CHUNK,

@@ -138,9 +138,19 @@ def test_repeated_arm_in_config_is_rejected(tmp_path, monkeypatch):
     assert calls == [] and not out.exists()
 
 
-def test_unknown_config_key_is_rejected(tmp_path):
-    cfg = _config(tmp_path, SMOKE + "frobnicate = 3\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+def test_unknown_config_key_is_rejected(tmp_path, monkeypatch, capsys):
+    # dawn, misestimation and rescue_threshold were keys until trace schema
+    # v7; the scenario and the diabetes type fix them now.
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    for line in ("frobnicate = 3", "dawn = off", "misestimation = 0.8, 1.2",
+                 "rescue_threshold = 25"):
+        cfg = _config(tmp_path, SMOKE + line + "\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        key = line.split(" = ")[0]
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_unknown_scenario_is_rejected(tmp_path):
@@ -157,46 +167,28 @@ days = 45
 arms = bba, abba
 out = x
 jobs = 2
-dawn = off
-misestimation = 0.8, 1.2
-rescue_threshold = 25
 """
 
 
 def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch):
     cfg = cli.load_config(_config(tmp_path, EVERY_KEY))
-    assert len(cli.CONFIG_KEYS) == 11
+    assert len(cli.CONFIG_KEYS) == 8
     assert cfg == cli.RunConfig(
         scenario="S3", diabetes_type="T2D", cohort_size=4, seed=9, days=45,
-        arms=("bba", "abba"), out="x", jobs=2, dawn="off",
-        misestimation=(0.8, 1.2), rescue_threshold=25.0)
+        arms=("bba", "abba"), out="x", jobs=2)
     assert cfg.arms == ("bba", "abba")
-    assert cfg.rescue_threshold == 25.0 and isinstance(cfg.rescue_threshold, float)
-    assert cfg.config_hash() == "0bb515739858d8be"
-    assert cli.load_config(_config(tmp_path, SMOKE)).config_hash() == "9badd509908d42c1"
+    assert cfg.days == 45 and isinstance(cfg.days, int)
+    assert cfg.config_hash() == "4da2551e70bc9008"
+    assert cli.load_config(_config(tmp_path, SMOKE)).config_hash() == "1083b66a0f98971f"
 
     calls = []
     monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
     for body in (SMOKE.replace("cohort_size = 2", "cohort_size = two"),
-                 SMOKE + "rescue_threshold = abc\n"):
+                 SMOKE.replace("days = 30", "days = 30.5")):
         cfg_path = _config(tmp_path, body)
         assert cli.main(["run", "--config", cfg_path,
                          "--out", str(tmp_path / "x")]) == 2
     assert calls == []
-
-
-def test_rescue_threshold_above_the_rearm_level_is_rejected(tmp_path, monkeypatch,
-                                                           capsys):
-    calls = []
-    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
-    out = tmp_path / "x"
-    cfg = _config(tmp_path, SMOKE + "rescue_threshold = 75\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert "re-arm level" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
-    at_level = cli.load_config(_config(tmp_path, SMOKE + "rescue_threshold = 70\n"))
-    at_level.out = str(out)
-    at_level.validate()
 
 
 def test_config_hash_ignores_out_and_jobs(tmp_path):
@@ -281,12 +273,14 @@ def test_report_prints_comparison_table(tmp_path, capsys):
 # The first 16 hex digits of the sha256 of report_<type>.csv, chart_<type>.svg
 # and the `abbalab report` table, for criterion 9's config and for one with
 # five or more pairs (so the Lilliefors gate and the t-test run). A change that
-# moves the numbers on purpose re-pins them.
+# moves the numbers on purpose re-pins them. The CSV and the SVG carry the
+# config hash, so a change of config keys re-pins those two: trace schema v7
+# dropped three keys, and every number and the table stayed the same.
 REPORT_DIGESTS = {
     "s1_t1d_n2": (("S1", "T1D", 2, 7, 30),
-                  ("e745a8264f609afd", "f7d30cb48ded14c6", "3863bf822683c7c3")),
+                  ("c1480c2a247a1013", "2f67a22e8292de6f", "3863bf822683c7c3")),
     "s4_t2d_n6": (("S4", "T2D", 6, 1, 45),
-                  ("8d355efb7ceaa80a", "df8415851a3bc78d", "edb5023ccec0ec66")),
+                  ("5b3be94f1ff3d16d", "5af3b35c673dbaf5", "edb5023ccec0ec66")),
 }
 
 

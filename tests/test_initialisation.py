@@ -205,7 +205,6 @@ def test_hyperparameters_cover_every_classification_cell():
             hp = init.select_hyperparameters(init.RiskClass(var, noct), dtype)
             assert hp[AgentKind.ICR3]["lr_a"] == icr3_lr
             assert hp[AgentKind.BASAL]["m"] == init.SMOOTHING_M[dtype]
-            assert all(hp[k]["alpha_sp"] == 0.1 for k in AgentKind)
 
 
 # --- T2D starting therapy -----------------------------------------------------------

@@ -247,11 +247,13 @@ def python_traces():
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v6 added the ABBA agent bundle to the text and bumped its tag, so
-# these differ from v5's although every .npy and every other value is the same.
-TRACE_DIGESTS = ("864bc12c422aeb52", "f67b19e603948f81",     # T1D seed 1 p6 S1
-                 "e56a4c4d2bdad4f8", "2a861a60ccd44ea6",     # T2D seed 3 p0 S4
-                 "712e96aca4ef45a5", "7fe6223823b5472d")     # T1D seed 3 p1 S2
+# schema v7 dropped the values that never vary (the collection days, the
+# initial therapy header, each agent's gamma, lam and alpha_sp, and each I
+# row's insulin action time) and bumped its tag, so these differ from v6's
+# although every .npy and every other value is the same.
+TRACE_DIGESTS = ("79c4de443694ae56", "b3c4d625d2f86401",     # T1D seed 1 p6 S1
+                 "bb2bb10bf9525008", "fa2dda771959b707",     # T2D seed 3 p0 S4
+                 "413311b2fb46efe4", "6330f144e6109386")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from abbalab import advisor as adv
+from abbalab import initialisation as init
 from abbalab import patient as pat
 from abbalab import protocol as proto
 
@@ -82,12 +83,6 @@ def test_announce_s3_interval():
     draws = [proto.announce_cho(100.0, spec, rng) for _ in range(5000)]
     assert min(draws) >= 50.0 and max(draws) <= 150.0
     assert min(draws) < 70.0 and max(draws) > 110.0
-
-
-def test_announce_disabled_is_identity():
-    rng = np.random.default_rng(38)
-    spec = proto.ScenarioSpec("S1", misestimation=None)
-    assert proto.announce_cho(85.0, spec, rng) == 85.0
 
 
 # --- rescue controller ----------------------------------------------------------------
@@ -222,7 +217,8 @@ def test_s1_has_no_correction_boluses():
 
 def test_trial_rejects_unknown_arm_and_short_horizon():
     with pytest.raises(ValueError):
-        proto.run_trial(_patient(), "manual", proto.SCENARIOS["S1"], master_seed=1)
+        proto.run_trial(_patient(), "manual", proto.SCENARIOS["S1"], master_seed=1,
+                        days=90)
     with pytest.raises(ValueError):
         proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                         master_seed=1, days=14)
@@ -261,7 +257,7 @@ def test_abba_trial_keeps_clamps_guard_and_non_negative_doses():
     res = proto.run_trial(params, proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=1, days=90)
     start = res.initial_therapy
-    assert any(t.rescues for t in res.day_traces[res.collection_days:])
+    assert any(t.rescues for t in res.day_traces[init.COLLECTION_DAYS:])
     basal_changes = 0
     for prev, trace in zip([None] + res.day_traces, res.day_traces):
         (basal,) = [r.dose_u for r in trace.insulin if r.kind == "basal"]
@@ -512,13 +508,11 @@ def _with_header(lines, key, edit):
     ("patient", lambda v: v[:-1], "10 values, expected 11"),
     ("patient", lambda v: [], "0 values, expected 11"),
     ("patient", lambda v: v + ["1.0"], "12 values, expected 11"),
-    ("initial_therapy", lambda v: v[:5], "5 values, expected 8"),
-    ("initial_therapy", lambda v: v + ["1.0"], "9 values, expected 8"),
-    ("days", lambda v: v + ["1"], "3 values, expected 2"),
-    ("days", lambda v: v[:1], "1 values, expected 2"),
+    ("days", lambda v: v + ["14"], "2 values, expected 1"),
+    ("days", lambda v: [], "0 values, expected 1"),
     ("glucose", lambda v: v + v, "2 values, expected 1"),
-], ids=["patient_short", "patient_empty", "patient_extra", "therapy_short",
-        "therapy_extra", "days_extra", "days_short", "glucose_extra"])
+], ids=["patient_short", "patient_empty", "patient_extra", "days_extra",
+        "days_short", "glucose_extra"])
 def test_trace_rejects_a_header_of_the_wrong_value_count(key, edit, count):
     lines, glucose = _bba_trace()
     with pytest.raises(ValueError, match=f"'{key}' holds {count}"):
@@ -534,6 +528,16 @@ def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
     (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
     lines[i] = f"# {key} {value}"
     with pytest.raises(ValueError, match=f"trace {key} '{value}' is not"):
+        proto.trace_from_text("\n".join(lines), glucose)
+
+
+@pytest.mark.parametrize("key", ["arm", "config_hash"])
+def test_trace_rejects_a_header_given_twice(key):
+    lines, glucose = _bba_trace()
+    lines[1:1] = ["# config_hash aaaa"]
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
+    lines.insert(i + 1, f"# {key} {'abba' if key == 'arm' else 'bbbb'}")
+    with pytest.raises(ValueError, match=f"trace header '{key}' given twice"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
@@ -568,7 +572,7 @@ def test_trace_rejects_a_bba_trace_with_a_bundle():
 
 @pytest.mark.parametrize("edit, message", [
     (lambda b: b[:-1], "agent field PS3.frozen_faults missing"),
-    (lambda b: b[:20], "agent field ICR1.lr_c missing"),
+    (lambda b: b[:17], "agent field ICR1.lr_c missing"),
     (lambda b: [b[0] + " x", *b[1:]], "agent field Basal.theta: could not convert"),
     (lambda b: [b[0].rsplit(" ", 1)[0], *b[1:]], "theta must have dim 4 for Basal"),
     (lambda b: b + ["# agent.Basal.omega 1.0"], "unknown agent field 'Basal.omega'"),
@@ -577,7 +581,7 @@ def test_trace_rejects_a_bba_trace_with_a_bundle():
         "unknown_field", "repeated_field"])
 def test_trace_rejects_a_malformed_agent_bundle(edit, message):
     lines, glucose = _abba_trace()
-    assert len([line for line in lines if line.startswith("# agent.")]) == 7 * 13
+    assert len([line for line in lines if line.startswith("# agent.")]) == 7 * 10
     with pytest.raises(ValueError, match=message):
         proto.trace_from_text(_with_bundle(lines, edit), glucose)
 
@@ -590,6 +594,34 @@ def test_trace_rejects_a_v5_file():
         f"# {proto.TRACE_SCHEMA}", "# abbalab-trace v5", 1)
     with pytest.raises(ValueError, match="unsupported trace schema"):
         proto.trace_from_text(v5, glucose)
+
+
+def test_trace_rejects_a_v6_file():
+    """The ABBA trace as v6 wrote it: `# days` also held the collection days,
+    an `# initial_therapy` header repeated day 1's therapy, each agent had
+    gamma, lam and alpha_sp lines, and each I row's aux ended in the insulin
+    action time."""
+    lines, glucose = _abba_trace()
+    day1_therapy = lines[_therapy_row(lines, 1)].split(",")[3]
+    v6 = ["# abbalab-trace v6"]
+    for line in lines[1:]:
+        parts = line.split(",")
+        if line.startswith("# days "):
+            line += f" {init.COLLECTION_DAYS}"
+        elif line.startswith("# glucose "):
+            v6.append(f"# initial_therapy {day1_therapy}")
+        elif len(parts) == 5 and parts[2] == "I":
+            line += f":{adv.DIA_MIN!r}"
+        v6.append(line)
+        if line.startswith("# agent.") and ".lr_c " in line:
+            agent = line.split(".")[1]
+            v6 += [f"# agent.{agent}.gamma {adv.GAMMA!r}",
+                   f"# agent.{agent}.lam {adv.LAMBDA!r}",
+                   f"# agent.{agent}.alpha_sp {adv.ALPHA_SP!r}"]
+    assert sum(line.startswith("# agent.") for line in v6) == 7 * 13
+    assert sum(line.endswith(",bolus:240.0") for line in v6) > 0
+    with pytest.raises(ValueError, match="unsupported trace schema"):
+        proto.trace_from_text("\n".join(v6), glucose)
 
 
 def _v4_lines():
