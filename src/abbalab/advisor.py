@@ -71,19 +71,22 @@ class AgentKind(enum.Enum):
 ICR_AGENTS = (AgentKind.ICR1, AgentKind.ICR2, AgentKind.ICR3)
 PS_AGENTS = (AgentKind.PS1, AgentKind.PS2, AgentKind.PS3)
 
+# Kinds of insulin delivery; every kind but BASAL_KIND is rapid-acting.
+BOLUS_KIND, CORRECTION_KIND, BASAL_KIND = "bolus", "correction", "basal"
+INSULIN_KINDS = (BOLUS_KIND, CORRECTION_KIND, BASAL_KIND)
+
 
 @dataclass(frozen=True)
 class Measurement:
     value: float          # mg/dL
     timestamp: float      # minutes since trial start
-    slot: str             # pre_breakfast / pre_lunch / pre_dinner / bedtime /
-                          # post_prandial / rescue
+    slot: str             # one of protocol.READING_SLOTS
 
 
 @dataclass(frozen=True)
 class InsulinRecord:
     dose_u: float
-    kind: str             # bolus / basal / correction
+    kind: str             # one of INSULIN_KINDS
     timestamp: float      # minutes since trial start
 
     def __post_init__(self):
@@ -280,7 +283,7 @@ def iob(records, now: float) -> float:
     """Linear-decay insulin on board from bolus and correction records."""
     total = 0.0
     for r in records:
-        if r.kind == "basal":
+        if r.kind == BASAL_KIND:
             continue
         elapsed = now - r.timestamp
         if 0.0 <= elapsed < DIA_MIN:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advisor import DIA_MIN, AgentKind, AgentState, make_bundle
+from .advisor import BASAL_KIND, DIA_MIN, AgentKind, AgentState, make_bundle
 from .patient import HYPO, MINUTES_PER_DAY
 
 CGM_INTERVAL_MIN = 5
@@ -63,7 +63,7 @@ def active_insulin_series(log: CollectionLog) -> np.ndarray:
     times = log.cgm_times
     ai = log.basal_rates * float(MINUTES_PER_DAY)
     for rec in log.insulin_records:
-        if rec.kind == "basal":
+        if rec.kind == BASAL_KIND:
             continue
         elapsed = times - rec.timestamp
         active = (elapsed >= 0.0) & (elapsed < DIA_MIN)

@@ -50,8 +50,12 @@ BASAL_WINDOW = (1320, 1440)          # 22:00 .. 00:00
 POST_PRANDIAL_DELAY = 120            # minutes after meal start (scenario 4)
 RESCUE_GRAMS = 20.0
 
+# The slot label of each SMBG reading the protocol takes.
 PRE_MEAL_SLOTS = ("pre_breakfast", "pre_lunch", "pre_dinner")
+POST_PRANDIAL_SLOT = "post_prandial"
+BEDTIME_SLOT = "bedtime"
 RESCUE_SLOT = "rescue"
+READING_SLOTS = (*PRE_MEAL_SLOTS, POST_PRANDIAL_SLOT, BEDTIME_SLOT, RESCUE_SLOT)
 
 _TRIAL_TAG = 0x7121A1
 
@@ -383,22 +387,22 @@ class Trial:
                                         self._iob(minute))
         self.open_slot = slot
         self.open_values = []
-        return self._deliver(dose, "bolus", minute) if dose > 0.0 else 0.0
+        return self._deliver(dose, adv.BOLUS_KIND, minute) if dose > 0.0 else 0.0
 
     def post_prandial(self, meal: MealPlan, minute: int, g: float) -> float:
         """S4's post-prandial reading and correction bolus above the hyper bound."""
-        reading = self._read(minute, "post_prandial", g)
+        reading = self._read(minute, POST_PRANDIAL_SLOT, g)
         if self.open_slot is not None:
             self.open_values.append(reading)
         dose = adv.correction_bolus(reading, self.therapy, self.therapy.ps[meal.slot],
                                     self._iob(minute))
         if dose is not None and dose > 0.0:
-            return self._deliver(dose, "correction", minute)
+            return self._deliver(dose, adv.CORRECTION_KIND, minute)
         return 0.0
 
     def bedtime(self, minute: int, g: float) -> float:
         """Bedtime reading, the basal agent's step, then the basal injection."""
-        reading = self._read(minute, "bedtime", g)
+        reading = self._read(minute, BEDTIME_SLOT, g)
         self._close_window(reading)
         if self.learning:
             feats = adv.bolus_features(self.day_pool)
@@ -419,7 +423,7 @@ class Trial:
                 self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL,
                                                         feats, self._overnight())
         self.day_pool = []
-        return self._deliver(self.therapy.basal, "basal", minute)
+        return self._deliver(self.therapy.basal, adv.BASAL_KIND, minute)
 
     def midnight(self, glucose: array) -> None:
         """Close the day: copy the kernel's day buffer of minute glucose into
@@ -539,10 +543,11 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # Kind codes:
 #     T  the therapy active that day, one row per day at minute 0 whose value
 #        is the eight fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
-#     M  SMBG reading (aux = measurement slot label); a rescue is the reading
+#     M  SMBG reading (aux = one of READING_SLOTS); a rescue is the reading
 #        of slot `rescue` taken the minute it fires
 #     I  insulin delivery (aux = kind: bolus, correction or basal)
-#     C  carbohydrate intake (aux = slot:duration:announced, announced "-" if none)
+#     C  carbohydrate intake (aux = slot:duration:announced, slot 0-3 as in
+#        MealPlan, announced "-" if none)
 #     U  day's total delivered insulin, written once at minute 1439; as the
 #        day's last row it also marks the day complete
 #
@@ -758,13 +763,19 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                                  f"values, expected {len(_THERAPY_FIELDS)}")
             bucket["therapy"] = _snapshot_from(values)
         elif kind == "M":
+            if aux not in READING_SLOTS:
+                raise ValueError(f"unknown reading slot {aux!r} at line {lineno}")
             bucket["measurements"].append(adv.Measurement(
                 value=float(value), timestamp=float(minute) + offset, slot=aux))
         elif kind == "I":
+            if aux not in adv.INSULIN_KINDS:
+                raise ValueError(f"unknown insulin kind {aux!r} at line {lineno}")
             bucket["insulin"].append(adv.InsulinRecord(
                 dose_u=float(value), kind=aux, timestamp=float(minute) + offset))
         elif kind == "C":
             slot, duration, announced = aux.split(":")
+            if not 0 <= int(slot) <= 3:
+                raise ValueError(f"meal slot {slot} is not 0 to 3 at line {lineno}")
             bucket["meals"].append(MealEvent(
                 slot=int(slot), minute=int(minute), duration_min=int(duration),
                 cho_g=float(value),

@@ -255,12 +255,10 @@ def test_normal_tail_matches_scipy_ndtr():
     x = np.concatenate([np.linspace(-37.0, 8.0, 90_001),
                         np.random.default_rng(51).standard_normal(10_000)])
     ref = special.ndtr(x)
-    got = ana.ndtr(x)
-    assert got.dtype == np.float64 and got.shape == x.shape
+    got = np.array([ana.ndtr(v) for v in x.tolist()])
     rel = np.abs(got - ref) / ref
     assert (rel <= 1e-14 + x * x * 2.0 ** -52).all()
     assert rel[x >= -10.0].max() <= 1e-14
-    assert all(ana.ndtr(float(v)) == g for v, g in zip(x[::101], got[::101]))
     assert ana.ndtr(0.0) == 0.5
 
 
@@ -354,44 +352,57 @@ def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
     assert {row.test for row in report.comparisons} == {"wilcoxon"}
 
 
-def _null_stats(draws, cdf):
-    """Lilliefors statistic of each row of `draws`, with `cdf` the normal CDF."""
-    n = draws.shape[1]
-    z = np.sort((draws - draws.mean(axis=1, keepdims=True))
-                / draws.std(axis=1, ddof=1, keepdims=True), axis=1)
-    c = cdf(z)
-    return np.maximum((np.arange(1, n + 1) / n - c).max(axis=1),
-                      (c - np.arange(0, n) / n).max(axis=1))
+def _ks_stats(x):
+    """Lilliefors statistic of each row of x, with scipy's ndtr as the normal CDF."""
+    n = x.shape[1]
+    grid = np.arange(n + 1) / n
+    z = np.sort((x - x.mean(axis=1, keepdims=True))
+                / x.std(axis=1, ddof=1, keepdims=True), axis=1)
+    c = special.ndtr(z)
+    return np.maximum((grid[1:] - c).max(axis=1), (c - grid[:-1]).max(axis=1))
 
 
-def _null_draws(n):
-    n_mc = ana._LILLIEFORS_MC
-    rng = np.random.default_rng(np.random.SeedSequence([ana._LILLIEFORS_SEED, n, n_mc]))
-    return rng.standard_normal((n_mc, n))
+def _oracle_null_stats(n, draws=50_000, chunk=10_000):
+    """The statistics of `draws` seeded normal samples of size n: a
+    Monte-Carlo null distribution, drawn a chunk of samples at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([58, n]))
+    return np.concatenate([_ks_stats(rng.standard_normal((chunk, n)))
+                           for _ in range(draws // chunk)])
 
 
-@pytest.mark.parametrize("n", [5, 20, 101])
-def test_lilliefors_table_in_chunks_equals_one_shot_table(n):
-    stat = _null_stats(_null_draws(n), ana.ndtr)
-    table = ana._lilliefors_table(n, ana._LILLIEFORS_MC)
-    assert ana._LILLIEFORS_MC > ana._LILLIEFORS_CHUNK
-    assert (table.view(np.int64) == np.sort(stat).view(np.int64)).all()
-
-
-@pytest.mark.parametrize("n", [5, 20, 101])
-def test_lilliefors_p_equals_the_p_of_a_scipy_ndtr_table(n):
-    table = np.sort(_null_stats(_null_draws(n), special.ndtr))
+@pytest.mark.parametrize("n", [5, 20, 101, 200])
+def test_lilliefors_p_matches_a_monte_carlo_null_at_the_gate(n):
+    # The statistic of a sample of n is at least 1/(2n); p falls across that range.
+    stat = np.linspace(0.5 / n, 1.0, 2001).tolist()
+    p = [ana._lilliefors_p(d, n) for d in stat]
+    assert max(p) <= 1.0 and all(b <= a for a, b in zip(p, p[1:]))
+    lo, hi = 0.5 / n, 1.0
+    for _ in range(60):                 # the closed form's 0.05 critical value
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ana._lilliefors_p(mid, n) > 0.05 else (lo, mid)
+    oracle = np.quantile(_oracle_null_stats(n), 0.95)
+    assert abs(lo / oracle - 1.0) <= 0.02
     rng = np.random.default_rng(57 + n)
-    samples = np.concatenate([rng.standard_normal((100, n)),
-                              rng.exponential(1.0, (50, n)),
-                              rng.uniform(0.0, 1.0, (50, n))])
-    ps = []
-    for x in samples:
-        stat = _null_stats(x[None, :], special.ndtr)[0]
-        p = (table.size - np.searchsorted(table, stat, side="left") + 1.0) / (table.size + 1.0)
-        assert ana.lilliefors(x)[1] == p
-        ps.append(p)
-    assert len(set(ps)) > 20
+    samples = np.concatenate([rng.standard_normal((20, n)), rng.exponential(1.0, (20, n))])
+    for x, d in zip(samples, _ks_stats(samples).tolist()):
+        assert ana.lilliefors(x) == pytest.approx((d, ana._lilliefors_p(d, n)),
+                                                  rel=1e-12, abs=0.0)
+
+
+def test_report_path_draws_no_random_numbers(monkeypatch):
+    values = np.random.default_rng(59).normal(50.0, 10.0, (2, 101))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report path drew random numbers")
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    windows = ana.standard_windows(30, 14)
+    for n in (6, 101):
+        outcomes = [_outcome(pid, arm, windows, values[i, pid])
+                    for i, arm in enumerate(("abba", "bba")) for pid in range(n)]
+        report = ana.build_report(outcomes, windows)
+        assert {row.n for row in report.comparisons} == {n}
+        assert "t" in {row.test for row in report.comparisons}
 
 
 # --- paired comparison ----------------------------------------------------------------

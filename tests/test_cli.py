@@ -280,7 +280,7 @@ REPORT_DIGESTS = {
     "s1_t1d_n2": (("S1", "T1D", 2, 7, 30),
                   ("c1480c2a247a1013", "2f67a22e8292de6f", "3863bf822683c7c3")),
     "s4_t2d_n6": (("S4", "T2D", 6, 1, 45),
-                  ("5b3be94f1ff3d16d", "5af3b35c673dbaf5", "edb5023ccec0ec66")),
+                  ("2f0820b3183bba0f", "5af3b35c673dbaf5", "b90aa1f6b2898a81")),
 }
 
 

@@ -531,6 +531,20 @@ def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
+@pytest.mark.parametrize("code, edit, message", [
+    ("I", lambda aux: aux + ":240.0", "unknown insulin kind 'bolus:240.0'"),
+    ("M", lambda aux: "lunchtime", "unknown reading slot 'lunchtime'"),
+    ("C", lambda aux: "7" + aux[1:], "meal slot 7 is not 0 to 3"),
+], ids=["insulin_kind", "reading_slot", "meal_slot"])
+def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
+    lines, glucose = _bba_trace()
+    i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
+    day, minute, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, minute, kind, value, edit(aux)])
+    with pytest.raises(ValueError, match=f"{message} at line {i + 1}"):
+        proto.trace_from_text("\n".join(lines), glucose)
+
+
 @pytest.mark.parametrize("key", ["arm", "config_hash"])
 def test_trace_rejects_a_header_given_twice(key):
     lines, glucose = _bba_trace()
