@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
-import io
 import os
 import pickle
-import select
 import signal
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -48,7 +48,7 @@ class RunConfig:
     cohort_size: int = 2
     seed: int = 1
     days: int = 30
-    arms: tuple[str, ...] = (proto.ABBA, proto.BBA)
+    arms: tuple[str, ...] = proto.ARMS
     out: str = ""
     jobs: int = 1
 
@@ -66,7 +66,7 @@ class RunConfig:
             raise ValueError(f"days must be at least {init.COLLECTION_DAYS + 1}: "
                              "the on-line phase requires the "
                              f"{init.COLLECTION_DAYS}-day collection window")
-        bad = [a for a in self.arms if a not in (proto.ABBA, proto.BBA)]
+        bad = [a for a in self.arms if a not in proto.ARMS]
         if bad or not self.arms:
             raise ValueError(f"arms must be drawn from abba/bba, got {self.arms}")
         if len(set(self.arms)) != len(self.arms):
@@ -162,95 +162,64 @@ def _run_one(task: tuple[RunConfig, dict[str, str], pat.PatientParams, str]
         return (params.id, arm, None, f"{type(exc).__name__}: {exc}")
 
 
-@dataclasses.dataclass
-class _Child:
-    """A forked worker: its share of the task indices, the read end of its
-    pipe (None once closed at EOF), the bytes read, and its exit code."""
-    pid: int
-    share: range
-    fd: int | None
-    data: bytearray = dataclasses.field(default_factory=bytearray)
-    code: int = 0
-
-
-def _read_pipes(children: list[_Child], block: bool) -> None:
-    """Read what the children have written, closing each pipe at EOF: to EOF
-    on every pipe when `block`, else only what is ready now, so no child
-    stalls on a full pipe while this process runs its own share."""
-    while (live := {c.fd: c for c in children if c.fd is not None}):
-        ready, _, _ = select.select(list(live), [], [], None if block else 0)
-        if not ready:
-            return
-        for fd in ready:
-            chunk = os.read(fd, 1 << 16)
-            live[fd].data += chunk
-            if not chunk:
-                os.close(fd)
-                live[fd].fd = None
-
-
 def _run_forked(tasks: list, jobs: int) -> list:
     """`_run_one` over `tasks` in `jobs` processes, this one included: process
-    k runs tasks k, k + jobs, ... Each forked child pickles one status per
-    finished trial onto its own pipe. A child that dies, exits non-zero or
-    sends an unreadable status fails its unfinished trials, and any trace
-    files they left are deleted. Statuses come back in task order."""
+    k runs tasks k, k + jobs, ..., so at `jobs` 1 nothing is forked. Each
+    forked child pickles one status per finished trial into its own unnamed
+    temporary file, flushed after each, so a killed child leaves the statuses
+    it finished; this process reads each file once the child has exited. A
+    child that dies, exits non-zero or writes an unreadable status fails its
+    unfinished trials, and any trace files they left are deleted. Statuses
+    come back in task order."""
+    pat.load_kernel()                           # built once; the children inherit it
     statuses: list = [None] * len(tasks)
-    children: list[_Child] = []
+    children = []                               # (pid, share, status file)
     sys.stdout.flush()
     sys.stderr.flush()
-    try:
-        for k in range(1, jobs):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:                    # child: never returns
-                code = 1
-                try:
-                    for fd in (r, *(c.fd for c in children)):
-                        os.close(fd)
-                    with os.fdopen(w, "wb") as pipe:
-                        for i in range(k, len(tasks), jobs):
-                            pickle.dump(_run_one(tasks[i]), pipe)
-                            pipe.flush()
-                    code = 0
-                except Exception:           # noqa: BLE001 - exit status 1 says it
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            os.close(w)                     # so no later child holds it
-            children.append(_Child(pid, range(k, len(tasks), jobs), r))
-        for i in range(0, len(tasks), jobs):
-            statuses[i] = _run_one(tasks[i])
-            _read_pipes(children, block=False)
-        _read_pipes(children, block=True)
-    except BaseException:
-        for child in children:
-            os.kill(child.pid, signal.SIGKILL)
-        raise
-    finally:
-        for child in children:
-            if child.fd is not None:
-                os.close(child.fd)
-            child.code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
-    for child in children:
-        why = f"worker exit status {child.code}"
-        if child.code < 0:
-            why += f" ({signal.Signals(-child.code).name})"
-        stream = io.BytesIO(child.data)
+    with contextlib.ExitStack() as files:
         try:
-            for i in child.share:
-                if stream.tell() == len(child.data):
-                    break
-                statuses[i] = pickle.load(stream)
-        except Exception:                   # noqa: BLE001 - its trials are lost
-            why += ", unreadable status"
-        for i in child.share:
-            if statuses[i] is None:
-                cfg, _, params, arm = tasks[i]
-                path = _trace_path(cfg, params, arm)
-                path.unlink(missing_ok=True)
-                path.with_suffix(".npy").unlink(missing_ok=True)
-                statuses[i] = (params.id, arm, None, f"WorkerLost: {why}")
+            for k in range(1, jobs):
+                file = files.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:                    # child: never returns
+                    code = 1
+                    try:
+                        for i in range(k, len(tasks), jobs):
+                            pickle.dump(_run_one(tasks[i]), file)
+                            file.flush()
+                        code = 0
+                    except Exception:           # noqa: BLE001 - exit status 1 says it
+                        traceback.print_exc()
+                    finally:
+                        os._exit(code)
+                children.append((pid, range(k, len(tasks), jobs), file))
+            for i in range(0, len(tasks), jobs):
+                statuses[i] = _run_one(tasks[i])
+        except BaseException:
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid, _, _ in children]
+        for (_, share, file), code in zip(children, codes):
+            why = f"worker exit status {code}"
+            if code < 0:
+                why += f" ({signal.Signals(-code).name})"
+            end = file.seek(0, os.SEEK_END)
+            file.seek(0)
+            try:
+                for i in share:
+                    if file.tell() == end:
+                        break
+                    statuses[i] = pickle.load(file)
+            except Exception:                   # noqa: BLE001 - its trials are lost
+                why += ", unreadable status"
+            for i in share:
+                if statuses[i] is None:
+                    cfg, _, params, arm = tasks[i]
+                    proto.remove_trace(_trace_path(cfg, params, arm))
+                    statuses[i] = (params.id, arm, None, f"WorkerLost: {why}")
     return statuses
 
 
@@ -319,11 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Arm-major, so each process's stride holds an even share of both arms.
     tasks = [(cfg, headers, p, arm) for arm in cfg.arms for p in cohort]
     jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        pat.load_kernel()                       # built once; the children inherit it
-        statuses = _run_forked(tasks, jobs)
-    else:
-        statuses = [_run_one(t) for t in tasks]
+    statuses = _run_forked(tasks, jobs)
 
     failures = [(pid, arm, err) for pid, arm, _, err in statuses if err is not None]
     manifest = [f"# config_hash {headers['config_hash']}",
@@ -412,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, help="parallel workers")
     p_run.add_argument("--scenario", choices=sorted(proto.SCENARIOS),
                        help="scenario id (overrides config)")
-    p_run.add_argument("--arm", action="append", choices=[proto.ABBA, proto.BBA],
+    p_run.add_argument("--arm", action="append", choices=proto.ARMS,
                        help="restrict to an arm (repeatable)")
     p_run.set_defaults(func=cmd_run)
 

@@ -34,6 +34,7 @@ from .patient import MINUTES_PER_DAY
 
 ABBA = "abba"
 BBA = "bba"
+ARMS = (ABBA, BBA)
 
 # Scenario table: per-meal CHO ranges (g) and clock windows (minutes).
 MEAL_TABLE = (
@@ -190,6 +191,15 @@ class DayTrace:
     def rescues(self) -> tuple:
         """The day's rescue readings, in the order they fired."""
         return tuple(m for m in self.measurements if m.slot == RESCUE_SLOT)
+
+
+def _total_insulin(records: list) -> float:
+    """A day's total delivered insulin: its doses summed in order, one float
+    add each (sum() compensates from Python 3.12 on)."""
+    total = 0.0
+    for rec in records:
+        total += rec.dose_u
+    return total
 
 
 @dataclass
@@ -430,11 +440,8 @@ class Trial:
         the day's row of the trial's array, set the day's total insulin, and
         on the last collection day initialise the ABBA agents."""
         today = self.today
-        total = 0.0
-        for rec in today.insulin:           # in order: sum() compensates from 3.12 on
-            total += rec.dose_u
         self.glucose[today.day - 1] = np.frombuffer(glucose)
-        today.total_insulin_u = total
+        today.total_insulin_u = _total_insulin(today.insulin)
         self.day_traces.append(today)
         if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
@@ -483,7 +490,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     polls again and then steps. `rescue_threshold` may not exceed pat.HYPO,
     the re-arm level, or that second poll could fire again.
     """
-    if advisor_kind not in (ABBA, BBA):
+    if advisor_kind not in ARMS:
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
     if days <= init.COLLECTION_DAYS:
         raise ValueError("trial must extend past the collection phase")
@@ -549,7 +556,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     C  carbohydrate intake (aux = slot:duration:announced, slot 0-3 as in
 #        MealPlan, announced "-" if none)
 #     U  day's total delivered insulin, written once at minute 1439; as the
-#        day's last row it also marks the day complete
+#        day's last row it also marks the day complete. It must equal the
+#        in-order float sum of the day's I doses
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
@@ -641,6 +649,14 @@ def write_trace(path: str | Path, result: TrialResult,
     path.write_text(trace_to_text(result, headers))
 
 
+def remove_trace(path: str | Path) -> None:
+    """Delete the trace pair that `write_trace(path, ...)` writes, or what
+    part of it exists."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.with_suffix(".npy").unlink(missing_ok=True)
+
+
 def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
     """Load the trace pair that `write_trace(path, ...)` wrote; see
     trace_from_text. A missing, malformed or mismatched file raises
@@ -712,7 +728,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         id=int(raw[0]), diabetes_type=raw[1],
         **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
     arm = fields["arm"]
-    if arm not in (ABBA, BBA):
+    if arm not in ARMS:
         raise ValueError(f"trace arm {arm!r} is not {ABBA} or {BBA}")
     scenario = fields["scenario"]
     if scenario not in SCENARIOS:
@@ -781,6 +797,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                 cho_g=float(value),
                 announced_g=None if announced == "-" else float(announced)))
         elif kind == "U":
+            if bucket["total"] is not None:
+                raise ValueError(f"second insulin total row for day {d} at line {lineno}")
             bucket["total"] = float(value)
         else:
             raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
@@ -796,6 +814,10 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         bucket = per_day[d]
         if bucket["therapy"] is None or bucket["total"] is None:
             raise ValueError(f"day {d} incomplete; file truncated?")
+        doses = _total_insulin(bucket["insulin"])
+        if bucket["total"] != doses:
+            raise ValueError(f"day {d}'s insulin total {bucket['total']!r} is not "
+                             f"the sum of its doses, {doses!r}")
         day_traces.append(DayTrace(
             day=d, measurements=bucket["measurements"],
             insulin=bucket["insulin"], meals=bucket["meals"],

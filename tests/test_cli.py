@@ -421,8 +421,18 @@ def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
         out = tmp_path / f"out{n}"
         assert cli.main(["run", "--config", cfg, "--out", str(out),
                          "--jobs", str(jobs)]) == 0
-    # 4 tasks: capped by the tasks, then the CPUs, then jobs; 1 CPU runs serially.
-    assert sizes == [4, 3, 2]
+    # 4 tasks: capped by the tasks, then the CPUs, then jobs.
+    assert sizes == [4, 3, 2, 1]
+
+
+def test_one_job_forks_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("run forked at --jobs 1")
+
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    rc, out = _run(tmp_path, "out", ["--jobs", "1"])
+    assert rc == 0
+    assert (out / "report_T1D.csv").exists()
 
 
 def test_a_killed_child_fails_only_its_unfinished_trials(tmp_path, monkeypatch):
@@ -496,6 +506,47 @@ def test_a_child_never_waits_on_a_full_pipe_while_the_parent_runs(tmp_path,
     assert seen == [True]
     assert [s[0] for s in statuses] == list(range(20))
     assert all(s[2] == "x" * (1 << 14) for s in statuses[1::2])
+
+
+def _unpickle_fails():
+    raise ValueError("injected")
+
+
+class _Unreadable:
+    """Pickles fine; unpickling it raises."""
+
+    def __reduce__(self):
+        return (_unpickle_fails, ())
+
+
+@pytest.mark.parametrize("bad, why, child_fails", [
+    (lambda: None, "worker exit status 1", True),
+    (_Unreadable(), "worker exit status 0, unreadable status", False),
+], ids=["unpicklable", "unreadable"])
+def test_a_bad_status_fails_the_childs_trials_from_that_one_on(tmp_path, monkeypatch,
+                                                               capfd, bad, why,
+                                                               child_fails):
+    parent = os.getpid()
+    tasks = [(cli.RunConfig(out=str(tmp_path)), {}, types.SimpleNamespace(id=i),
+              proto.BBA) for i in range(6)]
+
+    def run_one(task):
+        i = task[2].id
+        if os.getpid() != parent and i == 3:    # the child runs 1, 3 and 5
+            return (i, proto.BBA, bad, None)
+        return (i, proto.BBA, i, None)
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    statuses = cli._run_forked(tasks, 2)
+    assert statuses == [(0, proto.BBA, 0, None), (1, proto.BBA, 1, None),
+                        (2, proto.BBA, 2, None),
+                        (3, proto.BBA, None, f"WorkerLost: {why}"),
+                        (4, proto.BBA, 4, None),
+                        (5, proto.BBA, None, f"WorkerLost: {why}")]
+    # The child prints its traceback to stderr when it fails.
+    assert ("PicklingError" in capfd.readouterr().err) == child_fails
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_trial_that_cannot_be_reduced_writes_nothing_and_is_left_unpaired(

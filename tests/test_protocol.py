@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -542,6 +543,37 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     day, minute, kind, value, aux = lines[i].split(",")
     lines[i] = ",".join([day, minute, kind, value, edit(aux)])
     with pytest.raises(ValueError, match=f"{message} at line {i + 1}"):
+        proto.trace_from_text("\n".join(lines), glucose)
+
+
+def _s4_abba_trace():
+    """The text lines and glucose array of a 15-day S4 ABBA trial, which
+    delivers correction boluses."""
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S4"],
+                          master_seed=29, days=15)
+    return proto.trace_to_text(res).splitlines(), res.glucose
+
+
+def _one_ulp_more(row):
+    day, minute, kind, value, aux = row.split(",")
+    return ",".join([day, minute, kind, repr(math.nextafter(float(value), math.inf)),
+                     aux])
+
+
+@pytest.mark.parametrize("trace", [_bba_trace, _s4_abba_trace],
+                         ids=["s1_bba", "s4_abba"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: [row, row], "second insulin total row for day 15 at line"),
+    (lambda row: [_one_ulp_more(row)],
+     "day 15's insulin total .* is not the sum of its doses"),
+], ids=["second_row", "one_ulp_off"])
+def test_trace_rejects_a_day_total_other_than_the_sum_of_its_doses(trace, edit,
+                                                                   message):
+    lines, glucose = trace()
+    proto.trace_from_text("\n".join(lines), glucose)   # as written, every day checks
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("15,1439,U,")]
+    lines[i:i + 1] = edit(lines[i])
+    with pytest.raises(ValueError, match=message):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
