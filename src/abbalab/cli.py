@@ -110,7 +110,10 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ValueError(f"config file not found: {path}")
     unknown_sections = [s for s in parser.sections() if s != CONFIG_SECTION]

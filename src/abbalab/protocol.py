@@ -6,15 +6,16 @@ run_trial is single-threaded per patient. The patient kernel steps every
 minute of a day; it stops at each event minute and at each minute where the
 rescue fires, a handler of the Trial state takes the event, and what it
 delivers is deposited before the kernel steps that minute. The Trial keeps
-each fact once: its handlers append to the day's DayTrace, the only record
-of that day's events, and each midnight copies the day's minute glucose into
-its row of the trial's one (days, 1440) array. The collection log, the
-overnight readings, the previous day's total dose and the insulin on board
-come from those records. The cohort runner fans out with disjoint
-per-patient seed streams derived from the master seed, so the arm never
-perturbs its twin's meals, announcement errors or sensitivity draws. Reading
-noise is shared too until one arm has a rescue the other lacks: rescue
-readings draw from the same SMBG stream.
+each fact once: a day's DayTrace, the only record of its events, opens with
+its announced meals, the handlers append readings and doses to it, and each
+midnight copies the day's minute glucose into its row of the trial's one
+(days, 1440) array. The collection log, the overnight readings, the previous
+day's total dose and the insulin on board are derived from those records.
+The cohort runner fans out with disjoint per-patient seed streams derived
+from the master seed, so the arm never perturbs its twin's meals,
+announcement errors or sensitivity draws. Reading noise is shared too until
+one arm has a rescue the other lacks: rescue readings draw from the same
+SMBG stream.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class ScenarioSpec:
     misestimation: tuple[float, float] = (0.70, 1.10)
     interday_sensitivity: float = 0.0
     correction_boluses: bool = False
-
-    @property
-    def code(self) -> int:
-        return int(self.id[1:])
 
 
 SCENARIOS = {
@@ -175,9 +172,9 @@ class TherapySnapshot:
 @dataclass
 class DayTrace:
     """One trial day's events, the only record of them: the therapy active
-    that day, its meals, and the SMBG readings and insulin deliveries in the
-    order they were taken. Trial opens it at the start of the day and its
-    handlers append to it; midnight sets the day's total delivered insulin.
+    that day, its announced meals, and the SMBG readings and insulin
+    deliveries in the order they were taken. Trial opens it at the start of
+    the day and its handlers append to it; the total insulin is derived.
     The day's minute glucose is row `day - 1` of TrialResult.glucose. A
     rescue is the reading of slot RESCUE_SLOT taken the minute it fires."""
     day: int
@@ -185,21 +182,20 @@ class DayTrace:
     meals: list
     measurements: list = dataclasses.field(default_factory=list)
     insulin: list = dataclasses.field(default_factory=list)
-    total_insulin_u: float = 0.0
 
     @property
     def rescues(self) -> tuple:
         """The day's rescue readings, in the order they fired."""
         return tuple(m for m in self.measurements if m.slot == RESCUE_SLOT)
 
-
-def _total_insulin(records: list) -> float:
-    """A day's total delivered insulin: its doses summed in order, one float
-    add each (sum() compensates from Python 3.12 on)."""
-    total = 0.0
-    for rec in records:
-        total += rec.dose_u
-    return total
+    @property
+    def total_insulin_u(self) -> float:
+        """The day's total delivered insulin: its doses summed in order, one
+        float add each (sum() compensates from Python 3.12 on)."""
+        total = 0.0
+        for rec in self.insulin:
+            total += rec.dose_u
+        return total
 
 
 @dataclass
@@ -230,8 +226,7 @@ def initial_therapy_for(params: pat.PatientParams,
     """Starting therapy: simulator-derived for T1D, weight-based for T2D,
     then the protocol's one-time +/-10% uniform perturbation on ICRs and basal."""
     if params.diabetes_type == pat.T1D:
-        nom = pat.nominal_therapy(params)
-        icr, cf, basal = nom.icr_g_per_u, nom.cf_mgdl_per_u, nom.basal_u_per_day
+        basal, icr, cf = dataclasses.astuple(pat.nominal_therapy(params))
     else:
         _, basal, icr, cf = init.t2d_initial_therapy(params.body_weight)
     icr_slots = [icr * float(rng.uniform(0.9, 1.1)) for _ in range(3)]
@@ -243,7 +238,7 @@ def _trial_streams(master_seed: int, spec: ScenarioSpec,
                    params: pat.PatientParams) -> dict[str, np.random.Generator]:
     type_code = 1 if params.diabetes_type == pat.T1D else 2
     root = np.random.SeedSequence(
-        [_TRIAL_TAG, int(master_seed), spec.code, type_code, params.id])
+        [_TRIAL_TAG, int(master_seed), int(spec.id[1:]), type_code, params.id])
     names = ("schedule", "announce", "smbg", "cgm", "sens", "therapy", "agents")
     children = root.spawn(len(names))
     return {n: np.random.default_rng(c) for n, c in zip(names, children)}
@@ -288,7 +283,8 @@ class Trial:
         self.glucose = np.empty((days, MINUTES_PER_DAY), dtype=_GLUCOSE_DTYPE)
 
     def start_day(self, day: int) -> tuple[array, dict, dict, int]:
-        """Draw day `day`'s schedule and open its DayTrace.
+        """Draw day `day`'s schedule and its meal announcements, in slot
+        order, and open its DayTrace.
 
         Returns the per-minute CHO delivery (g, the kernel's `array('d')`)
         and the event minutes: meal by pre-meal reading minute, meal by
@@ -316,11 +312,14 @@ class Trial:
                     if m < sched.basal_minute:
                         post_prandial_at[m] = meal
 
+        announce = self.streams["announce"]
         self.today = DayTrace(
             day=day, therapy=_snapshot(self.therapy),
             meals=[MealEvent(slot=m.slot, minute=m.start_minute,
                              duration_min=m.duration_min, cho_g=m.cho_g,
-                             announced_g=None) for m in sched.meals])
+                             announced_g=None if m.bolus_minute is None
+                             else announce_cho(m.cho_g, self.spec, announce))
+                   for m in sched.meals])
         return cho_by_minute, pre_meal_at, post_prandial_at, sched.basal_minute
 
     def _read(self, minute: int, slot: str, g: float) -> float:
@@ -389,12 +388,8 @@ class Trial:
                 new_a = adv.apply_action(kind, p, self.therapy.current(kind),
                                          self.therapy.a_init(kind), agent.m_smooth)
                 self.therapy.set_current(kind, new_a)
-        announced = announce_cho(meal.cho_g, self.spec, self.streams["announce"])
-        self.today.meals[slot] = MealEvent(slot=slot, minute=meal.start_minute,
-                                          duration_min=meal.duration_min,
-                                          cho_g=meal.cho_g, announced_g=announced)
-        dose = adv.bolus_recommendation(announced, reading, self.therapy, slot,
-                                        self._iob(minute))
+        dose = adv.bolus_recommendation(self.today.meals[slot].announced_g, reading,
+                                        self.therapy, slot, self._iob(minute))
         self.open_slot = slot
         self.open_values = []
         return self._deliver(dose, adv.BOLUS_KIND, minute) if dose > 0.0 else 0.0
@@ -437,11 +432,10 @@ class Trial:
 
     def midnight(self, glucose: array) -> None:
         """Close the day: copy the kernel's day buffer of minute glucose into
-        the day's row of the trial's array, set the day's total insulin, and
-        on the last collection day initialise the ABBA agents."""
+        the day's row of the trial's array, and on the last collection day
+        initialise the ABBA agents."""
         today = self.today
         self.glucose[today.day - 1] = np.frombuffer(glucose)
-        today.total_insulin_u = _total_insulin(today.insulin)
         self.day_traces.append(today)
         if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
@@ -453,16 +447,15 @@ class Trial:
         glucose[:COLLECTION_DAYS, ::CGM_INTERVAL_MIN] (day by day, in minute
         order), the insulin delivered, and the basal rate, which only changes
         in the on-line phase."""
-        days = self.day_traces[:init.COLLECTION_DAYS]
-        minutes = range(0, MINUTES_PER_DAY, init.CGM_INTERVAL_MIN)
         cgm = pat.read_smbg(
             self.glucose[:init.COLLECTION_DAYS, ::init.CGM_INTERVAL_MIN],
             self.streams["cgm"]).reshape(-1)
         return init.CollectionLog(
             cgm=cgm,
-            cgm_times=np.array([float((t.day - 1) * MINUTES_PER_DAY + m)
-                                for t in days for m in minutes]),
-            insulin_records=tuple(r for t in days for r in t.insulin),
+            cgm_times=np.arange(0, init.COLLECTION_DAYS * MINUTES_PER_DAY,
+                                init.CGM_INTERVAL_MIN, dtype=float),
+            insulin_records=tuple(r for t in self.day_traces[:init.COLLECTION_DAYS]
+                                  for r in t.insulin),
             basal_rates=np.full(len(cgm), self.therapy.basal / MINUTES_PER_DAY))
 
     def result(self) -> TrialResult:
@@ -548,16 +541,20 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     day,minute,kind,value,aux
 #
 # Kind codes:
-#     T  the therapy active that day, one row per day at minute 0 whose value
-#        is the eight fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
+#     T  the therapy active that day, at minute 0; its value is the eight
+#        fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
 #     M  SMBG reading (aux = one of READING_SLOTS); a rescue is the reading
 #        of slot `rescue` taken the minute it fires
 #     I  insulin delivery (aux = kind: bolus, correction or basal)
 #     C  carbohydrate intake (aux = slot:duration:announced, slot 0-3 as in
 #        MealPlan, announced "-" if none)
-#     U  day's total delivered insulin, written once at minute 1439; as the
-#        day's last row it also marks the day complete. It must equal the
-#        in-order float sum of the day's I doses
+#     U  day's total delivered insulin, at minute 1439: a checksum that must
+#        equal DayTrace's derived total, the in-order float sum of the day's
+#        I doses, and the mark of a complete day
+#
+# A day is its T row, its M, I and C rows, then its U row; days run 1 to
+# `# days` in order and each row's minute is 0 to 1439. So a reader builds
+# each day once, in one pass, and names the line of any malformed row.
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
@@ -699,12 +696,6 @@ def _header_values(fields: dict[str, str], key: str, count: int) -> list[str]:
     return values
 
 
-def _snapshot_from(values: list[str]) -> TherapySnapshot:
-    icr1, icr2, icr3, ps1, ps2, ps3, cf, basal = (float(v) for v in values)
-    return TherapySnapshot(icr=(icr1, icr2, icr3), ps=(ps1, ps2, ps3), cf=cf,
-                           basal=basal)
-
-
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
     """Parse a text trace and its glucose array back into a TrialResult,
     with an ABBA trial's final agents. `glucose` becomes the result's
@@ -738,8 +729,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         raise ValueError(f"{arm} trace {'lacks' if arm == ABBA else 'holds'} "
                          "an agent bundle")
     agents = adv.bundle_from_text("\n".join(bundle)) if bundle else None
-    (days_raw,) = _header_values(fields, "days", 1)
-    days = int(days_raw)
+    days = int(_header_values(fields, "days", 1)[0])
     te_raw = fields["transfer_entropy"]
     te = None if te_raw == "-" else float(te_raw)
     rc_raw = fields["risk_class"]
@@ -759,69 +749,68 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     if _digest(glucose) != digest:
         raise ValueError("glucose array does not match the trace's glucose digest")
 
-    per_day: dict[int, dict] = {}
+    day_traces: list[DayTrace] = []
+    today = None        # open from its T row to its U row; a T row finds none open
     for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):
         parts = line.split(",", 4)
         if len(parts) != 5:
             raise ValueError(f"malformed trace row at line {lineno}: {line!r}")
-        d = int(parts[0])
-        bucket = per_day.setdefault(d, {
-            "therapy": None, "measurements": [], "insulin": [], "meals": [],
-            "total": None})
-        minute, kind, value, aux = parts[1], parts[2], parts[3], parts[4]
-        offset = float((d - 1) * MINUTES_PER_DAY)
-        if kind == "T":
-            if bucket["therapy"] is not None:
+        day, minute, kind, value, aux = parts
+        if kind not in ("T", "M", "I", "C", "U"):
+            raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
+        try:
+            d, at = int(day), float(minute)
+            if kind == "T":
+                numbers = [float(v) for v in value.split()]
+            elif kind == "C":
+                slot, duration, announced = aux.split(":")
+                meal = MealEvent(slot=int(slot), minute=int(minute),
+                                 duration_min=int(duration), cho_g=float(value),
+                                 announced_g=None if announced == "-" else float(announced))
+            else:
+                number = float(value)
+        except ValueError as exc:
+            raise ValueError(f"malformed trace row at line {lineno}: {exc}") from None
+        if not 0 <= at < MINUTES_PER_DAY:
+            raise ValueError(f"minute {minute} is outside the day at line {lineno}")
+        expected = len(day_traces) + 1 if today is None else today.day
+        if d != expected or (kind == "T") != (today is None):
+            if kind == "T" and today is not None and d == today.day:
                 raise ValueError(f"second therapy row for day {d} at line {lineno}")
-            values = value.split()
-            if len(values) != len(_THERAPY_FIELDS):
-                raise ValueError(f"therapy row at line {lineno} holds {len(values)} "
+            if kind == "U" and today is None and day_traces and d == day_traces[-1].day:
+                raise ValueError(f"second insulin total row for day {d} at line {lineno}")
+            raise ValueError(f"{kind} row for day {d} at line {lineno} is out of order: "
+                             f"days run 1 to {days}, each from its T row to its U row")
+        if kind == "T":
+            if len(numbers) != len(_THERAPY_FIELDS):
+                raise ValueError(f"therapy row at line {lineno} holds {len(numbers)} "
                                  f"values, expected {len(_THERAPY_FIELDS)}")
-            bucket["therapy"] = _snapshot_from(values)
+            today = DayTrace(day=d, meals=[], therapy=TherapySnapshot(
+                icr=tuple(numbers[:3]), ps=tuple(numbers[3:6]), cf=numbers[6],
+                basal=numbers[7]))
+            offset = float((d - 1) * MINUTES_PER_DAY)
         elif kind == "M":
             if aux not in READING_SLOTS:
                 raise ValueError(f"unknown reading slot {aux!r} at line {lineno}")
-            bucket["measurements"].append(adv.Measurement(
-                value=float(value), timestamp=float(minute) + offset, slot=aux))
+            today.measurements.append(adv.Measurement(
+                value=number, timestamp=at + offset, slot=aux))
         elif kind == "I":
             if aux not in adv.INSULIN_KINDS:
                 raise ValueError(f"unknown insulin kind {aux!r} at line {lineno}")
-            bucket["insulin"].append(adv.InsulinRecord(
-                dose_u=float(value), kind=aux, timestamp=float(minute) + offset))
+            today.insulin.append(adv.InsulinRecord(
+                dose_u=number, kind=aux, timestamp=at + offset))
         elif kind == "C":
-            slot, duration, announced = aux.split(":")
-            if not 0 <= int(slot) <= 3:
-                raise ValueError(f"meal slot {slot} is not 0 to 3 at line {lineno}")
-            bucket["meals"].append(MealEvent(
-                slot=int(slot), minute=int(minute), duration_min=int(duration),
-                cho_g=float(value),
-                announced_g=None if announced == "-" else float(announced)))
-        elif kind == "U":
-            if bucket["total"] is not None:
-                raise ValueError(f"second insulin total row for day {d} at line {lineno}")
-            bucket["total"] = float(value)
+            if not 0 <= meal.slot <= 3:
+                raise ValueError(f"meal slot {meal.slot} is not 0 to 3 at line {lineno}")
+            today.meals.append(meal)
         else:
-            raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
-
-    expected = range(1, days + 1)
-    if sorted(per_day) != list(expected):
-        missing = sorted(set(expected) - set(per_day))
-        extra = sorted(set(per_day) - set(expected))
-        raise ValueError(f"expected days 1 to {days}: missing {missing}, "
-                         f"unexpected {extra}")
-    day_traces = []
-    for d in expected:
-        bucket = per_day[d]
-        if bucket["therapy"] is None or bucket["total"] is None:
-            raise ValueError(f"day {d} incomplete; file truncated?")
-        doses = _total_insulin(bucket["insulin"])
-        if bucket["total"] != doses:
-            raise ValueError(f"day {d}'s insulin total {bucket['total']!r} is not "
-                             f"the sum of its doses, {doses!r}")
-        day_traces.append(DayTrace(
-            day=d, measurements=bucket["measurements"],
-            insulin=bucket["insulin"], meals=bucket["meals"],
-            therapy=bucket["therapy"], total_insulin_u=bucket["total"]))
+            if number != today.total_insulin_u:
+                raise ValueError(f"day {d}'s insulin total {number!r} is not "
+                                 f"the sum of its doses, {today.total_insulin_u!r}")
+            day_traces.append(today)
+            today = None
+    if len(day_traces) != days:
+        raise ValueError(f"trace holds {len(day_traces)} complete days, expected {days}")
 
     result = TrialResult(patient=params, arm=arm, scenario=scenario, days=days,
                          day_traces=day_traces, glucose=glucose, final_agents=agents,

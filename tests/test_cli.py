@@ -153,6 +153,20 @@ def test_unknown_config_key_is_rejected(tmp_path, monkeypatch, capsys):
     assert calls == [] and not out.exists()
 
 
+def test_malformed_config_document_is_rejected(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x"
+    for body in (SMOKE + "seed = 102\n",          # a key given twice
+                 SMOKE + "[run]\njobs = 2\n",     # [run] given twice
+                 "seed = 102\n" + SMOKE,          # a key before any section
+                 SMOKE + "jobs\n"):               # a line with no '='
+        cfg = _config(tmp_path, body)
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: malformed config file {cfg}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_unknown_scenario_is_rejected(tmp_path):
     cfg = _config(tmp_path, SMOKE.replace("scenario = S1", "scenario = S9"))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

@@ -312,9 +312,13 @@ def _assert_same_trial(a, b):
         assert ta.total_insulin_u == tb.total_insulin_u
 
 
-def test_trace_text_round_trip_is_exact(tmp_path):
-    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+@pytest.mark.parametrize("scenario, arm", [
+    (scenario, arm) for scenario in proto.SCENARIOS for arm in proto.ARMS])
+def test_trace_text_round_trip_is_exact(tmp_path, scenario, arm):
+    res = proto.run_trial(_patient(), arm, proto.SCENARIOS[scenario],
                           master_seed=29, days=16)
+    kinds = {r.kind for t in res.day_traces for r in t.insulin}
+    assert (adv.CORRECTION_KIND in kinds) == (scenario == "S4")
     headers = {"config_hash": "deadbeef", "master_seed": "29"}
     proto.write_trace(tmp_path / "a.txt", res, headers)
     back, extra = proto.read_trace(tmp_path / "a.txt")
@@ -494,7 +498,7 @@ def test_trace_rejects_a_second_therapy_row():
 def test_trace_rejects_a_day_without_therapy():
     lines, glucose = _bba_trace()
     del lines[_therapy_row(lines, 2)]
-    with pytest.raises(ValueError, match="day 2 incomplete"):
+    with pytest.raises(ValueError, match=r"M row for day 2 at line \d+ is out of order"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
@@ -544,6 +548,26 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     lines[i] = ",".join([day, minute, kind, value, edit(aux)])
     with pytest.raises(ValueError, match=f"{message} at line {i + 1}"):
         proto.trace_from_text("\n".join(lines), glucose)
+
+
+@pytest.mark.parametrize("code, field, text, message", [
+    ("M", 0, "x", "invalid literal for int() with base 10: 'x'"),
+    ("M", 1, "x", "could not convert string to float: 'x'"),
+    ("M", 3, "x", "could not convert string to float: 'x'"),
+    ("C", 4, "0:15", "not enough values to unpack"),
+    ("M", 1, "99999.0", "minute 99999.0 is outside the day"),
+    ("C", 1, "-5", "minute -5 is outside the day"),
+], ids=["day", "minute", "value", "meal_aux", "minute_after_the_day",
+        "minute_before_the_day"])
+def test_trace_rejects_a_malformed_row(code, field, text, message):
+    lines, glucose = _bba_trace()
+    i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
+    parts = lines[i].split(",")
+    parts[field] = text
+    lines[i] = ",".join(parts)
+    with pytest.raises(ValueError, match=rf"at line {i + 1}\b") as err:
+        proto.trace_from_text("\n".join(lines), glucose)
+    assert message in str(err.value)
 
 
 def _s4_abba_trace():
@@ -755,7 +779,7 @@ def test_trace_rejects_days_other_than_one_to_days():
     lines, glucose = _bba_trace()                          # days 1 to 15
     relabelled = [f"16,{line[3:]}" if line.startswith("15,") else line
                   for line in lines]
-    with pytest.raises(ValueError, match=r"missing \[15\], unexpected \[16\]"):
+    with pytest.raises(ValueError, match=r"T row for day 16 at line \d+ is out of order"):
         proto.trace_from_text("\n".join(relabelled), glucose)
 
 
