@@ -7,6 +7,13 @@ linear value function, a linear deterministic policy blended with a
 supervisory policy for the ICR agents, and a from-scratch Adam step on the
 policy parameters. Everything here is pure given (state, inputs) except the
 explicit mutations in critic_update / actor_update.
+
+The learners work on 2- and 4-element vectors, where a numpy call costs more
+than its arithmetic, so their elementwise steps run on Python floats, which
+round + - * / and sqrt as numpy does. The three inner products (w @ s_next,
+w @ s_t, theta @ s_t) stay numpy's `@`: it hands them to the BLAS ddot,
+which fuses multiply-adds on some builds, so a Python sum could differ in
+the last bit. The agents' vectors stay numpy arrays between steps.
 """
 
 from __future__ import annotations
@@ -48,24 +55,13 @@ class AgentKind(enum.Enum):
     PS2 = "PS2"
     PS3 = "PS3"
 
-    @property
-    def state_dim(self) -> int:
-        return 4 if self in (AgentKind.BASAL, AgentKind.ICR3) else 2
-
-    @property
-    def is_icr(self) -> bool:
-        return self in (AgentKind.ICR1, AgentKind.ICR2, AgentKind.ICR3)
-
-    @property
-    def is_basal(self) -> bool:
-        return self is AgentKind.BASAL
-
-    @property
-    def meal_slot(self) -> int | None:
-        """0 = breakfast, 1 = lunch, 2 = dinner; None for the basal agent."""
-        if self.is_basal:
-            return None
-        return int(self.value[-1]) - 1
+    def __init__(self, value: str):
+        # Plain attributes, set once per member: the trial loop reads them often.
+        self.is_basal = value == "Basal"
+        self.is_icr = value.startswith("ICR")
+        self.state_dim = 4 if value in ("Basal", "ICR3") else 2
+        # 0 = breakfast, 1 = lunch, 2 = dinner; None for the basal agent.
+        self.meal_slot = None if self.is_basal else int(value[-1]) - 1
 
 
 ICR_AGENTS = (AgentKind.ICR1, AgentKind.ICR2, AgentKind.ICR3)
@@ -100,8 +96,7 @@ class FeatureVector:
     f_hypo: float
 
     def __iter__(self):
-        yield self.f_hyper
-        yield self.f_hypo
+        return iter((self.f_hyper, self.f_hypo))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.f_hyper, self.f_hypo], dtype=float)
@@ -152,13 +147,13 @@ def overnight_delta(first_morning, last_night) -> np.ndarray:
 
 def build_state(kind: AgentKind, features: FeatureVector,
                 b_k: np.ndarray | None = None) -> np.ndarray:
-    f = features.as_array()
     if kind.state_dim == 2:
-        return f
+        return features.as_array()
     if b_k is None:
         log.warning("missing overnight delta for %s; treated as (0, 0)", kind.value)
-        b_k = np.zeros(2)
-    return np.concatenate([f, np.asarray(b_k, dtype=float)])
+        b_k = (0.0, 0.0)
+    return np.array([features.f_hyper, features.f_hypo,
+                     *np.asarray(b_k, dtype=float).tolist()])
 
 
 def cost(next_state, beta: tuple[float, float]) -> float:
@@ -166,8 +161,7 @@ def cost(next_state, beta: tuple[float, float]) -> float:
     b_hyper, b_hypo = beta
     if b_hyper <= 0 or b_hypo <= 0:
         raise ValueError("cost weights must be > 0")
-    s = list(next_state)
-    return b_hyper * float(s[0]) + b_hypo * float(s[1])
+    return b_hyper * float(next_state[0]) + b_hypo * float(next_state[1])
 
 
 @dataclass
@@ -204,16 +198,19 @@ class AgentState:
 def critic_update(agent: AgentState, s_t: np.ndarray, s_next: np.ndarray,
                   beta: tuple[float, float]) -> float:
     """TD(lambda) step: returns the TD error and mutates w and z."""
-    s_t = np.asarray(s_t, dtype=float)
     s_next = np.asarray(s_next, dtype=float)
-    c_next = cost(s_next, beta)
-    d = c_next + GAMMA * float(agent.w @ s_next) - float(agent.w @ s_t)
+    nxt = s_next.tolist()
+    d = cost(nxt, beta) + GAMMA * float(agent.w @ s_next) - float(agent.w @ s_t)
     if not math.isfinite(d):
         agent.frozen_faults += 1
         log.error("non-finite TD error for %s; agent frozen this step", agent.kind.value)
         return d
-    agent.w = agent.w + agent.lr_c * d * agent.z
-    agent.z = LAMBDA * agent.z + s_next
+    step = agent.lr_c * d
+    w, z = [], []
+    for w_i, z_i, s in zip(agent.w.tolist(), agent.z.tolist(), nxt):
+        w.append(w_i + step * z_i)
+        z.append(LAMBDA * z_i + s)
+    agent.w, agent.z = np.array(w), np.array(z)
     return d
 
 
@@ -225,12 +222,12 @@ def policy(agent: AgentState, s_t: np.ndarray, f_prev_day: FeatureVector) -> flo
     conservative pull, weighted by alpha_LP. Basal and PS agents use the
     linear policy alone.
     """
-    lp = float(np.asarray(agent.theta) @ np.asarray(s_t, dtype=float))
     if not agent.kind.is_icr:
-        return lp
+        return float(agent.theta @ s_t)
     f0, f1 = f_prev_day
     if f0 == 0.0 and f1 == 0.0:
         return 0.0                                   # alpha_LP = 0 and SP = 0
+    lp = float(agent.theta @ s_t)
     if (f0 > 0.0 and f1 == 0.0) or f0 > f1:
         sp = -ALPHA_SP * f0
         alpha_lp = 0.5
@@ -244,27 +241,32 @@ def policy(agent: AgentState, s_t: np.ndarray, f_prev_day: FeatureVector) -> flo
 
 
 def actor_update(agent: AgentState, td_error: float, s_t: np.ndarray) -> None:
-    """One Adam step on theta along d/s (descent direction of cost)."""
-    s = np.asarray(s_t, dtype=float)
-    floored = np.where(np.abs(s) >= STATE_EPS, s, np.where(s < 0, -STATE_EPS, STATE_EPS))
-    g = td_error / floored
-    if not np.all(np.isfinite(g)):
+    """One Adam step on theta along d/s (descent direction of cost). Each
+    |s_i| below STATE_EPS is floored to it, keeping the sign of s_i (+ for
+    -0.0 and NaN)."""
+    g = [td_error / (s if abs(s) >= STATE_EPS else -STATE_EPS if s < 0 else STATE_EPS)
+         for s in np.asarray(s_t, dtype=float).tolist()]
+    if not all(map(math.isfinite, g)):
         agent.frozen_faults += 1
         log.error("non-finite actor gradient for %s; update skipped", agent.kind.value)
         return
+    agent.step_count += 1
     if td_error == 0.0:
         # Zero gradient: moments decay, theta stays put.
-        agent.adam_m = ADAM_BETA1 * agent.adam_m
-        agent.adam_v = ADAM_BETA2 * agent.adam_v
-        agent.step_count += 1
+        agent.adam_m = np.array([ADAM_BETA1 * m_i for m_i in agent.adam_m.tolist()])
+        agent.adam_v = np.array([ADAM_BETA2 * v_i for v_i in agent.adam_v.tolist()])
         return
-    agent.step_count += 1
     t = agent.step_count
-    agent.adam_m = ADAM_BETA1 * agent.adam_m + (1.0 - ADAM_BETA1) * g
-    agent.adam_v = ADAM_BETA2 * agent.adam_v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = agent.adam_m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = agent.adam_v / (1.0 - ADAM_BETA2 ** t)
-    agent.theta = agent.theta - agent.lr_a * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t      # bias corrections
+    m, v, theta = [], [], []
+    for th, m_i, v_i, g_i in zip(agent.theta.tolist(), agent.adam_m.tolist(),
+                                 agent.adam_v.tolist(), g):
+        m_i = ADAM_BETA1 * m_i + (1.0 - ADAM_BETA1) * g_i
+        v_i = ADAM_BETA2 * v_i + (1.0 - ADAM_BETA2) * g_i * g_i
+        m.append(m_i)
+        v.append(v_i)
+        theta.append(th - agent.lr_a * (m_i / c1) / (math.sqrt(v_i / c2) + ADAM_EPS))
+    agent.adam_m, agent.adam_v, agent.theta = np.array(m), np.array(v), np.array(theta)
 
 
 def apply_action(kind: AgentKind, p: float, current: float, a_init: float,

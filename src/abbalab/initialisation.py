@@ -28,11 +28,17 @@ OVERNIGHT_WINDOW = (0, 360)                            # 00:00 - 06:00
 
 SMOOTHING_M = {"T1D": 0.5, "T2D": 1.0}
 
+# Risk-class labels: glycaemic variability, then nocturnal hypoglycaemia
+# risk, each with its low-risk label first.
+NORMAL, INCREASED, HIGH = "normal", "increased", "high"
+VARIABILITY_LABELS = (NORMAL, INCREASED)
+NOCTURNAL_RISK_LABELS = (NORMAL, HIGH)
+
 
 @dataclass(frozen=True)
 class CollectionLog:
     cgm: np.ndarray             # mg/dL, sampled every 5 minutes
-    cgm_times: np.ndarray       # minutes since trial start, same length
+    cgm_times: np.ndarray       # minutes since trial start, ascending, same length
     insulin_records: tuple      # InsulinRecord, boluses and basal injections
     basal_rates: np.ndarray     # U/min equivalent, per CGM sample
 
@@ -42,12 +48,20 @@ class CollectionLog:
         object.__setattr__(self, "basal_rates", np.asarray(self.basal_rates, dtype=float))
         if len(self.cgm) != len(self.cgm_times) or len(self.cgm) != len(self.basal_rates):
             raise ValueError("CGM, time, and basal series must align")
+        if not (self.cgm_times[1:] > self.cgm_times[:-1]).all():
+            raise ValueError("CGM times must ascend")
 
 
 @dataclass(frozen=True)
 class RiskClass:
-    variability: str       # normal | increased
-    nocturnal_risk: str    # normal | high
+    variability: str       # one of VARIABILITY_LABELS
+    nocturnal_risk: str    # one of NOCTURNAL_RISK_LABELS
+
+    def __post_init__(self):
+        if self.variability not in VARIABILITY_LABELS:
+            raise ValueError(f"unknown variability label {self.variability!r}")
+        if self.nocturnal_risk not in NOCTURNAL_RISK_LABELS:
+            raise ValueError(f"unknown nocturnal risk label {self.nocturnal_risk!r}")
 
 
 def cgm_sd(log: CollectionLog) -> float:
@@ -65,9 +79,12 @@ def active_insulin_series(log: CollectionLog) -> np.ndarray:
     for rec in log.insulin_records:
         if rec.kind == BASAL_KIND:
             continue
-        elapsed = times - rec.timestamp
-        active = (elapsed >= 0.0) & (elapsed < DIA_MIN)
-        ai = ai + np.where(active, rec.dose_u * (1.0 - elapsed / DIA_MIN), 0.0)
+        # The times ascend, so the samples a bolus can act on are one slice:
+        # from its timestamp on, to at most DIA_MIN after it.
+        lo = times.searchsorted(rec.timestamp)
+        hi = times.searchsorted(rec.timestamp + DIA_MIN, side="right")
+        elapsed = times[lo:hi] - rec.timestamp
+        ai[lo:hi] += np.where(elapsed < DIA_MIN, rec.dose_u * (1.0 - elapsed / DIA_MIN), 0.0)
     return ai
 
 
@@ -123,10 +140,9 @@ def transfer_entropy(source, target, bins: int = 4) -> float:
 
     te = 0.0
     nz = p_xyz > 0.0
-    idx = np.argwhere(nz)
-    for yn, yp, xp in idx:
-        p = p_xyz[yn, yp, xp]
-        te += p * np.log2(p * p_y[yp] / (p_yz[yp, xp] * p_xy[yn, yp]))
+    p_y, p_yz, p_xy = p_y.tolist(), p_yz.tolist(), p_xy.tolist()
+    for (yn, yp, xp), p in zip(np.argwhere(nz).tolist(), p_xyz[nz].tolist()):
+        te += p * np.log2(p * p_y[yp] / (p_yz[yp][xp] * p_xy[yn][yp]))
     return max(float(te), 0.0)
 
 
@@ -156,22 +172,22 @@ def init_policy_params(te: float, agent_kind: AgentKind) -> np.ndarray:
 
 def classify(log: CollectionLog, diabetes_type: str) -> RiskClass:
     sd = cgm_sd(log)
-    variability = "increased" if sd > SD_THRESHOLD[diabetes_type] else "normal"
+    variability = INCREASED if sd > SD_THRESHOLD[diabetes_type] else NORMAL
     clock = np.mod(log.cgm_times, MINUTES_PER_DAY)
     overnight = (clock >= OVERNIGHT_WINDOW[0]) & (clock < OVERNIGHT_WINDOW[1])
     if overnight.any():
         frac_low = float(np.mean(log.cgm[overnight] < HYPO))
     else:
         frac_low = 0.0
-    nocturnal = "high" if frac_low > NOCTURNAL_FRACTION[diabetes_type] else "normal"
+    nocturnal = HIGH if frac_low > NOCTURNAL_FRACTION[diabetes_type] else NORMAL
     return RiskClass(variability=variability, nocturnal_risk=nocturnal)
 
 
 def select_hyperparameters(rc: RiskClass, diabetes_type: str) -> dict[AgentKind, dict]:
     """Per-agent learning rates and smoothing from the risk classification."""
     m = SMOOTHING_M[diabetes_type]
-    increased = rc.variability == "increased"
-    high_nocturnal = rc.nocturnal_risk == "high"
+    increased = rc.variability == INCREASED
+    high_nocturnal = rc.nocturnal_risk == HIGH
     out = {}
     for kind in AgentKind:
         if increased:

@@ -15,10 +15,10 @@ from one seed is bit-reproducible.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import math
 import os
-import subprocess
 import sys
 import tempfile
 from array import array
@@ -118,6 +118,16 @@ def dawn_multiplier(schedule: SensitivitySchedule, clock_minute: float) -> float
     if t > t1 - tr:                       # ramp back out before window end
         return f + (1.0 - f) * (t - (t1 - tr)) / tr
     return f
+
+
+@functools.cache
+def dawn_day(dawn_enabled: bool) -> np.ndarray:
+    """dawn_multiplier at each minute of a day, built once per process and
+    read-only."""
+    schedule = SensitivitySchedule(dawn_enabled=dawn_enabled)
+    row = np.array([dawn_multiplier(schedule, m) for m in range(MINUTES_PER_DAY)])
+    row.flags.writeable = False
+    return row
 
 
 def draw_interday_factor(schedule: SensitivitySchedule, rng: np.random.Generator) -> float:
@@ -265,7 +275,8 @@ def integrate(y: array, c: array, sens: array, cho: array, g_out: array,
 # _kernel.c transcribes `integrate` for a minute about 100x faster. It is built
 # on first use into the package's __pycache__/, under a name hashed from the
 # source and the flags, and loaded with ctypes; without a compiler or a
-# writable cache, trials run `integrate` instead.
+# writable cache, trials run `integrate` instead. `subprocess` is imported
+# only to build it, so a command that finds the build cached never loads it.
 
 KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # A fused multiply-add rounds once where Python rounds twice, so contraction
@@ -282,10 +293,11 @@ _kernel = None      # the integrate trials run, once load_kernel has chosen it
 def build_kernel(cache_dir: Path, flags: tuple[str, ...] = KERNEL_FLAGS) -> Path:
     """Compile _kernel.c with `cc` and `flags` into `cache_dir`, unless that
     build is there already; returns the shared object's path. Raises OSError
-    or CalledProcessError when it cannot."""
+    when it cannot, with the compiler's first line of error when it fails."""
     tag = hashlib.sha256(KERNEL_SOURCE.read_bytes() + " ".join(flags).encode())
     target = cache_dir / f"_kernel-{tag.hexdigest()[:16]}.so"
     if not target.exists():
+        import subprocess
         cache_dir.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
         os.close(fd)
@@ -293,39 +305,86 @@ def build_kernel(cache_dir: Path, flags: tuple[str, ...] = KERNEL_FLAGS) -> Path
             subprocess.run(["cc", *flags, "-o", tmp, str(KERNEL_SOURCE)],
                            check=True, capture_output=True, text=True)
             os.replace(tmp, target)
+        except subprocess.CalledProcessError as exc:
+            raise OSError([*exc.stderr.splitlines(), str(exc)][0]) from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     return target
 
 
-def _address(buf: array, n: int) -> int:
-    if not isinstance(buf, array) or buf.typecode != "d" or len(buf) < n:
-        raise TypeError(f"kernel buffers are array('d') of at least {n} values")
-    return buf.buffer_info()[0]
+def _address(buf, n: int) -> int:
+    """The address of a kernel buffer of at least `n` doubles: an array('d'),
+    or a C-contiguous, writable float64 numpy array of one dimension."""
+    if isinstance(buf, array):
+        if buf.typecode == "d" and len(buf) >= n:
+            return buf.buffer_info()[0]
+    elif (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.ndim == 1
+          and buf.flags.c_contiguous and buf.flags.writeable and len(buf) >= n):
+        return buf.ctypes.data
+    raise TypeError(f"kernel buffers are array('d') or float64 rows of at least "
+                    f"{n} values")
 
 
 def compiled_integrate(path: Path):
-    """`integrate` backed by the shared object at `path`."""
+    """`integrate` backed by the shared object at `path`, for days of 1440
+    minutes. Its `bind` attribute is the compiled form of `bind_kernel`,
+    which trials use; a call binds its buffers for that call alone."""
     fn = ctypes.CDLL(str(path)).abbalab_integrate
     fn.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_int, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_int), ctypes.c_double)
     fn.restype = ctypes.c_int
     fixed = array("d", _FIXED_CONSTANTS)
 
-    def integrate_compiled(y, c, sens, cho, g_out, m0, m1, rescue):
-        if not 0 <= m0 <= m1:
-            raise ValueError(f"bad minute range [{m0}, {m1})")
-        armed = ctypes.c_int(rescue.armed)
-        m = fn(_address(y, 9), _address(c, 8), fixed.buffer_info()[0],
-               _address(sens, m1), _address(cho, m1), _address(g_out, m1),
-               m0, m1, ctypes.byref(armed), rescue.threshold)
-        rescue.armed = bool(armed.value)
-        if m < 0:
-            raise _fault(*y)
-        return m
+    def bind(y, c, sens, cho, glucose):
+        if not (isinstance(glucose, np.ndarray) and glucose.ndim == 2):
+            raise TypeError("kernel glucose is a (days, 1440) float64 array")
+        rows = [ctypes.c_void_p(_address(row, MINUTES_PER_DAY)) for row in glucose]
+        # Exported views pin the arrays' memory: a resize raises BufferError.
+        pinned = [memoryview(b) for b in (y, c, sens, cho)]
+        buffers = [ctypes.c_void_p(_address(b, n)) for b, n in
+                   ((y, 9), (c, 8), (fixed, 9), (sens, MINUTES_PER_DAY),
+                    (cho, MINUTES_PER_DAY))]
+        armed = ctypes.c_int()
+        armed_ref = ctypes.byref(armed)
 
+        def step(row, m0, m1, rescue):
+            if not 0 <= m0 <= m1 <= MINUTES_PER_DAY:
+                raise ValueError(f"bad minute range [{m0}, {m1})")
+            armed.value = rescue.armed
+            m = fn(*buffers, rows[row], m0, m1, armed_ref, rescue.threshold)
+            rescue.armed = armed.value != 0
+            if m < 0:
+                raise _fault(*y)
+            return m
+
+        step.buffers = (glucose, pinned, fixed)     # alive as long as the step
+        return step
+
+    def integrate_compiled(y, c, sens, cho, g_out, m0, m1, rescue):
+        return bind(y, c, sens, cho, np.asarray(g_out)[None])(0, m0, m1, rescue)
+
+    integrate_compiled.bind = bind
     return integrate_compiled
+
+
+def bind_kernel(y: array, c: array, sens: array, cho: array, glucose: np.ndarray):
+    """`load_kernel()`'s integrate bound to one trial's buffers: returns
+    step(row, m0, m1, rescue), which is
+    integrate(y, c, sens, cho, glucose[row], m0, m1, rescue). `glucose` is
+    the trial's (days, 1440) float64 array, so each day's minute glucose is
+    written into its row in place. The compiled kernel checks and converts
+    the buffers here, once per trial, and pins the arrays' memory, so a
+    resize raises BufferError while the step exists."""
+    integrate = load_kernel()
+    bind = getattr(integrate, "bind", None)
+    if bind is not None:
+        return bind(y, c, sens, cho, glucose)
+
+    def step(row, m0, m1, rescue):
+        return integrate(y, c, sens, cho, glucose[row], m0, m1, rescue)
+
+    return step
 
 
 def load_kernel():
@@ -339,8 +398,6 @@ def load_kernel():
     try:
         _kernel = compiled_integrate(build_kernel(KERNEL_SOURCE.parent / "__pycache__"))
         return _kernel
-    except subprocess.CalledProcessError as exc:
-        reason = [*exc.stderr.splitlines(), str(exc)][0]
     except OSError as exc:
         reason = str(exc)
     print(f"abbalab: compiled kernel unavailable ({reason}); "
@@ -351,20 +408,15 @@ def load_kernel():
 
 def fasting_glucose(params: PatientParams, basal_u_per_day: float) -> float:
     """Steady-state glucose under a continuous-equivalent basal rate (bisection)."""
-    c = _model_constants(params)
-    _, _, _, _, inv_vi, s_i, egp, k_sec = c
+    _, _, _, _, inv_vi, s_i, egp, k_sec = _model_constants(params)
     rate = basal_u_per_day / MINUTES_PER_DAY
-
     x_half2 = EGP_SUPPRESSION_HALF * EGP_SUPPRESSION_HALF
 
-    def x_of(g: float) -> float:
+    def balance(g: float) -> float:
         u = rate
         if k_sec > 0.0 and g > SECRETION_THRESHOLD:
             u += k_sec * min(g - SECRETION_THRESHOLD, SECRETION_SPAN)
-        return u * inv_vi / INSULIN_CLEARANCE
-
-    def balance(g: float) -> float:
-        x = x_of(g)
+        x = u * inv_vi / INSULIN_CLEARANCE        # insulin action at steady state
         egp_eff = egp * x_half2 / (x_half2 + x * x)
         return egp_eff - GLUCOSE_EFFECTIVENESS * g - s_i * x * g
 

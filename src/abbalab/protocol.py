@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -254,9 +255,10 @@ class Trial:
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
     current day's open DayTrace, the finished days' DayTraces, the trial's
-    minute glucose and the seed streams. run_trial's day loop calls a handler
-    at each event minute with the true plasma glucose; a handler returns what
-    it delivers that minute: insulin (U), or the rescue's carbohydrate (g).
+    minute glucose, the day's per-minute carbohydrate delivery and the seed
+    streams. run_trial's day loop calls a handler at each event minute with
+    the true plasma glucose; a handler returns what it delivers that minute:
+    insulin (U), or the rescue's carbohydrate (g).
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -272,36 +274,40 @@ class Trial:
         self.te_bits: float | None = None
         self.risk: init.RiskClass | None = None
 
-        # Feature bookkeeping.
+        # Feature bookkeeping. The open window's ICR and PS states are the
+        # ones its pre-meal actions read and its close learns from.
         self.slot_features: dict[int, adv.FeatureVector] = {}
         self.open_slot: int | None = None
         self.open_values: list[float] = []
+        self.open_states: tuple | None = None      # ((kind, state), ...)
+        self.overnight: np.ndarray | None = None   # today's, once built
         self.day_pool: list[float] = []
         self.basal_state_prev: np.ndarray | None = None
 
         self.day_traces: list[DayTrace] = []
         self.glucose = np.empty((days, MINUTES_PER_DAY), dtype=_GLUCOSE_DTYPE)
+        self.cho = array("d", bytes(8 * MINUTES_PER_DAY))
 
-    def start_day(self, day: int) -> tuple[array, dict, dict, int]:
-        """Draw day `day`'s schedule and its meal announcements, in slot
-        order, and open its DayTrace.
+    def start_day(self, day: int) -> tuple[dict, dict, int]:
+        """Draw day `day`'s schedule with its meal announcements, fill the
+        day's per-minute CHO delivery (g) into `self.cho`, and open its
+        DayTrace.
 
-        Returns the per-minute CHO delivery (g, the kernel's `array('d')`)
-        and the event minutes: meal by pre-meal reading minute, meal by
+        Returns the event minutes: meal by pre-meal reading minute, meal by
         post-prandial reading minute (S4 only), and the bedtime injection
         minute.
         """
         self.day_offset = (day - 1) * MINUTES_PER_DAY
         self.collecting = day <= init.COLLECTION_DAYS
         self.learning = self.arm == ABBA and not self.collecting
+        self.overnight = None
         sched = sample_day(self.spec, self.streams["schedule"])
 
-        cho_by_minute = array("d", bytes(8 * MINUTES_PER_DAY))
+        cho = np.frombuffer(self.cho)
+        cho.fill(0.0)
         for meal in sched.meals:
-            per_min = meal.cho_g / meal.duration_min
-            for m in range(meal.start_minute, meal.start_minute + meal.duration_min):
-                if m < MINUTES_PER_DAY:
-                    cho_by_minute[m] += per_min
+            intake = cho[meal.start_minute:meal.start_minute + meal.duration_min]
+            intake += meal.cho_g / meal.duration_min
         pre_meal_at = {meal.bolus_minute: meal for meal in sched.meals
                        if meal.bolus_minute is not None}
         post_prandial_at = {}
@@ -320,7 +326,7 @@ class Trial:
                              announced_g=None if m.bolus_minute is None
                              else announce_cho(m.cho_g, self.spec, announce))
                    for m in sched.meals])
-        return cho_by_minute, pre_meal_at, post_prandial_at, sched.basal_minute
+        return pre_meal_at, post_prandial_at, sched.basal_minute
 
     def _read(self, minute: int, slot: str, g: float) -> float:
         value = pat.read_smbg(g, self.streams["smbg"])
@@ -335,9 +341,15 @@ class Trial:
         return dose
 
     def _overnight(self) -> np.ndarray:
-        """Today's first reading against yesterday's last (none on day 1)."""
-        last_night = self.day_traces[-1].measurements[-1].value if self.day_traces else None
-        return adv.overnight_delta(self.today.measurements[0].value, last_night)
+        """Today's first reading against yesterday's last (none on day 1),
+        built once a day: the first reading is taken before any handler
+        asks."""
+        if self.overnight is None:
+            last_night = (self.day_traces[-1].measurements[-1].value
+                          if self.day_traces else None)
+            self.overnight = adv.overnight_delta(self.today.measurements[0].value,
+                                                 last_night)
+        return self.overnight
 
     def _iob(self, minute: int) -> float:
         # Records older than yesterday's are past DIA_MIN, which iob skips.
@@ -345,25 +357,33 @@ class Trial:
         return adv.iob([*yesterday, *self.today.insulin],
                        float(self.day_offset + minute))
 
+    def _slot_states(self, slot: int, features: adv.FeatureVector) -> tuple:
+        """((kind, state), ...) of the slot's ICR and PS agents; a 2-dim state
+        is the feature pair alone, so the two agents share it."""
+        icr, ps = adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]
+        s_ps = adv.build_state(ps, features)
+        if icr.state_dim == ps.state_dim:
+            return ((icr, s_ps), (ps, s_ps))
+        return ((icr, adv.build_state(icr, features, self._overnight())), (ps, s_ps))
+
     def _close_window(self, closing_value: float) -> None:
-        """End the open post-meal window: the slot's agents learn from it."""
+        """End the open post-meal window: the slot's agents learn from the
+        states their pre-meal actions read."""
         slot = self.open_slot
         if slot is None:
             return
         f_new = adv.bolus_features(self.open_values + [closing_value])
-        if self.learning and slot in self.slot_features:
-            b_k = self._overnight()
-            f_prev = self.slot_features[slot]
-            for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
+        if self.open_states is not None:
+            for (kind, s_t), (_, s_n) in zip(self.open_states,
+                                             self._slot_states(slot, f_new)):
                 agent = self.bundle[kind]
-                s_t = adv.build_state(kind, f_prev, b_k)
-                s_n = adv.build_state(kind, f_new, b_k)
                 d = adv.critic_update(agent, s_t, s_n, self.beta)
-                if np.isfinite(d):
+                if math.isfinite(d):
                     adv.actor_update(agent, d, s_t)
         self.slot_features[slot] = f_new
         self.open_slot = None
         self.open_values = []
+        self.open_states = None
 
     def rescue(self, minute: int, g: float) -> float:
         """Rescue carbohydrate fired: the patient takes a reading and
@@ -380,10 +400,9 @@ class Trial:
         self._close_window(reading)
         if self.learning and slot in self.slot_features:
             f_prev = self.slot_features[slot]
-            b_k = self._overnight()
-            for kind in (adv.ICR_AGENTS[slot], adv.PS_AGENTS[slot]):
+            self.open_states = self._slot_states(slot, f_prev)
+            for kind, s_t in self.open_states:
                 agent = self.bundle[kind]
-                s_t = adv.build_state(kind, f_prev, b_k)
                 p = adv.policy(agent, s_t, f_prev)
                 new_a = adv.apply_action(kind, p, self.therapy.current(kind),
                                          self.therapy.a_init(kind), agent.m_smooth)
@@ -415,7 +434,7 @@ class Trial:
             agent = self.bundle[adv.AgentKind.BASAL]
             if self.basal_state_prev is not None:
                 d = adv.critic_update(agent, self.basal_state_prev, s_now, self.beta)
-                if np.isfinite(d):
+                if math.isfinite(d):
                     adv.actor_update(agent, d, self.basal_state_prev)
             p = adv.policy(agent, s_now, feats)
             self.therapy.basal = adv.apply_action(
@@ -430,12 +449,11 @@ class Trial:
         self.day_pool = []
         return self._deliver(self.therapy.basal, adv.BASAL_KIND, minute)
 
-    def midnight(self, glucose: array) -> None:
-        """Close the day: copy the kernel's day buffer of minute glucose into
-        the day's row of the trial's array, and on the last collection day
-        initialise the ABBA agents."""
+    def midnight(self) -> None:
+        """Close the day, whose minute glucose the kernel wrote into its row of
+        the trial's array, and on the last collection day initialise the ABBA
+        agents."""
         today = self.today
-        self.glucose[today.day - 1] = np.frombuffer(glucose)
         self.day_traces.append(today)
         if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
@@ -495,24 +513,25 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     sensitivity = pat.SensitivitySchedule(
         dawn_enabled=params.diabetes_type == pat.T1D,
         interday_variability_pct=spec.interday_sensitivity)
-    dawn_base = np.array([pat.dawn_multiplier(sensitivity, m)
-                          for m in range(MINUTES_PER_DAY)])
-    integrate = pat.load_kernel()
-    consts = array("d", pat._model_constants(params))
+    dawn = pat.dawn_day(sensitivity.dawn_enabled)
+    sens, factor = array("d", dawn.tobytes()), 1.0     # dawn * factor, each minute
     y = array("d", pat.equilibrium_state(params, trial.therapy.basal))
+    cho = trial.cho
+    step = pat.bind_kernel(y, array("d", pat._model_constants(params)), sens, cho,
+                           trial.glucose)
     rescue = RescueController(threshold=rescue_threshold)
 
     for day in range(1, days + 1):
         day_factor = pat.draw_interday_factor(sensitivity, trial.streams["sens"])
-        cho, pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
-        sens = array("d", (dawn_base * day_factor).tobytes())
-        g_day = array("d", bytes(8 * MINUTES_PER_DAY))
+        if day_factor != factor:
+            np.multiply(dawn, day_factor, out=np.frombuffer(sens))
+            factor = day_factor
+        pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
         minute = 0
         for stop in (*sorted({*pre_meal_at, *post_prandial_at, basal_minute}),
                      MINUTES_PER_DAY):
-            while (minute := integrate(y, consts, sens, cho, g_day, minute, stop,
-                                       rescue)) < stop:      # its rescue poll fired
-                cho[minute] += trial.rescue(minute, y[8])
+            while (minute := step(day - 1, minute, stop, rescue)) < stop:
+                cho[minute] += trial.rescue(minute, y[8])   # its rescue poll fired
             if stop == MINUTES_PER_DAY:
                 break
             g = y[8]
@@ -526,7 +545,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
                 y[2] += trial.post_prandial(meal, stop, g)
             if stop == basal_minute:
                 y[4] += trial.bedtime(stop, g)
-        trial.midnight(g_day)
+        trial.midnight()
 
     return trial.result()
 
@@ -696,6 +715,26 @@ def _header_values(fields: dict[str, str], key: str, count: int) -> list[str]:
     return values
 
 
+def _parse_field(key: str, parse, value):
+    """parse(value) of header field `key`; a ValueError it raises names the field."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"trace header '{key}' does not parse: {exc}") from None
+
+
+def _patient_from_values(raw: list[str]) -> pat.PatientParams:
+    return pat.PatientParams(id=int(raw[0]), diabetes_type=raw[1],
+                             **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
+
+
+def _risk_from_text(text: str) -> init.RiskClass | None:
+    if text == "-":
+        return None
+    variability, nocturnal = text.split(":")
+    return init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
+
+
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
     """Parse a text trace and its glucose array back into a TrialResult,
     with an ABBA trial's final agents. `glucose` becomes the result's
@@ -714,10 +753,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     if body_start >= len(lines) or lines[body_start] != "day,minute,kind,value,aux":
         raise ValueError("trace column header missing; file truncated?")
 
-    raw = _header_values(fields, "patient", len(_PATIENT_FIELDS))
-    params = pat.PatientParams(
-        id=int(raw[0]), diabetes_type=raw[1],
-        **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
+    params = _parse_field("patient", _patient_from_values,
+                          _header_values(fields, "patient", len(_PATIENT_FIELDS)))
     arm = fields["arm"]
     if arm not in ARMS:
         raise ValueError(f"trace arm {arm!r} is not {ABBA} or {BBA}")
@@ -729,14 +766,11 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         raise ValueError(f"{arm} trace {'lacks' if arm == ABBA else 'holds'} "
                          "an agent bundle")
     agents = adv.bundle_from_text("\n".join(bundle)) if bundle else None
-    days = int(_header_values(fields, "days", 1)[0])
-    te_raw = fields["transfer_entropy"]
-    te = None if te_raw == "-" else float(te_raw)
-    rc_raw = fields["risk_class"]
-    risk = None
-    if rc_raw != "-":
-        variability, nocturnal = rc_raw.split(":")
-        risk = init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
+    (days_text,) = _header_values(fields, "days", 1)
+    days = _parse_field("days", int, days_text)
+    te = _parse_field("transfer_entropy", lambda text: None if text == "-" else float(text),
+                      fields["transfer_entropy"])
+    risk = _parse_field("risk_class", _risk_from_text, fields["risk_class"])
 
     (digest,) = _header_values(fields, "glucose", 1)
     if not isinstance(glucose, np.ndarray) or glucose.dtype != _GLUCOSE_DTYPE:

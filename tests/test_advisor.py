@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,125 @@ def test_actor_gradient_floors_small_state_components():
     # g = (1/0.05, 1/1) = (20, 1); first Adam moment is (1-beta1) * g.
     assert a.adam_m[0] == pytest.approx(0.1 * 20.0, abs=1e-9)
     assert a.adam_m[1] == pytest.approx(0.1 * 1.0, abs=1e-9)
+
+
+# --- learners against their numpy formulas ----------------------------------------
+#
+# The learners once did all their arithmetic in numpy. These are those bodies,
+# kept as the oracle: the float learners must match them bit for bit.
+
+def _numpy_critic_update(agent, s_t, s_next, beta):
+    s_t = np.asarray(s_t, dtype=float)
+    s_next = np.asarray(s_next, dtype=float)
+    c_next = adv.cost(s_next, beta)
+    d = c_next + adv.GAMMA * float(agent.w @ s_next) - float(agent.w @ s_t)
+    if not math.isfinite(d):
+        agent.frozen_faults += 1
+        return d
+    agent.w = agent.w + agent.lr_c * d * agent.z
+    agent.z = adv.LAMBDA * agent.z + s_next
+    return d
+
+
+def _numpy_policy(agent, s_t, f_prev_day):
+    lp = float(np.asarray(agent.theta) @ np.asarray(s_t, dtype=float))
+    if not agent.kind.is_icr:
+        return lp
+    f0, f1 = f_prev_day
+    if f0 == 0.0 and f1 == 0.0:
+        return 0.0
+    if (f0 > 0.0 and f1 == 0.0) or f0 > f1:
+        sp = -adv.ALPHA_SP * f0
+        alpha_lp = 0.5
+    elif (f1 > 0.0 and f0 == 0.0) or f1 > f0:
+        sp = adv.ALPHA_SP * f1
+        alpha_lp = 0.5
+    else:
+        sp = 0.0
+        alpha_lp = 1.0
+    return alpha_lp * lp + (1.0 - alpha_lp) * sp
+
+
+def _numpy_actor_update(agent, td_error, s_t):
+    eps = adv.STATE_EPS
+    s = np.asarray(s_t, dtype=float)
+    floored = np.where(np.abs(s) >= eps, s, np.where(s < 0, -eps, eps))
+    g = td_error / floored
+    if not np.all(np.isfinite(g)):
+        agent.frozen_faults += 1
+        return
+    if td_error == 0.0:
+        agent.adam_m = adv.ADAM_BETA1 * agent.adam_m
+        agent.adam_v = adv.ADAM_BETA2 * agent.adam_v
+        agent.step_count += 1
+        return
+    agent.step_count += 1
+    t = agent.step_count
+    agent.adam_m = adv.ADAM_BETA1 * agent.adam_m + (1.0 - adv.ADAM_BETA1) * g
+    agent.adam_v = adv.ADAM_BETA2 * agent.adam_v + (1.0 - adv.ADAM_BETA2) * g * g
+    m_hat = agent.adam_m / (1.0 - adv.ADAM_BETA1 ** t)
+    v_hat = agent.adam_v / (1.0 - adv.ADAM_BETA2 ** t)
+    agent.theta = agent.theta - agent.lr_a * m_hat / (np.sqrt(v_hat) + adv.ADAM_EPS)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _random_state(rng, dim):
+    """Components from a uniform draw, the STATE_EPS floor's edges, signed
+    zeros and, rarely, a non-finite value."""
+    pool = (adv.STATE_EPS, -adv.STATE_EPS, 0.0, -0.0, 0.5 * adv.STATE_EPS,
+            -0.5 * adv.STATE_EPS, math.nextafter(adv.STATE_EPS, 0.0))
+    s = rng.uniform(-1.0, 1.0, dim)
+    for i in range(dim):
+        u = rng.random()
+        if u < 0.3:
+            s[i] = pool[rng.integers(len(pool))]
+        elif u < 0.31:
+            s[i] = (math.nan, math.inf, -math.inf)[rng.integers(3)]
+    return s
+
+
+def _random_agent(rng, kind):
+    dim = kind.state_dim
+    return dict(theta=rng.normal(0.0, 0.5, dim), w=rng.normal(0.0, 0.5, dim),
+                z=rng.uniform(0.0, 1.0, dim), adam_m=rng.normal(0.0, 1.0, dim),
+                adam_v=rng.uniform(0.0, 4.0, dim), step_count=int(rng.integers(0, 100)),
+                lr_a=float(rng.choice([0.001, 0.01, 0.1])),
+                lr_c=float(rng.choice([0.01, 0.05, 0.1])))
+
+
+@pytest.mark.parametrize("kind", [AgentKind.ICR1, AgentKind.PS3, AgentKind.ICR3,
+                                  AgentKind.BASAL])
+def test_learners_match_their_numpy_formulas_bit_for_bit(kind):
+    rng = np.random.default_rng(2024 + kind.state_dim)
+    fields = ("theta", "w", "z", "adam_m", "adam_v")
+    steps = 0
+    for _ in range(150):
+        start = _random_agent(rng, kind)
+        ours, oracle = adv.AgentState(kind=kind, **start), adv.AgentState(kind=kind, **start)
+        for _ in range(20):
+            s_t, s_n = _random_state(rng, kind.state_dim), _random_state(rng, kind.state_dim)
+            f = FeatureVector(*(float(v) for v in rng.choice([0.0, 0.2, 0.5], 2)))
+            beta = adv.beta_for(("T1D", "T2D")[rng.integers(2)])
+            # A non-finite state makes numpy's `@` warn, in both versions.
+            with np.errstate(all="ignore"):
+                want = (_numpy_policy(oracle, s_t, f), _numpy_critic_update(oracle, s_t, s_n, beta))
+                got = (adv.policy(ours, s_t, f), adv.critic_update(ours, s_t, s_n, beta))
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            # The critic's TD error, or a zero, non-finite or overflowing one.
+            d = (got[1], got[1], 0.0, math.nan, math.inf, -math.inf, 1e308)[rng.integers(7)]
+            if math.isfinite(d) or rng.random() < 0.5:
+                with np.errstate(all="ignore"):
+                    _numpy_actor_update(oracle, d, s_t)
+                adv.actor_update(ours, d, s_t)
+            assert (ours.step_count, ours.frozen_faults) == \
+                (oracle.step_count, oracle.frozen_faults)
+            for name in fields:
+                assert getattr(ours, name).tobytes() == getattr(oracle, name).tobytes(), name
+            steps += 1
+    assert steps == 3000
 
 
 # --- action application ---------------------------------------------------------------

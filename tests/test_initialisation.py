@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,47 @@ def test_active_insulin_never_negative():
     rates = rng.uniform(0.0, 0.03, N_SAMPLES)
     log = _log(np.full(N_SAMPLES, 120.0), records=records, basal_rates=rates)
     assert (init.active_insulin_series(log) >= 0.0).all()
+
+
+def _active_insulin_loop(log):
+    """The series as one pass per bolus over every sample computes it: the
+    reference for active_insulin_series."""
+    ai = log.basal_rates * float(init.MINUTES_PER_DAY)
+    for rec in log.insulin_records:
+        if rec.kind == "basal":
+            continue
+        elapsed = log.cgm_times - rec.timestamp
+        active = (elapsed >= 0.0) & (elapsed < init.DIA_MIN)
+        ai = ai + np.where(active, rec.dose_u * (1.0 - elapsed / init.DIA_MIN), 0.0)
+    return ai
+
+
+def test_active_insulin_matches_the_per_bolus_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    span = N_SAMPLES * init.CGM_INTERVAL_MIN
+    for _ in range(100):
+        # Doses on, between, just off and outside the sample grid, in any
+        # order and overlapping, plus basal injections to skip.
+        stamps = [float(rng.uniform(-300.0, span + 300.0)),
+                  float(rng.integers(0, N_SAMPLES)) * init.CGM_INTERVAL_MIN,
+                  math.nextafter(float(rng.integers(0, N_SAMPLES)) * init.CGM_INTERVAL_MIN,
+                                 -math.inf),
+                  float(rng.integers(0, span)) + 0.5]
+        records = [InsulinRecord(float(rng.uniform(0.0, 12.0)),
+                                 ("bolus", "correction", "basal")[rng.integers(3)],
+                                 stamps[rng.integers(len(stamps))])
+                   for _ in range(rng.integers(0, 80))]
+        log = _log(np.full(N_SAMPLES, 120.0), records=records,
+                   basal_rates=rng.uniform(0.0, 0.03, N_SAMPLES))
+        assert init.active_insulin_series(log).tobytes() == _active_insulin_loop(log).tobytes()
+
+
+def test_collection_log_times_must_ascend():
+    times = np.arange(N_SAMPLES, dtype=float) * init.CGM_INTERVAL_MIN
+    times[[10, 11]] = times[[11, 10]]
+    with pytest.raises(ValueError, match="CGM times must ascend"):
+        init.CollectionLog(cgm=np.full(N_SAMPLES, 120.0), cgm_times=times,
+                           insulin_records=(), basal_rates=np.zeros(N_SAMPLES))
 
 
 # --- transfer entropy ----------------------------------------------------------------

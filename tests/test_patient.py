@@ -326,6 +326,48 @@ def test_non_finite_sensitivity_faults_in_both_kernels(compiled):
     assert glucose[0][99] > 0.0 and glucose[0][100] == 0.0
 
 
+@pytest.mark.parametrize("kernel", ["python", "compiled"])
+def test_a_bound_kernel_steps_a_glucose_row_as_the_kernel_does(kernel, compiled,
+                                                               monkeypatch):
+    """bind_kernel's step(row, ...) writes the row of the trial's glucose
+    array that integrate writes to its own g_out."""
+    integrate = pat.integrate if kernel == "python" else compiled
+    monkeypatch.setattr(pat, "_kernel", integrate)
+    p = _t1d_patient()
+    consts = array("d", pat._model_constants(p))
+    sens = array("d", [10.0 if m // 120 % 2 == 0 else 0.0
+                       for m in range(pat.MINUTES_PER_DAY)])   # rescues fire
+    glucose = np.zeros((3, pat.MINUTES_PER_DAY))
+    y, cho = array("d", pat.equilibrium_state(p, 20.0)), array("d", bytes(8 * 1440))
+    step = pat.bind_kernel(y, consts, sens, cho, glucose)
+    rescue, m = proto.RescueController(), 0
+    while (m := step(1, m, pat.MINUTES_PER_DAY, rescue)) < pat.MINUTES_PER_DAY:
+        cho[m] += proto.RESCUE_GRAMS
+    fired, g_out = _rescue_day(integrate, sens)
+    assert glucose[1].tobytes() == g_out.tobytes()
+    assert not glucose[0].any() and not glucose[2].any()
+
+
+def test_a_compiled_binding_checks_its_range_faults_and_pins_its_buffers(compiled,
+                                                                          monkeypatch):
+    monkeypatch.setattr(pat, "_kernel", compiled)
+    p = _t1d_patient()
+    sens = array("d", [1.0] * pat.MINUTES_PER_DAY)
+    sens[100] = math.nan
+    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+    step = pat.bind_kernel(array("d", pat.equilibrium_state(p, 20.0)),
+                           array("d", pat._model_constants(p)), sens, cho,
+                           np.zeros((1, pat.MINUTES_PER_DAY)))
+    with pytest.raises(ValueError, match="bad minute range"):
+        step(0, 0, pat.MINUTES_PER_DAY + 1, proto.RescueController())
+    with pytest.raises(pat.SimulationFault, match="G=nan"):
+        step(0, 0, pat.MINUTES_PER_DAY, proto.RescueController())
+    with pytest.raises(BufferError):          # a resize would move the buffer
+        cho.append(0.0)
+    del step
+    cho.append(0.0)
+
+
 def test_without_a_compiler_trials_run_the_python_kernel(tmp_path, monkeypatch, capsys):
     source = tmp_path / "_kernel.c"
     source.write_bytes(pat.KERNEL_SOURCE.read_bytes())

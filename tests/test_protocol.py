@@ -524,6 +524,23 @@ def test_trace_rejects_a_header_of_the_wrong_value_count(key, edit, count):
         proto.trace_from_text(_with_header(lines, key, edit), glucose)
 
 
+@pytest.mark.parametrize("key, edit, message", [
+    ("days", lambda v: ["x"], "invalid literal for int() with base 10: 'x'"),
+    ("transfer_entropy", lambda v: ["x"], "could not convert string to float: 'x'"),
+    ("risk_class", lambda v: ["a:b:c"], "too many values to unpack"),
+    ("risk_class", lambda v: ["foo:bar"], "unknown variability label 'foo'"),
+    ("risk_class", lambda v: ["normal:foo"], "unknown nocturnal risk label 'foo'"),
+    ("patient", lambda v: ["x", *v[1:]], "invalid literal for int() with base 10: 'x'"),
+    ("patient", lambda v: [*v[:3], "abc", *v[4:]], "could not convert string to float: 'abc'"),
+], ids=["days", "transfer_entropy", "risk_class_parts", "risk_class_variability",
+        "risk_class_nocturnal", "patient_id", "patient_value"])
+def test_trace_names_a_header_value_that_does_not_parse(key, edit, message):
+    lines, glucose = _abba_trace()
+    with pytest.raises(ValueError, match=f"^trace header '{key}' does not parse: ") as err:
+        proto.trace_from_text(_with_header(lines, key, edit), glucose)
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("key, value", [
     ("arm", "xyz"), ("arm", "BBA"), ("arm", ""), ("scenario", "S9"),
     ("scenario", "s1"),
