@@ -231,22 +231,25 @@ def _reduce_from_traces(out: Path, only: tuple[str, ...] | None = None
                                    dict[str, str]]:
     """Parse and reduce the traces under out/traces one at a time, headers and
     windows verified; the outcomes, the windows reduced (those named in `only`,
-    or all) and the run headers."""
+    or all) and the run headers. A trace that fails raises ValueError naming
+    it."""
     paths = sorted((out / "traces").glob("p*.txt"))
     if not paths:
         raise ValueError(f"no trace files under {out / 'traces'}")
     outcomes, first = [], None
     for path in paths:
         result, headers = proto.read_trace(path)
-        windows = ana.standard_windows(result.days)
-        if first is None:
-            first = (headers, windows)
-        elif (headers, windows) != first:
-            raise ValueError(f"{path.name} carries different run headers; "
-                             "directory mixes runs")
-        if only is not None:
-            windows = [w for w in windows if w.name in only]
-        outcomes.append(ana.reduce_trial(result, windows))
+        try:
+            windows = ana.standard_windows(result.days)
+            if first is None:
+                first = (headers, windows)
+            elif (headers, windows) != first:
+                raise ValueError("different run headers; directory mixes runs")
+            if only is not None:
+                windows = [w for w in windows if w.name in only]
+            outcomes.append(ana.reduce_trial(result, windows))
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
         del result                  # before the next parse: one trial at a time
     return outcomes, windows, headers
 

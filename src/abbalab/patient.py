@@ -5,8 +5,10 @@ subcutaneous absorption separately for rapid and long-acting insulin, a
 single remote insulin-action state, and hepatic glucose output suppressed
 by insulin action, minus insulin-dependent and insulin-independent
 disposal. Integrated with fixed-step RK4 at 1-minute resolution for
-reproducibility: `integrate` steps a run of minutes, and `_kernel.c` is its
-compiled transcription, bit for bit, which `load_kernel` builds on first use.
+reproducibility. The kernel takes one trial's buffers, float64 numpy arrays
+bound once, and returns a step over a run of a day's minutes: `integrate` is
+the Python reference, and `_kernel.c` its compiled transcription, bit for
+bit, which `load_kernel` builds on first use.
 
 All randomness flows through explicit numpy Generators; a cohort built
 from one seed is bit-reproducible.
@@ -21,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,34 +241,42 @@ def _fault(d1, d2, r1, r2, l1, l2, ip, x, g) -> SimulationFault:
         f"rapid=({r1},{r2}) long=({l1},{l2}) I={ip} X={x}")
 
 
-def integrate(y: array, c: array, sens: array, cho: array, g_out: array,
-              m0: int, m1: int, rescue) -> int:
-    """Step minutes [m0, m1) of a day in place; the reference for the
-    compiled kernel, and what trials run when it cannot be built.
+def integrate(y: np.ndarray, c: np.ndarray, sens: np.ndarray, cho: np.ndarray,
+              glucose: np.ndarray):
+    """The kernel bound to one trial's buffers, in Python: the reference for
+    the compiled kernel, and what trials run when it cannot be built.
 
     `y` holds the 9 states in `_rk4_minute`'s order and `c` the patient's
     `_model_constants`; `sens` and `cho` hold each minute's sensitivity
-    multiplier and carbohydrate delivery (g), and each stepped minute's
-    glucose goes to `g_out`. All are `array('d')` buffers. Before a minute is
+    multiplier and carbohydrate delivery (g), and `glucose` is the trial's
+    (days, 1440) array. All are float64 numpy arrays. Returns
+    step(row, m0, m1, rescue), which steps minutes [m0, m1) of a day in
+    place, reading the buffers as they are at the call and writing each
+    stepped minute's glucose into `glucose[row]`. Before a minute is
     stepped, `rescue.poll` (a `protocol.RescueController`) sees its glucose;
-    at the first minute where it fires the call returns that minute
+    at the first minute where it fires the step returns that minute
     unstepped. Otherwise it returns m1. The caller deposits the rescue into
-    `cho` and calls again from that minute, which is polled a second time;
+    `cho` and steps again from that minute, which is polled a second time;
     with the controller's threshold at or below HYPO that poll is a no-op.
     """
-    state = tuple(y)
-    poll = rescue.poll
-    for m in range(m0, m1):
-        if poll(state[8]) > 0.0:
-            m1 = m
-            break
-        cho_in = cho[m]
-        if cho_in > 0.0:
-            state = (state[0] + cho_in, *state[1:])
-        state = _rk4_minute(state, c, sens[m])
-        g_out[m] = state[8]
-    y[:] = array("d", state)
-    return m1
+    def step(row, m0, m1, rescue):
+        # The minute loop runs on Python floats, not numpy scalars.
+        state, consts = tuple(y.tolist()), c.tolist()
+        sens_day, cho_day, g_out = sens.tolist(), cho.tolist(), glucose[row]
+        poll = rescue.poll
+        for m in range(m0, m1):
+            if poll(state[8]) > 0.0:
+                m1 = m
+                break
+            cho_in = cho_day[m]
+            if cho_in > 0.0:
+                state = (state[0] + cho_in, *state[1:])
+            state = _rk4_minute(state, consts, sens_day[m])
+            g_out[m] = state[8]
+        y[:] = state
+        return m1
+
+    return step
 
 
 # --- compiled kernel ------------------------------------------------------------
@@ -287,7 +296,7 @@ _FIXED_CONSTANTS = (1.0 / ACTION_TC_MIN, INSULIN_CLEARANCE, GLUCOSE_EFFECTIVENES
                     EGP_SUPPRESSION_HALF * EGP_SUPPRESSION_HALF, SECRETION_THRESHOLD,
                     SECRETION_SPAN, GLUCOSE_FLOOR, GLUCOSE_CEIL, HYPO)
 
-_kernel = None      # the integrate trials run, once load_kernel has chosen it
+_kernel = None      # the kernel trials run, once load_kernel has chosen it
 
 
 def build_kernel(cache_dir: Path, flags: tuple[str, ...] = KERNEL_FLAGS) -> Path:
@@ -314,34 +323,29 @@ def build_kernel(cache_dir: Path, flags: tuple[str, ...] = KERNEL_FLAGS) -> Path
 
 
 def _address(buf, n: int) -> int:
-    """The address of a kernel buffer of at least `n` doubles: an array('d'),
-    or a C-contiguous, writable float64 numpy array of one dimension."""
-    if isinstance(buf, array):
-        if buf.typecode == "d" and len(buf) >= n:
-            return buf.buffer_info()[0]
-    elif (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.ndim == 1
-          and buf.flags.c_contiguous and buf.flags.writeable and len(buf) >= n):
+    """The address of a kernel buffer: a C-contiguous, writable float64 numpy
+    array of one dimension and at least `n` values."""
+    if (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.ndim == 1
+            and buf.flags.c_contiguous and buf.flags.writeable and len(buf) >= n):
         return buf.ctypes.data
-    raise TypeError(f"kernel buffers are array('d') or float64 rows of at least "
-                    f"{n} values")
+    raise TypeError(f"kernel buffers are float64 rows of at least {n} values")
 
 
 def compiled_integrate(path: Path):
-    """`integrate` backed by the shared object at `path`, for days of 1440
-    minutes. Its `bind` attribute is the compiled form of `bind_kernel`,
-    which trials use; a call binds its buffers for that call alone."""
+    """`integrate` backed by the shared object at `path`. It checks the
+    buffers and takes their addresses once, when it binds them, and its step
+    holds them, so they stay alive and an in-place resize raises ValueError
+    while the step exists."""
     fn = ctypes.CDLL(str(path)).abbalab_integrate
     fn.argtypes = (*(ctypes.c_void_p,) * 6, ctypes.c_int, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_int), ctypes.c_double)
     fn.restype = ctypes.c_int
-    fixed = array("d", _FIXED_CONSTANTS)
+    fixed = np.array(_FIXED_CONSTANTS)
 
-    def bind(y, c, sens, cho, glucose):
+    def kernel(y, c, sens, cho, glucose):
         if not (isinstance(glucose, np.ndarray) and glucose.ndim == 2):
             raise TypeError("kernel glucose is a (days, 1440) float64 array")
         rows = [ctypes.c_void_p(_address(row, MINUTES_PER_DAY)) for row in glucose]
-        # Exported views pin the arrays' memory: a resize raises BufferError.
-        pinned = [memoryview(b) for b in (y, c, sens, cho)]
         buffers = [ctypes.c_void_p(_address(b, n)) for b, n in
                    ((y, 9), (c, 8), (fixed, 9), (sens, MINUTES_PER_DAY),
                     (cho, MINUTES_PER_DAY))]
@@ -358,40 +362,18 @@ def compiled_integrate(path: Path):
                 raise _fault(*y)
             return m
 
-        step.buffers = (glucose, pinned, fixed)     # alive as long as the step
+        step.buffers = (y, c, fixed, sens, cho, glucose)    # alive as long as the step
         return step
 
-    def integrate_compiled(y, c, sens, cho, g_out, m0, m1, rescue):
-        return bind(y, c, sens, cho, np.asarray(g_out)[None])(0, m0, m1, rescue)
-
-    integrate_compiled.bind = bind
-    return integrate_compiled
-
-
-def bind_kernel(y: array, c: array, sens: array, cho: array, glucose: np.ndarray):
-    """`load_kernel()`'s integrate bound to one trial's buffers: returns
-    step(row, m0, m1, rescue), which is
-    integrate(y, c, sens, cho, glucose[row], m0, m1, rescue). `glucose` is
-    the trial's (days, 1440) float64 array, so each day's minute glucose is
-    written into its row in place. The compiled kernel checks and converts
-    the buffers here, once per trial, and pins the arrays' memory, so a
-    resize raises BufferError while the step exists."""
-    integrate = load_kernel()
-    bind = getattr(integrate, "bind", None)
-    if bind is not None:
-        return bind(y, c, sens, cho, glucose)
-
-    def step(row, m0, m1, rescue):
-        return integrate(y, c, sens, cho, glucose[row], m0, m1, rescue)
-
-    return step
+    return kernel
 
 
 def load_kernel():
-    """The integrate that trials run: the compiled kernel, built and loaded
-    once per process, or `integrate` when that fails, after one stderr line
-    that gives the reason. `abbalab run` calls it before starting workers,
-    so they inherit the loaded kernel."""
+    """The kernel that trials run, kernel(y, c, sens, cho, glucose) ->
+    step(row, m0, m1, rescue) as `integrate` describes it: the compiled
+    kernel, built and loaded once per process, or `integrate` when that
+    fails, after one stderr line that gives the reason. `abbalab run` calls
+    it before starting workers, so they inherit the loaded kernel."""
     global _kernel
     if _kernel is not None:
         return _kernel

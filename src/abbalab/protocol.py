@@ -2,17 +2,18 @@
 timing, the rescue controller, and the three-phase pipeline (two-week
 collection under the static advisor, initialization, on-line learning).
 
-run_trial is single-threaded per patient. The patient kernel steps every
+run_trial is single-threaded per patient. It binds the patient kernel to
+the trial's numpy buffers once, and the kernel's step integrates every
 minute of a day; it stops at each event minute and at each minute where the
 rescue fires, a handler of the Trial state takes the event, and what it
 delivers is deposited before the kernel steps that minute. The Trial keeps
 each fact once: a day's DayTrace, the only record of its events, opens with
-its announced meals, the handlers append readings and doses to it, and each
-midnight copies the day's minute glucose into its row of the trial's one
-(days, 1440) array. The collection log, the overnight readings, the previous
-day's total dose and the insulin on board are derived from those records.
-The cohort runner fans out with disjoint per-patient seed streams derived
-from the master seed, so the arm never perturbs its twin's meals,
+its announced meals, the handlers append readings and doses to it, and the
+kernel writes the day's minute glucose straight into its row of the trial's
+one (days, 1440) array. The collection log, the overnight readings, the
+previous day's total dose and the insulin on board are derived from those
+records. The cohort runner fans out with disjoint per-patient seed streams
+derived from the master seed, so the arm never perturbs its twin's meals,
 announcement errors or sensitivity draws. Reading noise is shared too until
 one arm has a rescue the other lacks: rescue readings draw from the same
 SMBG stream.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,8 +131,9 @@ def announce_cho(true_cho: float, spec: ScenarioSpec, rng: np.random.Generator) 
 class RescueController:
     """RESCUE_GRAMS of fast glucose the minute true plasma glucose falls below
     `threshold`. It then stays disarmed until glucose is back at or above
-    pat.HYPO, so one hypoglycaemic episode triggers one rescue. `pat.integrate`
-    polls it every minute it steps; the compiled kernel transcribes `poll`.
+    pat.HYPO, so one hypoglycaemic episode triggers one rescue. The step of
+    `pat.integrate` polls it every minute it steps; the compiled kernel
+    transcribes `poll`.
 
     With `threshold` at or below pat.HYPO, a second poll at the same glucose
     changes nothing: a fired controller stays disarmed (glucose is below
@@ -286,7 +287,7 @@ class Trial:
 
         self.day_traces: list[DayTrace] = []
         self.glucose = np.empty((days, MINUTES_PER_DAY), dtype=_GLUCOSE_DTYPE)
-        self.cho = array("d", bytes(8 * MINUTES_PER_DAY))
+        self.cho = np.zeros(MINUTES_PER_DAY)
 
     def start_day(self, day: int) -> tuple[dict, dict, int]:
         """Draw day `day`'s schedule with its meal announcements, fill the
@@ -303,7 +304,7 @@ class Trial:
         self.overnight = None
         sched = sample_day(self.spec, self.streams["schedule"])
 
-        cho = np.frombuffer(self.cho)
+        cho = self.cho
         cho.fill(0.0)
         for meal in sched.meals:
             intake = cho[meal.start_minute:meal.start_minute + meal.duration_min]
@@ -492,14 +493,16 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     Environment randomness (meals, misestimation, readings, sensitivity) is
     seeded independently of the arm, so paired arms face the same world. The
     dawn effect is on for a type 1 patient and off for a type 2 one.
-    `pat.load_kernel()`'s integrate steps every minute of the day. It is
-    called up to the next event minute, and returns early at a minute where
-    its rescue poll fires. At such a minute, and at each event minute after
-    the driver's own rescue poll, the handlers run in a fixed order (rescue,
-    pre-meal, post-prandial, bedtime); their carbohydrate and insulin are
-    deposited, and the kernel is called again from that minute, which it
-    polls again and then steps. `rescue_threshold` may not exceed pat.HYPO,
-    the re-arm level, or that second poll could fire again.
+    `pat.load_kernel()`'s kernel, bound once to the trial's state,
+    constants, sensitivity and carbohydrate rows and glucose array, steps
+    every minute of the day. Its step is called up to the next event minute,
+    and returns early at a minute where its rescue poll fires. At such a
+    minute, and at each event minute after the driver's own rescue poll, the
+    handlers run in a fixed order (rescue, pre-meal, post-prandial,
+    bedtime); their carbohydrate and insulin are deposited, and the step is
+    called again from that minute, which it polls again and then steps.
+    `rescue_threshold` may not exceed pat.HYPO, the re-arm level, or that
+    second poll could fire again.
     """
     if advisor_kind not in ARMS:
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
@@ -514,27 +517,25 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
         dawn_enabled=params.diabetes_type == pat.T1D,
         interday_variability_pct=spec.interday_sensitivity)
     dawn = pat.dawn_day(sensitivity.dawn_enabled)
-    sens, factor = array("d", dawn.tobytes()), 1.0     # dawn * factor, each minute
-    y = array("d", pat.equilibrium_state(params, trial.therapy.basal))
+    sens = np.empty(MINUTES_PER_DAY)                   # dawn * the day's factor
+    y = np.array(pat.equilibrium_state(params, trial.therapy.basal))
     cho = trial.cho
-    step = pat.bind_kernel(y, array("d", pat._model_constants(params)), sens, cho,
-                           trial.glucose)
+    step = pat.load_kernel()(y, np.array(pat._model_constants(params)), sens, cho,
+                             trial.glucose)
     rescue = RescueController(threshold=rescue_threshold)
 
     for day in range(1, days + 1):
-        day_factor = pat.draw_interday_factor(sensitivity, trial.streams["sens"])
-        if day_factor != factor:
-            np.multiply(dawn, day_factor, out=np.frombuffer(sens))
-            factor = day_factor
+        np.multiply(dawn, pat.draw_interday_factor(sensitivity, trial.streams["sens"]),
+                    out=sens)
         pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
         minute = 0
         for stop in (*sorted({*pre_meal_at, *post_prandial_at, basal_minute}),
                      MINUTES_PER_DAY):
             while (minute := step(day - 1, minute, stop, rescue)) < stop:
-                cho[minute] += trial.rescue(minute, y[8])   # its rescue poll fired
+                cho[minute] += trial.rescue(minute, y.item(8))  # its rescue poll fired
             if stop == MINUTES_PER_DAY:
                 break
-            g = y[8]
+            g = y.item(8)                       # glucose, as a Python float
             if rescue.poll(g) > 0.0:
                 cho[stop] += trial.rescue(stop, g)
             meal = pre_meal_at.get(stop)
@@ -572,8 +573,9 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #        I doses, and the mark of a complete day
 #
 # A day is its T row, its M, I and C rows, then its U row; days run 1 to
-# `# days` in order and each row's minute is 0 to 1439. So a reader builds
-# each day once, in one pass, and names the line of any malformed row.
+# `# days` in order, each row's minute is 0 to 1439, and every number in a
+# row's value field is finite and at least 0. So a reader builds each day
+# once, in one pass, and names the line of any malformed row.
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
@@ -723,6 +725,15 @@ def _parse_field(key: str, parse, value):
         raise ValueError(f"trace header '{key}' does not parse: {exc}") from None
 
 
+def _amount(text: str) -> float:
+    """A number of a trace row's value field: every one is a finite quantity
+    at or above zero (a dose, a reading, grams, a therapy factor)."""
+    x = float(text)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{text!r} is not a finite number >= 0")
+    return x
+
+
 def _patient_from_values(raw: list[str]) -> pat.PatientParams:
     return pat.PatientParams(id=int(raw[0]), diabetes_type=raw[1],
                              **{f: float(v) for f, v in zip(_PATIENT_FIELDS[2:], raw[2:])})
@@ -795,14 +806,15 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         try:
             d, at = int(day), float(minute)
             if kind == "T":
-                numbers = [float(v) for v in value.split()]
+                numbers = [_amount(v) for v in value.split()]
             elif kind == "C":
                 slot, duration, announced = aux.split(":")
                 meal = MealEvent(slot=int(slot), minute=int(minute),
-                                 duration_min=int(duration), cho_g=float(value),
-                                 announced_g=None if announced == "-" else float(announced))
+                                 duration_min=int(duration), cho_g=_amount(value),
+                                 announced_g=None if announced == "-"
+                                 else _amount(announced))
             else:
-                number = float(value)
+                number = _amount(value)
         except ValueError as exc:
             raise ValueError(f"malformed trace row at line {lineno}: {exc}") from None
         if not 0 <= at < MINUTES_PER_DAY:

@@ -1,6 +1,5 @@
 import filecmp
 import hashlib
-import itertools
 import os
 import signal
 import subprocess
@@ -275,6 +274,37 @@ def test_replay_rejects_a_bad_trace_pair_and_writes_no_report(tmp_path, capsys, 
     assert not (out / "chart_T1D.svg").exists()
 
 
+def _cut_to_14_days(traces):
+    """p000_bba cut to 14 days, inside the collection phase, as a whole
+    trace pair: its days header, rows and digest agree with its array."""
+    path = traces / "p000_bba.txt"
+    result, headers = proto.read_trace(path)
+    result.days, result.glucose = 14, result.glucose[:14].copy()
+    result.day_traces = result.day_traces[:14]
+    proto.write_trace(path, result, headers)
+
+
+def _zero_a_minute(traces):
+    """p001_abba's array with one minute at 0.0 mg/dL, its digest renewed."""
+    path = traces / "p001_abba.txt"
+    result, headers = proto.read_trace(path)
+    result.glucose[20, 600] = 0.0
+    proto.write_trace(path, result, headers)
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+@pytest.mark.parametrize("edit, message", [
+    (_cut_to_14_days, "p000_bba.txt: trial shorter than the collection phase"),
+    (_zero_a_minute, "p001_abba.txt: glucose values must be at least 1 mg/dL"),
+], ids=["14_days", "zero_glucose"])
+def test_a_trace_that_fails_to_reduce_is_named(tmp_path, capsys, command, edit, message):
+    _, out = _run(tmp_path, "out_a")
+    edit(out / "traces")
+    capsys.readouterr()
+    assert cli.main([command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_report_prints_comparison_table(tmp_path, capsys):
     _, out = _run(tmp_path, "out_a")
     assert cli.main(["report", "--out", str(out)]) == 0
@@ -366,17 +396,21 @@ def test_each_trial_is_released_before_the_next_is_reduced(tmp_path, monkeypatch
 # --- failures, dirty directories, worker count ------------------------------------
 
 def test_failed_trial_is_reported_and_its_patient_left_unpaired(tmp_path, monkeypatch):
-    real_trial, real_integrate = proto.run_trial, pat.load_kernel()
-    days = itertools.count(1)
+    real_trial, real_kernel = proto.run_trial, pat.load_kernel()
 
-    def faulty_integrate(y, c, sens, cho, g_out, m0, m1, rescue):
-        if m0 == 0 and next(days) == 21:        # day 21's first segment: on-line phase
-            raise pat.SimulationFault("injected")
-        return real_integrate(y, c, sens, cho, g_out, m0, m1, rescue)
+    def faulty_kernel(y, c, sens, cho, glucose):
+        real_step = real_kernel(y, c, sens, cho, glucose)
+
+        def step(row, m0, m1, rescue):
+            if (row, m0) == (20, 0):            # day 21's first segment: on-line phase
+                raise pat.SimulationFault("injected")
+            return real_step(row, m0, m1, rescue)
+
+        return step
 
     def trial(params, arm, *args, **kwargs):
         faulty = (params.id, arm) == (1, proto.ABBA)
-        monkeypatch.setattr(pat, "_kernel", faulty_integrate if faulty else real_integrate)
+        monkeypatch.setattr(pat, "_kernel", faulty_kernel if faulty else real_kernel)
         return real_trial(params, arm, *args, **kwargs)
 
     monkeypatch.setattr(proto, "run_trial", trial)

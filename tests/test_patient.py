@@ -4,7 +4,6 @@ import math
 import re
 import subprocess
 import tempfile
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +185,18 @@ def test_dawn_multiplier_mid_ramp():
     assert pat.dawn_multiplier(sched, 255.0) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_dawn_day_is_dawn_multiplier_at_every_minute_read_only_and_cached():
+    for enabled in (False, True):
+        row = pat.dawn_day(enabled)
+        schedule = pat.SensitivitySchedule(dawn_enabled=enabled)
+        assert row.dtype == np.float64 and row.shape == (pat.MINUTES_PER_DAY,)
+        assert row.tolist() == [pat.dawn_multiplier(schedule, m)
+                                for m in range(pat.MINUTES_PER_DAY)]
+        assert not row.flags.writeable
+        assert pat.dawn_day(enabled) is row
+    assert pat.dawn_day(True).min() == pat.DAWN_FACTOR
+
+
 def test_interday_factor_range_and_disabled_case():
     rng = np.random.default_rng(3)
     sched = pat.SensitivitySchedule(interday_variability_pct=0.30)
@@ -277,95 +288,93 @@ def test_kernel_flags_keep_traces_under_native_tuning(python_traces, tmp_path):
     assert _mismatches(_traces(kernel), python_traces) == []
 
 
-def _rescue_day(kernel, sens):
-    """One fasting day stepped the way run_trial steps it: a minute where the
-    rescue fires gets its grams in `cho`, and the kernel is called again from
-    that minute, which it polls a second time before stepping it."""
+def _bind(kernel, sens, rows=1):
+    """`kernel` bound to a T1D patient's fasting state, `sens`, an empty
+    carbohydrate row and a zeroed glucose array of `rows` days; returns the
+    step, the carbohydrate row and the glucose array."""
     p = _t1d_patient()
-    consts = array("d", pat._model_constants(p))
-    y = array("d", pat.equilibrium_state(p, 20.0))
-    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
-    g_out = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+    cho, glucose = np.zeros(pat.MINUTES_PER_DAY), np.zeros((rows, pat.MINUTES_PER_DAY))
+    step = kernel(np.array(pat.equilibrium_state(p, 20.0)),
+                  np.array(pat._model_constants(p)), sens, cho, glucose)
+    return step, cho, glucose
+
+
+def _rescue_day(kernel, sens):
+    """One fasting day stepped the way run_trial steps it, into the middle
+    row of a three-day glucose array: a minute where the rescue fires gets
+    its grams in `cho`, and the step is called again from that minute, which
+    it polls a second time before stepping it."""
+    step, cho, glucose = _bind(kernel, sens, rows=3)
     rescue, fired, m = proto.RescueController(), [], 0
-    while (m := kernel(y, consts, sens, cho, g_out, m, pat.MINUTES_PER_DAY,
-                       rescue)) < pat.MINUTES_PER_DAY:
+    while (m := step(1, m, pat.MINUTES_PER_DAY, rescue)) < pat.MINUTES_PER_DAY:
         fired.append(m)
         cho[m] += proto.RESCUE_GRAMS
-    return fired, g_out
+    assert not glucose[0].any() and not glucose[2].any()    # only its row is written
+    return fired, glucose[1].tobytes()
 
 
 def test_rescues_fire_and_rearm_alike_in_both_kernels(compiled):
     # Sensitivity switched between 10x and 0 every two hours takes glucose
     # below the rescue threshold, back above the re-arm level and down again
     # within one segment, with no event minute to re-arm the controller.
-    sens = array("d", [10.0 if m // 120 % 2 == 0 else 0.0
-                       for m in range(pat.MINUTES_PER_DAY)])
+    sens = np.array([10.0 if m // 120 % 2 == 0 else 0.0
+                     for m in range(pat.MINUTES_PER_DAY)])
     fired, glucose = _rescue_day(pat.integrate, sens)
     assert len(fired) == 3
     assert _rescue_day(compiled, sens) == (fired, glucose)
 
 
 def test_non_finite_sensitivity_faults_in_both_kernels(compiled):
-    p = _t1d_patient()
-    consts = array("d", pat._model_constants(p))
-    sens = array("d", [1.0] * pat.MINUTES_PER_DAY)
+    sens = np.ones(pat.MINUTES_PER_DAY)
     sens[100] = math.nan
-    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
     faults, glucose = [], []
     for kernel in (pat.integrate, compiled):
-        y = array("d", pat.equilibrium_state(p, 20.0))
-        g_out = array("d", bytes(8 * pat.MINUTES_PER_DAY))
+        step, _, g = _bind(kernel, sens)
         with pytest.raises(pat.SimulationFault) as info:
-            kernel(y, consts, sens, cho, g_out, 0, pat.MINUTES_PER_DAY,
-                   proto.RescueController())
+            step(0, 0, pat.MINUTES_PER_DAY, proto.RescueController())
         faults.append(str(info.value))
-        glucose.append(g_out)
+        glucose.append(g[0])
     assert "G=nan" in faults[0]
     assert faults[0] == faults[1]                   # the message holds the state
-    assert glucose[0] == glucose[1]
+    assert glucose[0].tobytes() == glucose[1].tobytes()
     assert glucose[0][99] > 0.0 and glucose[0][100] == 0.0
 
 
-@pytest.mark.parametrize("kernel", ["python", "compiled"])
-def test_a_bound_kernel_steps_a_glucose_row_as_the_kernel_does(kernel, compiled,
-                                                               monkeypatch):
-    """bind_kernel's step(row, ...) writes the row of the trial's glucose
-    array that integrate writes to its own g_out."""
-    integrate = pat.integrate if kernel == "python" else compiled
-    monkeypatch.setattr(pat, "_kernel", integrate)
-    p = _t1d_patient()
-    consts = array("d", pat._model_constants(p))
-    sens = array("d", [10.0 if m // 120 % 2 == 0 else 0.0
-                       for m in range(pat.MINUTES_PER_DAY)])   # rescues fire
-    glucose = np.zeros((3, pat.MINUTES_PER_DAY))
-    y, cho = array("d", pat.equilibrium_state(p, 20.0)), array("d", bytes(8 * 1440))
-    step = pat.bind_kernel(y, consts, sens, cho, glucose)
-    rescue, m = proto.RescueController(), 0
-    while (m := step(1, m, pat.MINUTES_PER_DAY, rescue)) < pat.MINUTES_PER_DAY:
-        cho[m] += proto.RESCUE_GRAMS
-    fired, g_out = _rescue_day(integrate, sens)
-    assert glucose[1].tobytes() == g_out.tobytes()
-    assert not glucose[0].any() and not glucose[2].any()
-
-
-def test_a_compiled_binding_checks_its_range_faults_and_pins_its_buffers(compiled,
-                                                                          monkeypatch):
-    monkeypatch.setattr(pat, "_kernel", compiled)
-    p = _t1d_patient()
-    sens = array("d", [1.0] * pat.MINUTES_PER_DAY)
+def test_a_compiled_binding_checks_its_range_faults_and_pins_its_buffers(compiled):
+    sens = np.ones(pat.MINUTES_PER_DAY)
     sens[100] = math.nan
-    cho = array("d", bytes(8 * pat.MINUTES_PER_DAY))
-    step = pat.bind_kernel(array("d", pat.equilibrium_state(p, 20.0)),
-                           array("d", pat._model_constants(p)), sens, cho,
-                           np.zeros((1, pat.MINUTES_PER_DAY)))
+    step, cho, _ = _bind(compiled, sens)
     with pytest.raises(ValueError, match="bad minute range"):
         step(0, 0, pat.MINUTES_PER_DAY + 1, proto.RescueController())
     with pytest.raises(pat.SimulationFault, match="G=nan"):
         step(0, 0, pat.MINUTES_PER_DAY, proto.RescueController())
-    with pytest.raises(BufferError):          # a resize would move the buffer
-        cho.append(0.0)
+    with pytest.raises(ValueError, match="cannot resize"):   # the step holds it
+        cho.resize(pat.MINUTES_PER_DAY + 1)
     del step
-    cho.append(0.0)
+    cho.resize(pat.MINUTES_PER_DAY + 1)
+
+
+def _bad_buffers():
+    """Buffers (y, c, sens, cho, glucose) that each hold one the compiled
+    kernel cannot step, by what is wrong with it."""
+    p = _t1d_patient()
+    y, c = np.array(pat.equilibrium_state(p, 20.0)), np.array(pat._model_constants(p))
+    sens, cho = np.ones(pat.MINUTES_PER_DAY), np.zeros(pat.MINUTES_PER_DAY)
+    glucose = np.zeros((2, pat.MINUTES_PER_DAY))
+    return {
+        "float32": (y, c, sens.astype(np.float32), cho, glucose),
+        "strided": (y, c, np.ones(2 * pat.MINUTES_PER_DAY)[::2], cho, glucose),
+        "short": (y[:8], c, sens, cho, glucose),
+        "read-only": (y, c, pat.dawn_day(True), cho, glucose),
+        "1-D glucose": (y, c, sens, cho, glucose[0]),
+    }
+
+
+@pytest.mark.parametrize("case", ["float32", "strided", "short", "read-only",
+                                  "1-D glucose"])
+def test_a_compiled_binding_rejects_a_buffer_it_cannot_step(case, compiled):
+    with pytest.raises(TypeError, match="float64"):
+        compiled(*_bad_buffers()[case])         # at binding, before any step
 
 
 def test_without_a_compiler_trials_run_the_python_kernel(tmp_path, monkeypatch, capsys):

@@ -574,8 +574,14 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     ("C", 4, "0:15", "not enough values to unpack"),
     ("M", 1, "99999.0", "minute 99999.0 is outside the day"),
     ("C", 1, "-5", "minute -5 is outside the day"),
+    ("I", 3, "-1.5", "'-1.5' is not a finite number >= 0"),
+    ("M", 3, "nan", "'nan' is not a finite number >= 0"),
+    ("M", 3, "inf", "'inf' is not a finite number >= 0"),
+    ("T", 3, "1.0 1.0 1.0 1.0 1.0 1.0 1.0 -inf", "'-inf' is not a finite number >= 0"),
+    ("C", 3, "-5.0", "'-5.0' is not a finite number >= 0"),
 ], ids=["day", "minute", "value", "meal_aux", "minute_after_the_day",
-        "minute_before_the_day"])
+        "minute_before_the_day", "negative_dose", "nan_reading", "inf_reading",
+        "infinite_basal", "negative_meal"])
 def test_trace_rejects_a_malformed_row(code, field, text, message):
     lines, glucose = _bba_trace()
     i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
