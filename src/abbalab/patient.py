@@ -55,6 +55,11 @@ RESCUE = 30.0          # below: fast carbohydrate rescue fires (default)
 
 MINUTES_PER_DAY = 1440
 
+# Kernel state indices (`_rk4_minute`'s order) that the protocol deposits into or reads.
+RAPID_DEPOT = 2
+LONG_DEPOT = 4
+PLASMA_GLUCOSE = 8
+
 
 class SimulationFault(RuntimeError):
     """Raised when integration produces a non-finite state."""
@@ -265,14 +270,14 @@ def integrate(y: np.ndarray, c: np.ndarray, sens: np.ndarray, cho: np.ndarray,
         sens_day, cho_day, g_out = sens.tolist(), cho.tolist(), glucose[row]
         poll = rescue.poll
         for m in range(m0, m1):
-            if poll(state[8]) > 0.0:
+            if poll(state[PLASMA_GLUCOSE]) > 0.0:
                 m1 = m
                 break
             cho_in = cho_day[m]
             if cho_in > 0.0:
                 state = (state[0] + cho_in, *state[1:])
             state = _rk4_minute(state, consts, sens_day[m])
-            g_out[m] = state[8]
+            g_out[m] = state[PLASMA_GLUCOSE]
         y[:] = state
         return m1
 

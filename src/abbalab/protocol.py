@@ -3,25 +3,27 @@ timing, the rescue controller, and the three-phase pipeline (two-week
 collection under the static advisor, initialization, on-line learning).
 
 run_trial is single-threaded per patient. It binds the patient kernel to
-the trial's numpy buffers once, and the kernel's step integrates every
-minute of a day; it stops at each event minute and at each minute where the
-rescue fires, a handler of the Trial state takes the event, and what it
-delivers is deposited before the kernel steps that minute. The Trial keeps
-each fact once: a day's DayTrace, the only record of its events, opens with
-its announced meals, the handlers append readings and doses to it, and the
-kernel writes the day's minute glucose straight into its row of the trial's
-one (days, 1440) array. The collection log, the overnight readings, the
-previous day's total dose and the insulin on board are derived from those
-records. The cohort runner fans out with disjoint per-patient seed streams
-derived from the master seed, so the arm never perturbs its twin's meals,
-announcement errors or sensitivity draws. Reading noise is shared too until
-one arm has a rescue the other lacks: rescue readings draw from the same
-SMBG stream.
+the trial's numpy buffers once and runs each day as one minute-sorted table
+of events. The kernel's step integrates the minutes up to the next event and
+stops early where the rescue fires; there, and at each event, one handler of
+the Trial state takes the minute, reads glucose from the kernel state and
+deposits what it delivers before the step integrates that minute. The Trial
+keeps each fact once: a day's DayTrace, the only record of its events, holds
+the schedule's meals and their announced grams, the handlers append readings
+and doses to it, and the kernel writes the day's minute glucose straight
+into its row of the trial's one (days, 1440) array. The collection log, an
+open post-meal window's readings, the overnight readings, the previous day's
+total dose and the insulin on board are derived from those records. The
+cohort runner fans out with disjoint per-patient seed streams derived from
+the master seed, so the arm never perturbs its twin's meals, announcement
+errors or sensitivity draws. Reading noise is shared too until one arm has
+a rescue the other lacks: rescue readings draw from the same SMBG stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -155,15 +157,6 @@ class RescueController:
 
 
 @dataclass(frozen=True)
-class MealEvent:
-    slot: int
-    minute: int
-    duration_min: int
-    cho_g: float
-    announced_g: float | None
-
-
-@dataclass(frozen=True)
 class TherapySnapshot:
     icr: tuple[float, float, float]
     ps: tuple[float, float, float]
@@ -174,14 +167,16 @@ class TherapySnapshot:
 @dataclass
 class DayTrace:
     """One trial day's events, the only record of them: the therapy active
-    that day, its announced meals, and the SMBG readings and insulin
+    that day, the schedule's MealPlans, the grams announced for slots 0-2
+    (the snack is never announced), and the SMBG readings and insulin
     deliveries in the order they were taken. Trial opens it at the start of
     the day and its handlers append to it; the total insulin is derived.
     The day's minute glucose is row `day - 1` of TrialResult.glucose. A
     rescue is the reading of slot RESCUE_SLOT taken the minute it fires."""
     day: int
     therapy: TherapySnapshot
-    meals: list
+    meals: tuple[MealPlan, ...]
+    announced: tuple[float, ...]
     measurements: list = dataclasses.field(default_factory=list)
     insulin: list = dataclasses.field(default_factory=list)
 
@@ -218,10 +213,6 @@ class TrialResult:
     transfer_entropy_bits: float | None
     risk_class: init.RiskClass | None
 
-    @property
-    def initial_therapy(self) -> TherapySnapshot:
-        return self.day_traces[0].therapy
-
 
 def initial_therapy_for(params: pat.PatientParams,
                         rng: np.random.Generator) -> adv.TherapyParams:
@@ -255,11 +246,12 @@ class Trial:
     """One patient's trial under one arm, as the state events act on.
 
     Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's open DayTrace, the finished days' DayTraces, the trial's
-    minute glucose, the day's per-minute carbohydrate delivery and the seed
-    streams. run_trial's day loop calls a handler at each event minute with
-    the true plasma glucose; a handler returns what it delivers that minute:
-    insulin (U), or the rescue's carbohydrate (g).
+    current day's open DayTrace, the finished days' DayTraces, the kernel
+    state `y`, the trial's minute glucose, the day's per-minute carbohydrate
+    delivery `cho` and the seed streams. A handler takes only the minute,
+    reads true plasma glucose from `y` and deposits what it delivers: the
+    rescue's grams into `cho`, boluses and the basal shot (U) into their
+    depots of `y`.
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -267,7 +259,6 @@ class Trial:
         self.params = params
         self.arm = advisor_kind
         self.spec = spec
-        self.days = days
         self.streams = _trial_streams(master_seed, spec, params)
         self.therapy = initial_therapy_for(params, self.streams["therapy"])
         self.beta = adv.beta_for(params.diabetes_type)
@@ -275,28 +266,32 @@ class Trial:
         self.te_bits: float | None = None
         self.risk: init.RiskClass | None = None
 
-        # Feature bookkeeping. The open window's ICR and PS states are the
-        # ones its pre-meal actions read and its close learns from.
+        # Feature bookkeeping. The open window's readings are today's from
+        # `open_at` on; its ICR and PS states are the ones its pre-meal
+        # actions read and its close learns from.
         self.slot_features: dict[int, adv.FeatureVector] = {}
         self.open_slot: int | None = None
-        self.open_values: list[float] = []
+        self.open_at = 0
         self.open_states: tuple | None = None      # ((kind, state), ...)
         self.overnight: np.ndarray | None = None   # today's, once built
         self.day_pool: list[float] = []
         self.basal_state_prev: np.ndarray | None = None
 
         self.day_traces: list[DayTrace] = []
+        self.y = np.array(pat.equilibrium_state(params, self.therapy.basal))
         self.glucose = np.empty((days, MINUTES_PER_DAY), dtype=_GLUCOSE_DTYPE)
         self.cho = np.zeros(MINUTES_PER_DAY)
 
-    def start_day(self, day: int) -> tuple[dict, dict, int]:
+    def start_day(self, day: int) -> list:
         """Draw day `day`'s schedule with its meal announcements, fill the
         day's per-minute CHO delivery (g) into `self.cho`, and open its
         DayTrace.
 
-        Returns the event minutes: meal by pre-meal reading minute, meal by
-        post-prandial reading minute (S4 only), and the bedtime injection
-        minute.
+        Returns the day's events as (minute, handler) pairs sorted by
+        minute: each announced meal's pre-meal reading, its post-prandial
+        reading (S4 only, when before the bedtime injection), and the
+        bedtime injection. No two share a minute: the windows of MEAL_TABLE
+        and BASAL_WINDOW keep them apart.
         """
         self.day_offset = (day - 1) * MINUTES_PER_DAY
         self.collecting = day <= init.COLLECTION_DAYS
@@ -309,37 +304,33 @@ class Trial:
         for meal in sched.meals:
             intake = cho[meal.start_minute:meal.start_minute + meal.duration_min]
             intake += meal.cho_g / meal.duration_min
-        pre_meal_at = {meal.bolus_minute: meal for meal in sched.meals
-                       if meal.bolus_minute is not None}
-        post_prandial_at = {}
-        if self.spec.correction_boluses:
-            for meal in sched.meals:
-                if meal.slot < 3:
-                    m = meal.start_minute + POST_PRANDIAL_DELAY
-                    if m < sched.basal_minute:
-                        post_prandial_at[m] = meal
-
-        announce = self.streams["announce"]
+        announced_meals = [meal for meal in sched.meals if meal.bolus_minute is not None]
+        rng = self.streams["announce"]
         self.today = DayTrace(
-            day=day, therapy=_snapshot(self.therapy),
-            meals=[MealEvent(slot=m.slot, minute=m.start_minute,
-                             duration_min=m.duration_min, cho_g=m.cho_g,
-                             announced_g=None if m.bolus_minute is None
-                             else announce_cho(m.cho_g, self.spec, announce))
-                   for m in sched.meals])
-        return pre_meal_at, post_prandial_at, sched.basal_minute
+            day=day, therapy=_snapshot(self.therapy), meals=sched.meals,
+            announced=tuple(announce_cho(meal.cho_g, self.spec, rng)
+                            for meal in announced_meals))
 
-    def _read(self, minute: int, slot: str, g: float) -> float:
-        value = pat.read_smbg(g, self.streams["smbg"])
+        events = [(meal.bolus_minute, functools.partial(self.pre_meal, meal))
+                  for meal in announced_meals]
+        if self.spec.correction_boluses:
+            events += [(m, functools.partial(self.post_prandial, meal))
+                       for meal in announced_meals
+                       if (m := meal.start_minute + POST_PRANDIAL_DELAY) < sched.basal_minute]
+        events.append((sched.basal_minute, self.bedtime))
+        return sorted(events, key=lambda event: event[0])
+
+    def _read(self, minute: int, slot: str) -> float:
+        value = pat.read_smbg(self.y.item(pat.PLASMA_GLUCOSE), self.streams["smbg"])
         self.today.measurements.append(adv.Measurement(
             value=value, timestamp=float(self.day_offset + minute), slot=slot))
         self.day_pool.append(value)
         return value
 
-    def _deliver(self, dose: float, kind: str, minute: int) -> float:
+    def _deliver(self, dose: float, kind: str, minute: int, depot: int) -> None:
         self.today.insulin.append(adv.InsulinRecord(
             dose_u=dose, kind=kind, timestamp=float(self.day_offset + minute)))
-        return dose
+        self.y[depot] += dose
 
     def _overnight(self) -> np.ndarray:
         """Today's first reading against yesterday's last (none on day 1),
@@ -367,13 +358,14 @@ class Trial:
             return ((icr, s_ps), (ps, s_ps))
         return ((icr, adv.build_state(icr, features, self._overnight())), (ps, s_ps))
 
-    def _close_window(self, closing_value: float) -> None:
-        """End the open post-meal window: the slot's agents learn from the
-        states their pre-meal actions read."""
+    def _close_window(self) -> None:
+        """End the open post-meal window with the reading just taken: the
+        slot's agents learn from the states their pre-meal actions read."""
         slot = self.open_slot
         if slot is None:
             return
-        f_new = adv.bolus_features(self.open_values + [closing_value])
+        f_new = adv.bolus_features(
+            [m.value for m in self.today.measurements[self.open_at:]])
         if self.open_states is not None:
             for (kind, s_t), (_, s_n) in zip(self.open_states,
                                              self._slot_states(slot, f_new)):
@@ -383,22 +375,19 @@ class Trial:
                     adv.actor_update(agent, d, s_t)
         self.slot_features[slot] = f_new
         self.open_slot = None
-        self.open_values = []
         self.open_states = None
 
-    def rescue(self, minute: int, g: float) -> float:
+    def rescue(self, minute: int) -> None:
         """Rescue carbohydrate fired: the patient takes a reading and
         RESCUE_GRAMS of fast glucose."""
-        value = self._read(minute, RESCUE_SLOT, g)
-        if self.open_slot is not None:
-            self.open_values.append(value)
-        return RESCUE_GRAMS
+        self._read(minute, RESCUE_SLOT)
+        self.cho[minute] += RESCUE_GRAMS
 
-    def pre_meal(self, meal: MealPlan, minute: int, g: float) -> float:
+    def pre_meal(self, meal: MealPlan, minute: int) -> None:
         """Pre-meal reading, the slot's ICR/PS actions, then the meal bolus."""
         slot = meal.slot
-        reading = self._read(minute, PRE_MEAL_SLOTS[slot], g)
-        self._close_window(reading)
+        reading = self._read(minute, PRE_MEAL_SLOTS[slot])
+        self._close_window()
         if self.learning and slot in self.slot_features:
             f_prev = self.slot_features[slot]
             self.open_states = self._slot_states(slot, f_prev)
@@ -408,29 +397,27 @@ class Trial:
                 new_a = adv.apply_action(kind, p, self.therapy.current(kind),
                                          self.therapy.a_init(kind), agent.m_smooth)
                 self.therapy.set_current(kind, new_a)
-        dose = adv.bolus_recommendation(self.today.meals[slot].announced_g, reading,
+        dose = adv.bolus_recommendation(self.today.announced[slot], reading,
                                         self.therapy, slot, self._iob(minute))
         self.open_slot = slot
-        self.open_values = []
-        return self._deliver(dose, adv.BOLUS_KIND, minute) if dose > 0.0 else 0.0
+        self.open_at = len(self.today.measurements)
+        if dose > 0.0:
+            self._deliver(dose, adv.BOLUS_KIND, minute, pat.RAPID_DEPOT)
 
-    def post_prandial(self, meal: MealPlan, minute: int, g: float) -> float:
+    def post_prandial(self, meal: MealPlan, minute: int) -> None:
         """S4's post-prandial reading and correction bolus above the hyper bound."""
-        reading = self._read(minute, POST_PRANDIAL_SLOT, g)
-        if self.open_slot is not None:
-            self.open_values.append(reading)
+        reading = self._read(minute, POST_PRANDIAL_SLOT)
         dose = adv.correction_bolus(reading, self.therapy, self.therapy.ps[meal.slot],
                                     self._iob(minute))
         if dose is not None and dose > 0.0:
-            return self._deliver(dose, adv.CORRECTION_KIND, minute)
-        return 0.0
+            self._deliver(dose, adv.CORRECTION_KIND, minute, pat.RAPID_DEPOT)
 
-    def bedtime(self, minute: int, g: float) -> float:
+    def bedtime(self, minute: int) -> None:
         """Bedtime reading, the basal agent's step, then the basal injection."""
-        reading = self._read(minute, BEDTIME_SLOT, g)
-        self._close_window(reading)
+        self._read(minute, BEDTIME_SLOT)
+        self._close_window()
+        feats = adv.bolus_features(self.day_pool)
         if self.learning:
-            feats = adv.bolus_features(self.day_pool)
             s_now = adv.build_state(adv.AgentKind.BASAL, feats, self._overnight())
             agent = self.bundle[adv.AgentKind.BASAL]
             if self.basal_state_prev is not None:
@@ -442,13 +429,11 @@ class Trial:
                 adv.AgentKind.BASAL, p, self.therapy.basal, self.therapy.basal_init,
                 agent.m_smooth, prev_tdd=self.day_traces[-1].total_insulin_u)
             self.basal_state_prev = s_now
-        elif self.collecting:
-            feats = adv.bolus_features(self.day_pool)
-            if feats is not None:
-                self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL,
-                                                        feats, self._overnight())
+        elif self.collecting and feats is not None:
+            self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL, feats,
+                                                    self._overnight())
         self.day_pool = []
-        return self._deliver(self.therapy.basal, adv.BASAL_KIND, minute)
+        self._deliver(self.therapy.basal, adv.BASAL_KIND, minute, pat.LONG_DEPOT)
 
     def midnight(self) -> None:
         """Close the day, whose minute glucose the kernel wrote into its row of
@@ -477,16 +462,9 @@ class Trial:
                                   for r in t.insulin),
             basal_rates=np.full(len(cgm), self.therapy.basal / MINUTES_PER_DAY))
 
-    def result(self) -> TrialResult:
-        return TrialResult(patient=self.params, arm=self.arm, scenario=self.spec.id,
-                           days=self.days, day_traces=self.day_traces,
-                           glucose=self.glucose, final_agents=self.bundle,
-                           transfer_entropy_bits=self.te_bits, risk_class=self.risk)
-
 
 def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
-              master_seed: int, days: int,
-              rescue_threshold: float = pat.RESCUE) -> TrialResult:
+              master_seed: int, days: int) -> TrialResult:
     """Simulate one patient under one advisor arm for `days` days, the first
     init.COLLECTION_DAYS of them the collection phase.
 
@@ -495,22 +473,17 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     dawn effect is on for a type 1 patient and off for a type 2 one.
     `pat.load_kernel()`'s kernel, bound once to the trial's state,
     constants, sensitivity and carbohydrate rows and glucose array, steps
-    every minute of the day. Its step is called up to the next event minute,
-    and returns early at a minute where its rescue poll fires. At such a
-    minute, and at each event minute after the driver's own rescue poll, the
-    handlers run in a fixed order (rescue, pre-meal, post-prandial,
-    bedtime); their carbohydrate and insulin are deposited, and the step is
-    called again from that minute, which it polls again and then steps.
-    `rescue_threshold` may not exceed pat.HYPO, the re-arm level, or that
-    second poll could fire again.
+    every minute of the day. Its step is called up to the next minute of
+    the day's event table, and returns early at a minute where its rescue
+    poll fires; there Trial.rescue takes the minute. At each event minute
+    the day loop polls the rescue too, then calls the event's handler; what
+    they deposit enters the step called again from that minute, whose
+    second poll is a no-op (see RescueController), and which then steps it.
     """
     if advisor_kind not in ARMS:
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
     if days <= init.COLLECTION_DAYS:
         raise ValueError("trial must extend past the collection phase")
-    if rescue_threshold > pat.HYPO:
-        raise ValueError(f"rescue_threshold {rescue_threshold} is above the "
-                         f"re-arm level {pat.HYPO}")
 
     trial = Trial(params, advisor_kind, spec, master_seed, days)
     sensitivity = pat.SensitivitySchedule(
@@ -518,37 +491,28 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
         interday_variability_pct=spec.interday_sensitivity)
     dawn = pat.dawn_day(sensitivity.dawn_enabled)
     sens = np.empty(MINUTES_PER_DAY)                   # dawn * the day's factor
-    y = np.array(pat.equilibrium_state(params, trial.therapy.basal))
-    cho = trial.cho
-    step = pat.load_kernel()(y, np.array(pat._model_constants(params)), sens, cho,
-                             trial.glucose)
-    rescue = RescueController(threshold=rescue_threshold)
+    step = pat.load_kernel()(trial.y, np.array(pat._model_constants(params)), sens,
+                             trial.cho, trial.glucose)
+    rescue = RescueController()
 
     for day in range(1, days + 1):
         np.multiply(dawn, pat.draw_interday_factor(sensitivity, trial.streams["sens"]),
                     out=sens)
-        pre_meal_at, post_prandial_at, basal_minute = trial.start_day(day)
         minute = 0
-        for stop in (*sorted({*pre_meal_at, *post_prandial_at, basal_minute}),
-                     MINUTES_PER_DAY):
+        for stop, handler in (*trial.start_day(day), (MINUTES_PER_DAY, None)):
             while (minute := step(day - 1, minute, stop, rescue)) < stop:
-                cho[minute] += trial.rescue(minute, y.item(8))  # its rescue poll fired
-            if stop == MINUTES_PER_DAY:
+                trial.rescue(minute)                # its rescue poll fired
+            if handler is None:
                 break
-            g = y.item(8)                       # glucose, as a Python float
-            if rescue.poll(g) > 0.0:
-                cho[stop] += trial.rescue(stop, g)
-            meal = pre_meal_at.get(stop)
-            if meal is not None:
-                y[2] += trial.pre_meal(meal, stop, g)
-            meal = post_prandial_at.get(stop)
-            if meal is not None:
-                y[2] += trial.post_prandial(meal, stop, g)
-            if stop == basal_minute:
-                y[4] += trial.bedtime(stop, g)
+            if rescue.poll(trial.y.item(pat.PLASMA_GLUCOSE)) > 0.0:
+                trial.rescue(stop)
+            handler(stop)
         trial.midnight()
 
-    return trial.result()
+    return TrialResult(patient=params, arm=advisor_kind, scenario=spec.id, days=days,
+                       day_traces=trial.day_traces, glucose=trial.glucose,
+                       final_agents=trial.bundle, transfer_entropy_bits=trial.te_bits,
+                       risk_class=trial.risk)
 
 
 # --- trace persistence ------------------------------------------------------------
@@ -566,16 +530,21 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     M  SMBG reading (aux = one of READING_SLOTS); a rescue is the reading
 #        of slot `rescue` taken the minute it fires
 #     I  insulin delivery (aux = kind: bolus, correction or basal)
-#     C  carbohydrate intake (aux = slot:duration:announced, slot 0-3 as in
-#        MealPlan, announced "-" if none)
+#     C  one MealPlan of the day, at its start minute: value = grams eaten,
+#        aux = slot:duration:announced, with the grams announced for slots
+#        0-2 from the day's announced tuple and "-" for the snack, slot 3
 #     U  day's total delivered insulin, at minute 1439: a checksum that must
 #        equal DayTrace's derived total, the in-order float sum of the day's
 #        I doses, and the mark of a complete day
 #
 # A day is its T row, its M, I and C rows, then its U row; days run 1 to
 # `# days` in order, each row's minute is 0 to 1439, and every number in a
-# row's value field is finite and at least 0. So a reader builds each day
-# once, in one pass, and names the line of any malformed row.
+# row's value field is finite and at least 0. A reading lies within
+# [SMBG_FLOOR, SMBG_CEIL]. A day's C rows are its slots 0 to 3 in order,
+# each meal at least a minute long, and each announced meal's pre-meal M row
+# comes before them: its minute is the meal's bolus minute. So a reader
+# builds each day once, in one pass, and names the line or day of any
+# malformed row.
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
@@ -649,8 +618,9 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
             lines.append(f"{d},{_fmt(rec.timestamp - offset)},I,"
                          f"{_fmt(rec.dose_u)},{rec.kind}")
         for meal in trace.meals:
-            announced = "-" if meal.announced_g is None else _fmt(meal.announced_g)
-            lines.append(f"{d},{meal.minute},C,{_fmt(meal.cho_g)},"
+            announced = ("-" if meal.bolus_minute is None
+                         else _fmt(trace.announced[meal.slot]))
+            lines.append(f"{d},{meal.start_minute},C,{_fmt(meal.cho_g)},"
                          f"{meal.slot}:{meal.duration_min}:{announced}")
         lines.append(f"{d},{MINUTES_PER_DAY - 1},U,{_fmt(trace.total_insulin_u)},")
     return "\n".join(lines) + "\n"
@@ -809,10 +779,9 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                 numbers = [_amount(v) for v in value.split()]
             elif kind == "C":
                 slot, duration, announced = aux.split(":")
-                meal = MealEvent(slot=int(slot), minute=int(minute),
-                                 duration_min=int(duration), cho_g=_amount(value),
-                                 announced_g=None if announced == "-"
-                                 else _amount(announced))
+                slot, start, duration = int(slot), int(minute), int(duration)
+                cho, announced = _amount(value), (None if announced == "-"
+                                                  else _amount(announced))
             else:
                 number = _amount(value)
         except ValueError as exc:
@@ -831,13 +800,16 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             if len(numbers) != len(_THERAPY_FIELDS):
                 raise ValueError(f"therapy row at line {lineno} holds {len(numbers)} "
                                  f"values, expected {len(_THERAPY_FIELDS)}")
-            today = DayTrace(day=d, meals=[], therapy=TherapySnapshot(
+            today = DayTrace(day=d, meals=[], announced=[], therapy=TherapySnapshot(
                 icr=tuple(numbers[:3]), ps=tuple(numbers[3:6]), cf=numbers[6],
                 basal=numbers[7]))
             offset = float((d - 1) * MINUTES_PER_DAY)
         elif kind == "M":
             if aux not in READING_SLOTS:
                 raise ValueError(f"unknown reading slot {aux!r} at line {lineno}")
+            if not pat.SMBG_FLOOR <= number <= pat.SMBG_CEIL:
+                raise ValueError(f"reading {value} at line {lineno} is outside "
+                                 f"[{pat.SMBG_FLOOR}, {pat.SMBG_CEIL}]")
             today.measurements.append(adv.Measurement(
                 value=number, timestamp=at + offset, slot=aux))
         elif kind == "I":
@@ -846,13 +818,34 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             today.insulin.append(adv.InsulinRecord(
                 dose_u=number, kind=aux, timestamp=at + offset))
         elif kind == "C":
-            if not 0 <= meal.slot <= 3:
-                raise ValueError(f"meal slot {meal.slot} is not 0 to 3 at line {lineno}")
-            today.meals.append(meal)
+            if not 0 <= slot <= 3:
+                raise ValueError(f"meal slot {slot} is not 0 to 3 at line {lineno}")
+            if slot != len(today.meals):
+                raise ValueError(f"meal slot {slot} at line {lineno} is out of order: "
+                                 "a day holds slots 0 to 3 once each, in order")
+            if duration < 1:
+                raise ValueError(f"meal of {duration} minutes at line {lineno}")
+            if (announced is None) != (slot == 3):
+                raise ValueError(f"meal slot {slot} at line {lineno} is "
+                                 + ("announced" if slot == 3 else "not announced"))
+            bolus_minute = None
+            if announced is not None:
+                bolus_minute = next((int(m.timestamp - offset) for m in today.measurements
+                                     if m.slot == PRE_MEAL_SLOTS[slot]), None)
+                if bolus_minute is None:
+                    raise ValueError(f"meal slot {slot} at line {lineno} follows no "
+                                     f"{PRE_MEAL_SLOTS[slot]} reading")
+                today.announced.append(announced)
+            today.meals.append(MealPlan(slot=slot, start_minute=start, duration_min=duration,
+                                        cho_g=cho, bolus_minute=bolus_minute))
         else:
+            if len(today.meals) != 4:
+                raise ValueError(f"day {d} holds {len(today.meals)} meals at line "
+                                 f"{lineno}, expected slots 0 to 3")
             if number != today.total_insulin_u:
                 raise ValueError(f"day {d}'s insulin total {number!r} is not "
                                  f"the sum of its doses, {today.total_insulin_u!r}")
+            today.meals, today.announced = tuple(today.meals), tuple(today.announced)
             day_traces.append(today)
             today = None
     if len(day_traces) != days:

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -130,7 +131,7 @@ def test_bba_therapy_is_static_from_day_15_to_90():
     t15 = res.day_traces[14].therapy
     t90 = res.day_traces[89].therapy
     assert t15 == t90
-    assert t15 == res.initial_therapy
+    assert t15 == res.day_traces[0].therapy
     assert all(t.therapy == t15 for t in res.day_traces)
 
 
@@ -154,14 +155,14 @@ def test_abba_updates_therapy_after_collection():
     assert res.transfer_entropy_bits >= 0.0
     assert res.risk_class is not None
     late = res.day_traces[-1].therapy
-    assert late != res.initial_therapy
+    assert late != res.day_traces[0].therapy
 
 
 def test_phase_isolation_no_therapy_changes_in_collection():
     res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=9, days=20)
     for trace in res.day_traces[:14]:
-        assert trace.therapy == res.initial_therapy
+        assert trace.therapy == res.day_traces[0].therapy
 
 
 def test_event_ordering_within_each_day():
@@ -173,7 +174,7 @@ def test_event_ordering_within_each_day():
         assert len(basal_recs) == 1
         basal_minute = basal_recs[0].timestamp - offset
         assert proto.BASAL_WINDOW[0] <= basal_minute < proto.BASAL_WINDOW[1]
-        meal_starts = {m.slot: m.minute for m in trace.meals if m.slot < 3}
+        meal_starts = {m.slot: m.start_minute for m in trace.meals if m.slot < 3}
         for rec in trace.insulin:
             minute = rec.timestamp - offset
             assert minute <= basal_minute
@@ -225,22 +226,58 @@ def test_trial_rejects_unknown_arm_and_short_horizon():
                         master_seed=1, days=14)
 
 
-def test_rescue_threshold_may_reach_but_not_exceed_the_rearm_level():
+def test_rescue_threshold_may_reach_but_not_exceed_the_rearm_level(monkeypatch):
     # Above pat.HYPO, glucose held between the two would fire the rescue
-    # every other minute: fire, re-arm at or above HYPO, fire again.
-    params = pat.generate_cohort(8, "T1D", 3)[7]
-    with pytest.raises(ValueError, match="re-arm level"):
-        proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"], master_seed=3,
-                        days=20, rescue_threshold=pat.HYPO + 5.0)
+    # every other minute: fire, re-arm at or above HYPO, fire again. So the
+    # kernel's second poll of an event minute is a no-op only up to HYPO.
+    assert pat.RESCUE <= pat.HYPO
     # At the level itself this patient's rescue on day 20 fires at the
     # pre-breakfast minute, where both the driver and the kernel poll: it is
     # taken once, before the event's reading.
+    monkeypatch.setattr(proto, "RescueController",
+                        functools.partial(proto.RescueController, threshold=pat.HYPO))
+    params = pat.generate_cohort(8, "T1D", 3)[7]
     res = proto.run_trial(params, proto.BBA, proto.SCENARIOS["S1"], master_seed=3,
-                          days=20, rescue_threshold=pat.HYPO)
+                          days=20)
     same_minute = [(a.slot, b.slot) for t in res.day_traces
                    for a, b in zip(t.measurements, t.measurements[1:])
                    if a.timestamp == b.timestamp]
     assert same_minute == [("rescue", "pre_breakfast")]
+
+
+@pytest.mark.parametrize("scenario", sorted(proto.SCENARIOS))
+def test_a_days_events_fall_on_distinct_minutes_in_order(scenario):
+    spec = proto.SCENARIOS[scenario]
+    trial = proto.Trial(_patient(), proto.BBA, spec, master_seed=43, days=15)
+    post_prandials = 0
+    for day in range(1, 5001):
+        *meal_events, (basal_minute, bedtime) = events = trial.start_day(day)
+        minutes = [minute for minute, _ in events]
+        assert all(a < b for a, b in zip(minutes, minutes[1:]))
+        assert bedtime == trial.bedtime
+        assert proto.BASAL_WINDOW[0] <= basal_minute < proto.BASAL_WINDOW[1]
+        announced = [m for m in trial.today.meals if m.bolus_minute is not None]
+        expected = [(m.bolus_minute, trial.pre_meal, m) for m in announced]
+        if spec.correction_boluses:
+            expected += [(m.start_minute + proto.POST_PRANDIAL_DELAY, trial.post_prandial, m)
+                         for m in announced
+                         if m.start_minute + proto.POST_PRANDIAL_DELAY < basal_minute]
+        post_prandials += len(expected) - 3
+        assert sorted(expected, key=lambda e: e[0]) == \
+            [(minute, handler.func, *handler.args) for minute, handler in meal_events]
+    assert (post_prandials > 0) == spec.correction_boluses
+
+
+def test_no_post_prandial_reading_on_the_bedtime_minute(monkeypatch):
+    # About one S4 day in 8,000 has dinner at 20:00 and the basal shot at
+    # 22:00, the minute of dinner's post-prandial reading, which is dropped.
+    meals = (proto.MealPlan(0, 480, 20, 60.0, 470), proto.MealPlan(1, 780, 20, 80.0, 770),
+             proto.MealPlan(2, 1200, 20, 70.0, 1190), proto.MealPlan(3, 1000, 5, 10.0, None))
+    monkeypatch.setattr(proto, "sample_day", lambda spec, rng: proto.DaySchedule(meals, 1320))
+    trial = proto.Trial(_patient(), proto.BBA, proto.SCENARIOS["S4"], master_seed=43, days=15)
+    events = trial.start_day(1)
+    assert [minute for minute, _ in events] == [470, 600, 770, 900, 1190, 1320]
+    assert events[-1][1] == trial.bedtime
 
 
 def test_paired_arms_share_the_same_meal_sequence():
@@ -248,8 +285,7 @@ def test_paired_arms_share_the_same_meal_sequence():
     a = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=23, days=20)
     b = proto.run_trial(_patient(), proto.BBA, spec, master_seed=23, days=20)
     for ta, tb in zip(a.day_traces, b.day_traces):
-        assert [(m.slot, m.minute, m.cho_g) for m in ta.meals] == \
-            [(m.slot, m.minute, m.cho_g) for m in tb.meals]
+        assert (ta.meals, ta.announced) == (tb.meals, tb.announced)
 
 
 def test_abba_trial_keeps_clamps_guard_and_non_negative_doses():
@@ -257,7 +293,7 @@ def test_abba_trial_keeps_clamps_guard_and_non_negative_doses():
     params = pat.generate_cohort(7, "T1D", 1)[6]
     res = proto.run_trial(params, proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=1, days=90)
-    start = res.initial_therapy
+    start = res.day_traces[0].therapy
     assert any(t.rescues for t in res.day_traces[init.COLLECTION_DAYS:])
     basal_changes = 0
     for prev, trace in zip([None] + res.day_traces, res.day_traces):
@@ -309,6 +345,7 @@ def _assert_same_trial(a, b):
         assert ta.measurements == tb.measurements
         assert ta.insulin == tb.insulin
         assert ta.meals == tb.meals
+        assert ta.announced == tb.announced
         assert ta.total_insulin_u == tb.total_insulin_u
 
 
@@ -591,6 +628,65 @@ def test_trace_rejects_a_malformed_row(code, field, text, message):
     with pytest.raises(ValueError, match=rf"at line {i + 1}\b") as err:
         proto.trace_from_text("\n".join(lines), glucose)
     assert message in str(err.value)
+
+
+def _day_rows(lines, day, code):
+    """Indices of day `day`'s rows of kind `code`."""
+    return [i for i, line in enumerate(lines) if line.split(",")[:3:2] == [str(day), code]]
+
+
+def _edit_meal(slot, edit):
+    """An edit of day 2's meal of slot `slot`, its aux fields passed through
+    `edit`; it returns the line the parser names."""
+    def apply(lines):
+        i = _day_rows(lines, 2, "C")[slot]
+        day, minute, kind, value, aux = lines[i].split(",")
+        lines[i] = ",".join([day, minute, kind, value, ":".join(edit(aux.split(":")))])
+        return i + 1
+    return apply
+
+
+def _repeat_lunch(lines):
+    i = _day_rows(lines, 2, "C")[1]
+    lines.insert(i + 1, lines[i])
+    return i + 2
+
+
+def _drop_meals(lines):
+    rows = _day_rows(lines, 2, "C")
+    del lines[rows[0]:rows[-1] + 1]
+    return _day_rows(lines, 2, "U")[0] + 1
+
+
+def _drop_pre_lunch_reading(lines):
+    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",pre_lunch")]
+    del lines[i]
+    return _day_rows(lines, 2, "C")[1] + 1
+
+
+def _reading_of_three(lines):
+    i = _day_rows(lines, 2, "M")[0]
+    day, minute, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, minute, kind, "3.0", aux])
+    return i + 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_lunch, "meal slot 1 at line {} is out of order"),
+    (_drop_meals, "day 2 holds 0 meals at line {}, expected slots 0 to 3"),
+    (_edit_meal(3, lambda f: [f[0], f[1], "12.0"]), "meal slot 3 at line {} is announced"),
+    (_edit_meal(1, lambda f: [f[0], f[1], "-"]), "meal slot 1 at line {} is not announced"),
+    (_edit_meal(0, lambda f: [f[0], "0", f[2]]), "meal of 0 minutes at line {}"),
+    (_drop_pre_lunch_reading, "meal slot 1 at line {} follows no pre_lunch reading"),
+    (_reading_of_three, "reading 3.0 at line {} is outside [20.0, 600.0]"),
+], ids=["repeated_slot", "no_meals", "announced_snack", "unannounced_meal",
+        "zero_duration", "no_pre_meal_reading", "reading_under_the_floor"])
+def test_trace_rejects_a_malformed_day(edit, message):
+    lines, glucose = _bba_trace()
+    lineno = edit(lines)
+    with pytest.raises(ValueError) as err:
+        proto.trace_from_text("\n".join(lines), glucose)
+    assert str(err.value).startswith(message.format(lineno))
 
 
 def _s4_abba_trace():
