@@ -5,8 +5,9 @@ One basal agent and three ICR / three PS meal-slot agents adjust insulin
 therapy from sparse fingerstick readings. Each agent runs TD(lambda) with a
 linear value function, a linear deterministic policy blended with a
 supervisory policy for the ICR agents, and a from-scratch Adam step on the
-policy parameters. Everything here is pure given (state, inputs) except the
-explicit mutations in critic_update / actor_update.
+policy parameters. Every agent steps alike, through `learn` and `act`.
+Everything here is pure given (state, inputs) except the explicit mutations
+in critic_update, actor_update and act.
 
 The learners work on 2- and 4-element vectors, where a numpy call costs more
 than its arithmetic, so their elementwise steps run on Python floats, which
@@ -279,6 +280,24 @@ def apply_action(kind: AgentKind, p: float, current: float, a_init: float,
     if kind.is_basal and prev_tdd is not None and a_new < 0.25 * prev_tdd:
         return current                                # revert
     return a_new
+
+
+def learn(agent: AgentState, s_t: np.ndarray, s_next: np.ndarray,
+          beta: tuple[float, float]) -> None:
+    """The critic's step from s_t to s_next, then the actor's along the TD
+    error unless it is not finite (critic_update counts that fault)."""
+    d = critic_update(agent, s_t, s_next, beta)
+    if math.isfinite(d):
+        actor_update(agent, d, s_t)
+
+
+def act(agent: AgentState, s_t: np.ndarray, features: FeatureVector,
+        therapy: TherapyParams, prev_tdd: float | None = None) -> None:
+    """Set the agent's therapy value to its policy's proposal, through
+    apply_action's clamp and, given yesterday's total dose, the basal guard."""
+    kind, p = agent.kind, policy(agent, s_t, features)
+    therapy.set_current(kind, apply_action(kind, p, therapy.current(kind), therapy.a_init(kind),
+                                           agent.m_smooth, prev_tdd=prev_tdd))
 
 
 def iob(records, now: float) -> float:

@@ -12,12 +12,14 @@ keeps each fact once: a day's DayTrace, the only record of its events, holds
 the schedule's meals and their announced grams, the handlers append readings
 and doses to it, and the kernel writes the day's minute glucose straight
 into its row of the trial's one (days, 1440) array. The collection log, an
-open post-meal window's readings, the overnight readings, the previous day's
-total dose and the insulin on board are derived from those records. The
-cohort runner fans out with disjoint per-patient seed streams derived from
-the master seed, so the arm never perturbs its twin's meals, announcement
-errors or sensitivity draws. Reading noise is shared too until one arm has
-a rescue the other lacks: rescue readings draw from the same SMBG stream.
+open post-meal window's readings, the basal agent's readings, the overnight
+readings, the previous day's total dose and the insulin on board are derived
+from those records. Beyond them the ABBA arm keeps only learner memory, and
+every agent steps through advisor.learn and advisor.act. The cohort runner
+fans out with disjoint per-patient seed streams derived from the master
+seed, so the arm never perturbs its twin's meals, announcement errors or
+sensitivity draws. Reading noise is shared too until one arm has a rescue
+the other lacks: rescue readings draw from the same SMBG stream.
 """
 
 from __future__ import annotations
@@ -245,10 +247,13 @@ def _snapshot(therapy: adv.TherapyParams) -> TherapySnapshot:
 class Trial:
     """One patient's trial under one arm, as the state events act on.
 
-    Holds the therapy, the agent bundle, the post-meal feature windows, the
-    current day's open DayTrace, the finished days' DayTraces, the kernel
-    state `y`, the trial's minute glucose, the day's per-minute carbohydrate
-    delivery `cho` and the seed streams. A handler takes only the minute,
+    Holds the therapy, the current day's open DayTrace, the finished days'
+    DayTraces, the kernel state `y`, the trial's minute glucose, the day's
+    per-minute carbohydrate delivery `cho`, the seed streams and, in the ABBA
+    arm only, the agents and their memory: each slot's last post-meal
+    features, the open window and the last bedtime's basal state. The
+    readings of a window and of the basal agent are derived from the
+    DayTraces. A handler takes only the minute,
     reads true plasma glucose from `y` and deposits what it delivers: the
     rescue's grams into `cho`, boluses and the basal shot (U) into their
     depots of `y`.
@@ -257,7 +262,7 @@ class Trial:
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
                  spec: ScenarioSpec, master_seed: int, days: int):
         self.params = params
-        self.arm = advisor_kind
+        self.adaptive = advisor_kind == ABBA
         self.spec = spec
         self.streams = _trial_streams(master_seed, spec, params)
         self.therapy = initial_therapy_for(params, self.streams["therapy"])
@@ -266,16 +271,13 @@ class Trial:
         self.te_bits: float | None = None
         self.risk: init.RiskClass | None = None
 
-        # Feature bookkeeping. The open window's readings are today's from
-        # `open_at` on; its ICR and PS states are the ones its pre-meal
-        # actions read and its close learns from.
+        # Learner memory, kept by the adaptive arm only. The open post-meal
+        # window is (slot, index of its first reading today, the ((kind,
+        # state), ...) its pre-meal actions read, or None), or None.
         self.slot_features: dict[int, adv.FeatureVector] = {}
-        self.open_slot: int | None = None
-        self.open_at = 0
-        self.open_states: tuple | None = None      # ((kind, state), ...)
+        self.window: tuple | None = None
         self.overnight: np.ndarray | None = None   # today's, once built
-        self.day_pool: list[float] = []
-        self.basal_state_prev: np.ndarray | None = None
+        self.basal_state: np.ndarray | None = None  # last bedtime's
 
         self.day_traces: list[DayTrace] = []
         self.y = np.array(pat.equilibrium_state(params, self.therapy.basal))
@@ -294,8 +296,7 @@ class Trial:
         and BASAL_WINDOW keep them apart.
         """
         self.day_offset = (day - 1) * MINUTES_PER_DAY
-        self.collecting = day <= init.COLLECTION_DAYS
-        self.learning = self.arm == ABBA and not self.collecting
+        self.learning = self.adaptive and day > init.COLLECTION_DAYS
         self.overnight = None
         sched = sample_day(self.spec, self.streams["schedule"])
 
@@ -324,7 +325,6 @@ class Trial:
         value = pat.read_smbg(self.y.item(pat.PLASMA_GLUCOSE), self.streams["smbg"])
         self.today.measurements.append(adv.Measurement(
             value=value, timestamp=float(self.day_offset + minute), slot=slot))
-        self.day_pool.append(value)
         return value
 
     def _deliver(self, dose: float, kind: str, minute: int, depot: int) -> None:
@@ -342,6 +342,15 @@ class Trial:
             self.overnight = adv.overnight_delta(self.today.measurements[0].value,
                                                  last_night)
         return self.overnight
+
+    def _since_last_bedtime(self) -> list[float]:
+        """The basal agent's readings: those after yesterday's bedtime reading
+        (none on day 1), which can only be rescues, then today's."""
+        yesterday = self.day_traces[-1].measurements if self.day_traces else []
+        after = len(yesterday)
+        while after and yesterday[after - 1].slot == RESCUE_SLOT:
+            after -= 1
+        return [m.value for m in (*yesterday[after:], *self.today.measurements)]
 
     def _iob(self, minute: int) -> float:
         # Records older than yesterday's are past DIA_MIN, which iob skips.
@@ -361,21 +370,15 @@ class Trial:
     def _close_window(self) -> None:
         """End the open post-meal window with the reading just taken: the
         slot's agents learn from the states their pre-meal actions read."""
-        slot = self.open_slot
-        if slot is None:
+        if self.window is None:
             return
-        f_new = adv.bolus_features(
-            [m.value for m in self.today.measurements[self.open_at:]])
-        if self.open_states is not None:
-            for (kind, s_t), (_, s_n) in zip(self.open_states,
-                                             self._slot_states(slot, f_new)):
-                agent = self.bundle[kind]
-                d = adv.critic_update(agent, s_t, s_n, self.beta)
-                if math.isfinite(d):
-                    adv.actor_update(agent, d, s_t)
+        slot, first, states = self.window
+        f_new = adv.bolus_features([m.value for m in self.today.measurements[first:]])
+        if states is not None:
+            for (kind, s_t), (_, s_n) in zip(states, self._slot_states(slot, f_new)):
+                adv.learn(self.bundle[kind], s_t, s_n, self.beta)
         self.slot_features[slot] = f_new
-        self.open_slot = None
-        self.open_states = None
+        self.window = None
 
     def rescue(self, minute: int) -> None:
         """Rescue carbohydrate fired: the patient takes a reading and
@@ -387,20 +390,17 @@ class Trial:
         """Pre-meal reading, the slot's ICR/PS actions, then the meal bolus."""
         slot = meal.slot
         reading = self._read(minute, PRE_MEAL_SLOTS[slot])
-        self._close_window()
-        if self.learning and slot in self.slot_features:
-            f_prev = self.slot_features[slot]
-            self.open_states = self._slot_states(slot, f_prev)
-            for kind, s_t in self.open_states:
-                agent = self.bundle[kind]
-                p = adv.policy(agent, s_t, f_prev)
-                new_a = adv.apply_action(kind, p, self.therapy.current(kind),
-                                         self.therapy.a_init(kind), agent.m_smooth)
-                self.therapy.set_current(kind, new_a)
+        if self.adaptive:
+            self._close_window()
+            states = None
+            if self.learning:      # day 1 closed every slot's first window
+                f_prev = self.slot_features[slot]
+                states = self._slot_states(slot, f_prev)
+                for kind, s_t in states:
+                    adv.act(self.bundle[kind], s_t, f_prev, self.therapy)
+            self.window = (slot, len(self.today.measurements), states)
         dose = adv.bolus_recommendation(self.today.announced[slot], reading,
                                         self.therapy, slot, self._iob(minute))
-        self.open_slot = slot
-        self.open_at = len(self.today.measurements)
         if dose > 0.0:
             self._deliver(dose, adv.BOLUS_KIND, minute, pat.RAPID_DEPOT)
 
@@ -415,24 +415,16 @@ class Trial:
     def bedtime(self, minute: int) -> None:
         """Bedtime reading, the basal agent's step, then the basal injection."""
         self._read(minute, BEDTIME_SLOT)
-        self._close_window()
-        feats = adv.bolus_features(self.day_pool)
-        if self.learning:
+        if self.adaptive:
+            self._close_window()
+            feats = adv.bolus_features(self._since_last_bedtime())
             s_now = adv.build_state(adv.AgentKind.BASAL, feats, self._overnight())
-            agent = self.bundle[adv.AgentKind.BASAL]
-            if self.basal_state_prev is not None:
-                d = adv.critic_update(agent, self.basal_state_prev, s_now, self.beta)
-                if math.isfinite(d):
-                    adv.actor_update(agent, d, self.basal_state_prev)
-            p = adv.policy(agent, s_now, feats)
-            self.therapy.basal = adv.apply_action(
-                adv.AgentKind.BASAL, p, self.therapy.basal, self.therapy.basal_init,
-                agent.m_smooth, prev_tdd=self.day_traces[-1].total_insulin_u)
-            self.basal_state_prev = s_now
-        elif self.collecting and feats is not None:
-            self.basal_state_prev = adv.build_state(adv.AgentKind.BASAL, feats,
-                                                    self._overnight())
-        self.day_pool = []
+            if self.learning:      # day 14's bedtime set the state learned from
+                agent = self.bundle[adv.AgentKind.BASAL]
+                adv.learn(agent, self.basal_state, s_now, self.beta)
+                adv.act(agent, s_now, feats, self.therapy,
+                        prev_tdd=self.day_traces[-1].total_insulin_u)
+            self.basal_state = s_now
         self._deliver(self.therapy.basal, adv.BASAL_KIND, minute, pat.LONG_DEPOT)
 
     def midnight(self) -> None:
@@ -441,7 +433,7 @@ class Trial:
         agents."""
         today = self.today
         self.day_traces.append(today)
-        if today.day == init.COLLECTION_DAYS and self.arm == ABBA:
+        if today.day == init.COLLECTION_DAYS and self.adaptive:
             self.bundle, self.te_bits, self.risk = init.initialise_agents(
                 self._collection_log(), self.params.diabetes_type, self.streams["agents"])
 
@@ -541,15 +533,17 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # `# days` in order, each row's minute is 0 to 1439, and every number in a
 # row's value field is finite and at least 0. A reading lies within
 # [SMBG_FLOOR, SMBG_CEIL]. A day's C rows are its slots 0 to 3 in order,
-# each meal at least a minute long, and each announced meal's pre-meal M row
-# comes before them: its minute is the meal's bolus minute. So a reader
-# builds each day once, in one pass, and names the line or day of any
-# malformed row.
+# each meal at least a minute long and over by minute 1440, and each
+# announced meal's pre-meal M row comes before them: its minute is the
+# meal's bolus minute. A day holds one bedtime reading and one basal dose,
+# at the same minute. So a reader builds each day once, in one pass, and
+# names the line or day of any malformed row.
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
 # phase is always its first init.COLLECTION_DAYS days, and the starting
-# therapy is day 1's T row.
+# therapy is day 1's T row. `# transfer_entropy` (finite, at least 0) and
+# `# risk_class` read "-" exactly when the trace holds no agent bundle.
 #
 # Every float in the text is written with repr(), and the array holds the
 # exact bits, so a rewrite of a parsed pair reproduces both files byte for
@@ -749,9 +743,12 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     agents = adv.bundle_from_text("\n".join(bundle)) if bundle else None
     (days_text,) = _header_values(fields, "days", 1)
     days = _parse_field("days", int, days_text)
-    te = _parse_field("transfer_entropy", lambda text: None if text == "-" else float(text),
+    te = _parse_field("transfer_entropy", lambda text: None if text == "-" else _amount(text),
                       fields["transfer_entropy"])
     risk = _parse_field("risk_class", _risk_from_text, fields["risk_class"])
+    for key, value in (("transfer_entropy", te), ("risk_class", risk)):
+        if (value is None) == bool(bundle):
+            raise ValueError(f"{arm} trace {'lacks' if bundle else 'holds'} a {key} value")
 
     (digest,) = _header_values(fields, "glucose", 1)
     if not isinstance(glucose, np.ndarray) or glucose.dtype != _GLUCOSE_DTYPE:
@@ -825,6 +822,9 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                                  "a day holds slots 0 to 3 once each, in order")
             if duration < 1:
                 raise ValueError(f"meal of {duration} minutes at line {lineno}")
+            if start + duration > MINUTES_PER_DAY:
+                raise ValueError(f"meal at line {lineno} ends at minute "
+                                 f"{start + duration}, after the day")
             if (announced is None) != (slot == 3):
                 raise ValueError(f"meal slot {slot} at line {lineno} is "
                                  + ("announced" if slot == 3 else "not announced"))
@@ -842,6 +842,12 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             if len(today.meals) != 4:
                 raise ValueError(f"day {d} holds {len(today.meals)} meals at line "
                                  f"{lineno}, expected slots 0 to 3")
+            bedtime = [m.timestamp for m in today.measurements if m.slot == BEDTIME_SLOT]
+            basal = [r.timestamp for r in today.insulin if r.kind == adv.BASAL_KIND]
+            if len(bedtime) != 1 or bedtime != basal:
+                raise ValueError(f"day {d} holds {len(bedtime)} bedtime readings and "
+                                 f"{len(basal)} basal doses at line {lineno}, expected "
+                                 "one of each at one minute")
             if number != today.total_insulin_u:
                 raise ValueError(f"day {d}'s insulin total {number!r} is not "
                                  f"the sum of its doses, {today.total_insulin_u!r}")

@@ -172,6 +172,21 @@ def test_critic_matches_discounted_cost_oracle_on_two_state_chain():
     assert abs(v_b - v_b_oracle) < 1e-3
 
 
+@pytest.mark.parametrize("s_next", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]],
+                         ids=["nan", "inf", "minus_inf"])
+def test_learn_freezes_the_actor_on_a_non_finite_td_error(s_next):
+    a = _agent(AgentKind.ICR1, [0.5, -0.5], w=[1.0, 0.5], z=[1.0, 0.5],
+               adam_m=[0.1, 0.2], adam_v=[0.3, 0.4], step_count=7)
+    before = {f: np.copy(getattr(a, f)) for f in ("theta", "adam_m", "adam_v")}
+    adv.learn(a, np.array([0.4, 0.2]), np.array(s_next), adv.beta_for("T1D"))
+    assert (a.frozen_faults, a.step_count) == (1, 7)
+    for field, value in before.items():
+        assert getattr(a, field).tobytes() == value.tobytes(), field
+    adv.learn(a, np.array([0.4, 0.2]), np.array([0.3, 0.0]), adv.beta_for("T1D"))
+    assert (a.frozen_faults, a.step_count) == (1, 8)          # a finite step moves it
+    assert a.theta.tobytes() != before["theta"].tobytes()
+
+
 # --- policy ------------------------------------------------------------------------
 
 def test_policy_icr_all_in_range_previous_day_pins_p_to_zero():
@@ -375,9 +390,15 @@ def test_apply_action_clamps_to_half_initial():
 
 def test_apply_action_basal_guard_reverts():
     # Proposal lands at 4 U/day against a 40 U previous TDD: below the 25%
-    # floor, so the previous value stands.
+    # floor, so the previous value stands, and act leaves it in the therapy.
     new = adv.apply_action(AgentKind.BASAL, -1.2, 10.0, 20.0, 0.5, prev_tdd=40.0)
     assert new == 10.0
+    therapy = adv.TherapyParams(icr=[10.0] * 3, ps=[1.0] * 3, cf=50.0, basal=10.0,
+                                basal_init=20.0)
+    agent = _agent(AgentKind.BASAL, [-1.2, 0.0, 0.0, 0.0])    # policy: -1.2
+    adv.act(agent, np.array([1.0, 0.0, 0.0, 0.0]), FeatureVector(0.0, 0.0), therapy,
+            prev_tdd=40.0)
+    assert therapy.basal == 10.0
 
 
 def test_apply_action_basal_guard_allows_above_floor():
@@ -468,9 +489,14 @@ def test_dose_rises_as_icr_falls():
 
 
 def test_clamp_safety_under_fuzzed_updates():
+    # Each step goes through act too, on a twin therapy: an agent whose theta
+    # is (1, 0, ...) proposes the state's first component, and equal features
+    # give the ICR agents the linear policy alone.
     rng = np.random.default_rng(99)
     t = _therapy(icr=10.0, ps=1.0, cf=50.0, basal=24.0)
+    twin = _therapy(icr=10.0, ps=1.0, cf=50.0, basal=24.0)
     kinds = list(AgentKind)
+    agents = {k: _agent(k, np.eye(k.state_dim)[0]) for k in kinds}
     n = 100_000
     ps = rng.uniform(-30.0, 30.0, n)
     picks = rng.integers(0, len(kinds), n)
@@ -479,13 +505,17 @@ def test_clamp_safety_under_fuzzed_updates():
         kind = kinds[picks[i]]
         cur = t.current(kind)
         a0 = t.a_init(kind)
-        new = adv.apply_action(kind, float(ps[i]), cur, a0, 0.5,
-                               prev_tdd=float(tdds[i]) if kind.is_basal else None)
+        prev_tdd = float(tdds[i]) if kind.is_basal else None
+        new = adv.apply_action(kind, float(ps[i]), cur, a0, 0.5, prev_tdd=prev_tdd)
         if not (0.5 * a0 - 1e-12 <= new <= 2.0 * a0 + 1e-12):
             raise AssertionError(f"clamp violated at step {i}: {new} vs init {a0}")
         if kind.is_basal and new != cur and new < 0.25 * tdds[i] - 1e-12:
             raise AssertionError(f"basal guard violated at step {i}")
         t.set_current(kind, new)
+        adv.act(agents[kind], np.eye(kind.state_dim)[0] * ps[i], FeatureVector(0.5, 0.5),
+                twin, prev_tdd=prev_tdd)
+        if twin.current(kind) != new:
+            raise AssertionError(f"act set {twin.current(kind)}, not {new}, at step {i}")
 
 
 def test_feature_vectors_stay_in_unit_box_under_fuzz():

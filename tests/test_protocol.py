@@ -333,6 +333,29 @@ def test_basal_guard_reverts_a_cut_below_a_quarter_of_yesterdays_dose(monkeypatc
     assert basal == current
 
 
+def test_the_basal_agent_reads_a_rescue_taken_after_the_last_bedtime(monkeypatch):
+    # No simulated trial has such a day, so two ABBA days are driven by hand
+    # at the starting state, with a rescue after day 1's bedtime reading.
+    bolus_features, windows = adv.bolus_features, []
+
+    def recording(window):
+        windows.append(list(window))
+        return bolus_features(window)
+
+    monkeypatch.setattr(adv, "bolus_features", recording)
+    trial = proto.Trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"], master_seed=43,
+                        days=15)
+    for day in (1, 2):
+        for minute, handler in trial.start_day(day):
+            handler(minute)
+        if day == 1:
+            trial.rescue(proto.MINUTES_PER_DAY - 1)
+        trial.midnight()
+    day1, day2 = trial.day_traces
+    assert [m.slot for m in day1.measurements[-2:]] == [proto.BEDTIME_SLOT, proto.RESCUE_SLOT]
+    assert windows[-1] == [day1.measurements[-1].value, *(m.value for m in day2.measurements)]
+
+
 # --- trace persistence -------------------------------------------------------------
 
 def _assert_same_trial(a, b):
@@ -564,12 +587,16 @@ def test_trace_rejects_a_header_of_the_wrong_value_count(key, edit, count):
 @pytest.mark.parametrize("key, edit, message", [
     ("days", lambda v: ["x"], "invalid literal for int() with base 10: 'x'"),
     ("transfer_entropy", lambda v: ["x"], "could not convert string to float: 'x'"),
+    ("transfer_entropy", lambda v: ["nan"], "'nan' is not a finite number >= 0"),
+    ("transfer_entropy", lambda v: ["inf"], "'inf' is not a finite number >= 0"),
+    ("transfer_entropy", lambda v: ["-0.5"], "'-0.5' is not a finite number >= 0"),
     ("risk_class", lambda v: ["a:b:c"], "too many values to unpack"),
     ("risk_class", lambda v: ["foo:bar"], "unknown variability label 'foo'"),
     ("risk_class", lambda v: ["normal:foo"], "unknown nocturnal risk label 'foo'"),
     ("patient", lambda v: ["x", *v[1:]], "invalid literal for int() with base 10: 'x'"),
     ("patient", lambda v: [*v[:3], "abc", *v[4:]], "could not convert string to float: 'abc'"),
-], ids=["days", "transfer_entropy", "risk_class_parts", "risk_class_variability",
+], ids=["days", "transfer_entropy", "transfer_entropy_nan", "transfer_entropy_inf",
+        "transfer_entropy_negative", "risk_class_parts", "risk_class_variability",
         "risk_class_nocturnal", "patient_id", "patient_value"])
 def test_trace_names_a_header_value_that_does_not_parse(key, edit, message):
     lines, glucose = _abba_trace()
@@ -671,6 +698,40 @@ def _reading_of_three(lines):
     return i + 1
 
 
+def _drop_bedtime_reading(lines):
+    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",bedtime")]
+    del lines[i]
+    return _day_rows(lines, 2, "U")[0] + 1
+
+
+def _second_basal_dose(lines):
+    """A second basal row of 0.0 U, which leaves the day's total as it is."""
+    (i,) = [i for i in _day_rows(lines, 2, "I") if lines[i].endswith(",basal")]
+    lines.insert(i + 1, ",".join([*lines[i].split(",")[:3], "0.0", "basal"]))
+    return _day_rows(lines, 2, "U")[0] + 1
+
+
+def _second_bedtime_and_basal_dose(lines):
+    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",bedtime")]
+    lines.insert(i + 1, lines[i])
+    return _second_basal_dose(lines)
+
+
+def _basal_dose_a_minute_late(lines):
+    (i,) = [i for i in _day_rows(lines, 2, "I") if lines[i].endswith(",basal")]
+    day, minute, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, repr(float(minute) + 1.0), kind, value, aux])
+    return _day_rows(lines, 2, "U")[0] + 1
+
+
+def _snack_past_midnight(lines):
+    """Day 2's snack at minute 1439, lasting 30 minutes."""
+    i = _day_rows(lines, 2, "C")[3]
+    day, minute, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, "1439", kind, value, "3:30:-"])
+    return i + 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (_repeat_lunch, "meal slot 1 at line {} is out of order"),
     (_drop_meals, "day 2 holds 0 meals at line {}, expected slots 0 to 3"),
@@ -679,8 +740,17 @@ def _reading_of_three(lines):
     (_edit_meal(0, lambda f: [f[0], "0", f[2]]), "meal of 0 minutes at line {}"),
     (_drop_pre_lunch_reading, "meal slot 1 at line {} follows no pre_lunch reading"),
     (_reading_of_three, "reading 3.0 at line {} is outside [20.0, 600.0]"),
+    (_drop_bedtime_reading, "day 2 holds 0 bedtime readings and 1 basal doses at line {}"),
+    (_second_basal_dose, "day 2 holds 1 bedtime readings and 2 basal doses at line {}"),
+    (_second_bedtime_and_basal_dose,
+     "day 2 holds 2 bedtime readings and 2 basal doses at line {}"),
+    (_basal_dose_a_minute_late, "day 2 holds 1 bedtime readings and 1 basal doses at "
+                                "line {}, expected one of each at one minute"),
+    (_snack_past_midnight, "meal at line {} ends at minute 1469, after the day"),
 ], ids=["repeated_slot", "no_meals", "announced_snack", "unannounced_meal",
-        "zero_duration", "no_pre_meal_reading", "reading_under_the_floor"])
+        "zero_duration", "no_pre_meal_reading", "reading_under_the_floor",
+        "no_bedtime_reading", "second_basal_dose", "second_bedtime_and_basal_dose",
+        "basal_dose_off_bedtime", "meal_past_midnight"])
 def test_trace_rejects_a_malformed_day(edit, message):
     lines, glucose = _bba_trace()
     lineno = edit(lines)
@@ -749,6 +819,27 @@ def test_trace_rejects_an_abba_trace_without_its_bundle():
     lines, glucose = _abba_trace()
     with pytest.raises(ValueError, match="abba trace lacks an agent bundle"):
         proto.trace_from_text(_with_bundle(lines, lambda bundle: []), glucose)
+
+
+@pytest.mark.parametrize("trace, edits, message", [
+    (_abba_trace, {"transfer_entropy": "-"}, "abba trace lacks a transfer_entropy value"),
+    (_abba_trace, {"risk_class": "-"}, "abba trace lacks a risk_class value"),
+    (_abba_trace, {"transfer_entropy": "-", "risk_class": "-"},
+     "abba trace lacks a transfer_entropy value"),
+    (_bba_trace, {"transfer_entropy": "0.25"}, "bba trace holds a transfer_entropy value"),
+    (_bba_trace, {"risk_class": "normal:high"}, "bba trace holds a risk_class value"),
+    (_bba_trace, {"transfer_entropy": "0.25", "risk_class": "normal:high"},
+     "bba trace holds a transfer_entropy value"),
+], ids=["abba_without_te", "abba_without_risk", "abba_without_both", "bba_with_te",
+        "bba_with_risk", "bba_with_both"])
+def test_trace_rejects_initialisation_headers_other_than_its_arm_holds(trace, edits,
+                                                                      message):
+    lines, glucose = trace()
+    proto.trace_from_text("\n".join(lines), glucose)     # as written, both parse
+    for key, value in edits.items():
+        text = _with_header(lines, key, lambda v: [value])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        proto.trace_from_text(text, glucose)
 
 
 def test_trace_rejects_a_bba_trace_with_a_bundle():
