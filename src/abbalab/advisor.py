@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,11 +112,9 @@ def glucose_error(g: float) -> float:
     return 0.0
 
 
-def bolus_features(window) -> FeatureVector | None:
-    """Feature vector of one post-meal window, or of the whole day's readings
-    for the basal agent; None signals skip-update."""
-    if len(window) == 0:
-        return None
+def bolus_features(window) -> FeatureVector:
+    """Feature vector of one post-meal window, or of the basal agent's readings
+    since the last bedtime; each holds at least the reading that closes it."""
     hyper_sum = hypo_sum = 0.0
     n_h = n_l = 0
     for v in window:
@@ -133,8 +131,8 @@ def bolus_features(window) -> FeatureVector | None:
 
 
 def overnight_delta(first_morning, last_night) -> np.ndarray:
-    """Morning-vs-night excursion pair, normalized; zeros when either is missing."""
-    if first_morning is None or last_night is None:
+    """Morning-vs-night excursion pair, normalized; zeros on day 1 (no last_night)."""
+    if last_night is None:
         return np.zeros(2)
     g_m, g_n = float(first_morning), float(last_night)
     b_hyper = b_hypo = 0.0
@@ -148,11 +146,9 @@ def overnight_delta(first_morning, last_night) -> np.ndarray:
 
 def build_state(kind: AgentKind, features: FeatureVector,
                 b_k: np.ndarray | None = None) -> np.ndarray:
+    """The feature pair, then for a 4-dim agent the overnight pair b_k it requires."""
     if kind.state_dim == 2:
         return features.as_array()
-    if b_k is None:
-        log.warning("missing overnight delta for %s; treated as (0, 0)", kind.value)
-        b_k = (0.0, 0.0)
     return np.array([features.f_hyper, features.f_hypo,
                      *np.asarray(b_k, dtype=float).tolist()])
 
@@ -229,10 +225,10 @@ def policy(agent: AgentState, s_t: np.ndarray, f_prev_day: FeatureVector) -> flo
     if f0 == 0.0 and f1 == 0.0:
         return 0.0                                   # alpha_LP = 0 and SP = 0
     lp = float(agent.theta @ s_t)
-    if (f0 > 0.0 and f1 == 0.0) or f0 > f1:
+    if f0 > f1:
         sp = -ALPHA_SP * f0
         alpha_lp = 0.5
-    elif (f1 > 0.0 and f0 == 0.0) or f1 > f0:
+    elif f1 > f0:
         sp = ALPHA_SP * f1
         alpha_lp = 0.5
     else:                                            # F[0] == F[1] > 0
@@ -316,24 +312,19 @@ def iob(records, now: float) -> float:
 
 @dataclass
 class TherapyParams:
-    """Current adjustable therapy with initial values fixing the clamp bounds."""
+    """Current adjustable therapy; its starting values, copied once, fix the clamps."""
     icr: list[float]            # g/U per meal slot
     ps: list[float]             # dimensionless per meal slot
     cf: float                   # mg/dL per U
     basal: float                # U/day
-    icr_init: list[float] = None
-    ps_init: list[float] = None
-    basal_init: float = None
+    icr_init: list[float] = field(init=False)
+    ps_init: list[float] = field(init=False)
+    basal_init: float = field(init=False)
 
     def __post_init__(self):
         self.icr = [float(v) for v in self.icr]
         self.ps = [float(v) for v in self.ps]
-        if self.icr_init is None:
-            self.icr_init = list(self.icr)
-        if self.ps_init is None:
-            self.ps_init = list(self.ps)
-        if self.basal_init is None:
-            self.basal_init = self.basal
+        self.icr_init, self.ps_init, self.basal_init = list(self.icr), list(self.ps), self.basal
         if min(self.icr) <= 0 or min(self.ps) <= 0 or self.cf <= 0 or self.basal <= 0:
             raise ValueError("therapy values must be > 0")
 

@@ -128,7 +128,10 @@ def load_config(path: str | None) -> RunConfig:
     for f in dataclasses.fields(RunConfig):
         if f.name in section:
             parse = _PARSERS.get(f.name, type(f.default))
-            setattr(cfg, f.name, parse(section[f.name].strip()))
+            try:
+                setattr(cfg, f.name, parse(section[f.name].strip()))
+            except ValueError as exc:
+                raise ValueError(f"config key '{f.name}': {exc}") from None
     return cfg
 
 

@@ -251,12 +251,12 @@ class Trial:
     DayTraces, the kernel state `y`, the trial's minute glucose, the day's
     per-minute carbohydrate delivery `cho`, the seed streams and, in the ABBA
     arm only, the agents and their memory: each slot's last post-meal
-    features, the open window and the last bedtime's basal state. The
-    readings of a window and of the basal agent are derived from the
-    DayTraces. A handler takes only the minute,
-    reads true plasma glucose from `y` and deposits what it delivers: the
-    rescue's grams into `cho`, boluses and the basal shot (U) into their
-    depots of `y`.
+    features, the open window and the last bedtime's basal state. The agents
+    exist from the last collection day's midnight on, exactly the days that
+    learn. A window's readings, the basal agent's and the overnight pair are
+    derived from the DayTraces. A handler takes only the minute, reads true
+    plasma glucose from `y` and deposits what it delivers: the rescue's
+    grams into `cho`, boluses and the basal shot (U) into their depots of `y`.
     """
 
     def __init__(self, params: pat.PatientParams, advisor_kind: str,
@@ -276,7 +276,6 @@ class Trial:
         # state), ...) its pre-meal actions read, or None), or None.
         self.slot_features: dict[int, adv.FeatureVector] = {}
         self.window: tuple | None = None
-        self.overnight: np.ndarray | None = None   # today's, once built
         self.basal_state: np.ndarray | None = None  # last bedtime's
 
         self.day_traces: list[DayTrace] = []
@@ -296,8 +295,6 @@ class Trial:
         and BASAL_WINDOW keep them apart.
         """
         self.day_offset = (day - 1) * MINUTES_PER_DAY
-        self.learning = self.adaptive and day > init.COLLECTION_DAYS
-        self.overnight = None
         sched = sample_day(self.spec, self.streams["schedule"])
 
         cho = self.cho
@@ -333,15 +330,10 @@ class Trial:
         self.y[depot] += dose
 
     def _overnight(self) -> np.ndarray:
-        """Today's first reading against yesterday's last (none on day 1),
-        built once a day: the first reading is taken before any handler
-        asks."""
-        if self.overnight is None:
-            last_night = (self.day_traces[-1].measurements[-1].value
-                          if self.day_traces else None)
-            self.overnight = adv.overnight_delta(self.today.measurements[0].value,
-                                                 last_night)
-        return self.overnight
+        """The overnight pair of today's first reading, taken before any
+        handler asks, and yesterday's last (none on day 1)."""
+        last_night = self.day_traces[-1].measurements[-1].value if self.day_traces else None
+        return adv.overnight_delta(self.today.measurements[0].value, last_night)
 
     def _since_last_bedtime(self) -> list[float]:
         """The basal agent's readings: those after yesterday's bedtime reading
@@ -393,7 +385,7 @@ class Trial:
         if self.adaptive:
             self._close_window()
             states = None
-            if self.learning:      # day 1 closed every slot's first window
+            if self.bundle is not None:    # day 1 closed every slot's first window
                 f_prev = self.slot_features[slot]
                 states = self._slot_states(slot, f_prev)
                 for kind, s_t in states:
@@ -419,7 +411,7 @@ class Trial:
             self._close_window()
             feats = adv.bolus_features(self._since_last_bedtime())
             s_now = adv.build_state(adv.AgentKind.BASAL, feats, self._overnight())
-            if self.learning:      # day 14's bedtime set the state learned from
+            if self.bundle is not None:    # day 14's bedtime set the state learned from
                 agent = self.bundle[adv.AgentKind.BASAL]
                 adv.learn(agent, self.basal_state, s_now, self.beta)
                 adv.act(agent, s_now, feats, self.therapy,
@@ -530,14 +522,15 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #        I doses, and the mark of a complete day
 #
 # A day is its T row, its M, I and C rows, then its U row; days run 1 to
-# `# days` in order, each row's minute is 0 to 1439, and every number in a
-# row's value field is finite and at least 0. A reading lies within
-# [SMBG_FLOOR, SMBG_CEIL]. A day's C rows are its slots 0 to 3 in order,
-# each meal at least a minute long and over by minute 1440, and each
-# announced meal's pre-meal M row comes before them: its minute is the
-# meal's bolus minute. A day holds one bedtime reading and one basal dose,
-# at the same minute. So a reader builds each day once, in one pass, and
-# names the line or day of any malformed row.
+# `# days` in order, each row's minute is a whole number from 0 to 1439 (an
+# M or I row spells it as a float, 523.0), and every number in a row's value
+# field is finite and at least 0. A reading lies within [SMBG_FLOOR,
+# SMBG_CEIL]. A day's C rows are its slots 0 to 3 in order, each meal at
+# least a minute long and over by minute 1440, and each announced meal's
+# pre-meal M row comes before them: its minute is the meal's bolus minute.
+# A day holds one bedtime reading and one basal dose, at the same minute. So
+# a reader builds each day once, in one pass, and names the line or day of
+# any malformed row.
 #
 # The header lines before the column names hold each trial fact once, and a
 # field given twice is rejected. `# days` is the trial length; the collection
@@ -785,6 +778,11 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             raise ValueError(f"malformed trace row at line {lineno}: {exc}") from None
         if not 0 <= at < MINUTES_PER_DAY:
             raise ValueError(f"minute {minute} is outside the day at line {lineno}")
+        if not at.is_integer():
+            raise ValueError(f"minute {minute} is not a whole minute at line {lineno}")
+        if (kind == "T" and at != 0) or (kind == "U" and at != MINUTES_PER_DAY - 1):
+            raise ValueError(f"{kind} row at minute {minute} at line {lineno}: a day's T row "
+                             f"is at minute 0 and its U row at {MINUTES_PER_DAY - 1}")
         expected = len(day_traces) + 1 if today is None else today.day
         if d != expected or (kind == "T") != (today is None):
             if kind == "T" and today is not None and d == today.day:

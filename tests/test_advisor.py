@@ -53,10 +53,6 @@ def test_bolus_features_hypo_window():
     assert f.f_hyper == 0.0
 
 
-def test_bolus_features_empty_window_signals_skip():
-    assert adv.bolus_features([]) is None
-
-
 def test_features_mixed_day_has_both_components():
     f = adv.bolus_features([200.0, 60.0])
     assert f.f_hyper > 0.0 and f.f_hypo > 0.0
@@ -86,7 +82,8 @@ def test_overnight_delta_no_branch():
 
 
 def test_overnight_delta_missing_reading():
-    assert (adv.overnight_delta(None, 130.0) == 0.0).all()
+    # Day 1 has no last night's reading.
+    assert (adv.overnight_delta(220.0, None) == 0.0).all()
 
 
 # --- state assembly and cost --------------------------------------------------------
@@ -104,11 +101,6 @@ def test_build_state_icr1_is_the_feature_pair():
 def test_build_state_ps2_is_the_feature_pair():
     s = adv.build_state(AgentKind.PS2, FeatureVector(0.0, 0.3))
     assert s.tolist() == [0.0, 0.3]
-
-
-def test_build_state_missing_overnight_pair_becomes_zeros():
-    s = adv.build_state(AgentKind.ICR3, FeatureVector(0.1, 0.2), None)
-    assert s.tolist() == [0.1, 0.2, 0.0, 0.0]
 
 
 def test_cost_t1d_hyper_only():
@@ -393,8 +385,8 @@ def test_apply_action_basal_guard_reverts():
     # floor, so the previous value stands, and act leaves it in the therapy.
     new = adv.apply_action(AgentKind.BASAL, -1.2, 10.0, 20.0, 0.5, prev_tdd=40.0)
     assert new == 10.0
-    therapy = adv.TherapyParams(icr=[10.0] * 3, ps=[1.0] * 3, cf=50.0, basal=10.0,
-                                basal_init=20.0)
+    therapy = adv.TherapyParams(icr=[10.0] * 3, ps=[1.0] * 3, cf=50.0, basal=20.0)
+    therapy.basal = 10.0
     agent = _agent(AgentKind.BASAL, [-1.2, 0.0, 0.0, 0.0])    # policy: -1.2
     adv.act(agent, np.array([1.0, 0.0, 0.0, 0.0]), FeatureVector(0.0, 0.0), therapy,
             prev_tdd=40.0)
@@ -404,6 +396,16 @@ def test_apply_action_basal_guard_reverts():
 def test_apply_action_basal_guard_allows_above_floor():
     new = adv.apply_action(AgentKind.BASAL, -0.2, 12.0, 20.0, 0.5, prev_tdd=40.0)
     assert new == pytest.approx(10.8)
+
+
+def test_therapy_clamp_anchors_are_its_starting_values():
+    therapy = adv.TherapyParams(icr=[10.0] * 3, ps=[1.0] * 3, cf=50.0, basal=20.0)
+    therapy.set_current(AgentKind.BASAL, 10.0)
+    therapy.set_current(AgentKind.ICR2, 12.0)
+    assert [therapy.a_init(k) for k in (AgentKind.BASAL, AgentKind.ICR2, AgentKind.PS3)] \
+        == [20.0, 10.0, 1.0]
+    with pytest.raises(TypeError):
+        adv.TherapyParams(icr=[10.0] * 3, ps=[1.0] * 3, cf=50.0, basal=10.0, basal_init=20.0)
 
 
 # --- IOB -------------------------------------------------------------------------

@@ -183,7 +183,7 @@ jobs = 2
 """
 
 
-def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch):
+def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch, capsys):
     cfg = cli.load_config(_config(tmp_path, EVERY_KEY))
     assert len(cli.CONFIG_KEYS) == 8
     assert cfg == cli.RunConfig(
@@ -196,11 +196,13 @@ def test_config_setting_every_key_loads_and_keeps_its_hash(tmp_path, monkeypatch
 
     calls = []
     monkeypatch.setattr(proto, "run_trial", lambda *a, **k: calls.append(a))
-    for body in (SMOKE.replace("cohort_size = 2", "cohort_size = two"),
-                 SMOKE.replace("days = 30", "days = 30.5")):
+    for key, bad in (("cohort_size", "two"), ("days", "30.5"), ("seed", "-x")):
+        body = "\n".join(f"{key} = {bad}" if line.startswith(f"{key} =") else line
+                         for line in SMOKE.splitlines())
         cfg_path = _config(tmp_path, body)
         assert cli.main(["run", "--config", cfg_path,
                          "--out", str(tmp_path / "x")]) == 2
+        assert f"error: config key '{key}': " in capsys.readouterr().err
     assert calls == []
 
 
