@@ -414,13 +414,12 @@ def bundle_to_text(bundle: dict[AgentKind, AgentState]) -> str:
 
 
 def bundle_from_text(text: str) -> dict[AgentKind, AgentState]:
-    """Parse bundle_to_text's lines; a missing, repeated, unknown or
-    malformed field raises ValueError naming it."""
+    """Parse bundle_to_text's lines; a missing or malformed field raises
+    ValueError naming it. A repeated field keeps its last value and an unknown
+    one is ignored: trace_from_text rewrites what it parsed and rejects both."""
     raw = {}
     for line in text.splitlines():
         key, _, value = line.partition(" ")
-        if key in raw:
-            raise ValueError(f"agent field {key} given twice")
         raw[key] = value
     agents = {}
     for kind in AgentKind:
@@ -428,14 +427,12 @@ def bundle_from_text(text: str) -> dict[AgentKind, AgentState]:
         for f, parse in _FIELDS.items():
             key = f"{kind.value}.{f}"
             try:
-                values[f] = parse(raw.pop(key))
+                values[f] = parse(raw[key])
             except KeyError:
                 raise ValueError(f"agent field {key} missing") from None
             except ValueError as exc:
                 raise ValueError(f"agent field {key}: {exc}") from None
         agents[kind] = AgentState(kind=kind, **values)
-    if raw:
-        raise ValueError(f"unknown agent field {next(iter(raw))!r}")
     return agents
 
 

@@ -517,35 +517,33 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     C  one MealPlan of the day, at its start minute: value = grams eaten,
 #        aux = slot:duration:announced, with the grams announced for slots
 #        0-2 from the day's announced tuple and "-" for the snack, slot 3
-#     U  day's total delivered insulin, at minute 1439: a checksum that must
-#        equal DayTrace's derived total, the in-order float sum of the day's
-#        I doses, and the mark of a complete day
+#     U  the day's total delivered insulin, DayTrace's derived total, at
+#        minute 1439: the mark of a complete day
 #
 # A day is its T row, its M, I and C rows, then its U row; days run 1 to
-# `# days` in order, each row's minute is a whole number from 0 to 1439 (an
-# M or I row spells it as a float, 523.0), and every number in a row's value
-# field is finite and at least 0. A reading lies within [SMBG_FLOOR,
-# SMBG_CEIL]. A day's C rows are its slots 0 to 3 in order, each meal at
-# least a minute long and over by minute 1440, and each announced meal's
-# pre-meal M row comes before them: its minute is the meal's bolus minute.
-# A day holds one bedtime reading and one basal dose, at the same minute. So
-# a reader builds each day once, in one pass, and names the line or day of
-# any malformed row.
+# `# days` in order. The header lines before the column names hold each trial
+# fact once: `# days` is the trial length, the collection phase is always its
+# first init.COLLECTION_DAYS days, and the starting therapy is day 1's T row.
+# An ABBA trace also holds the final agent bundle as header lines
+# `# agent.<agent>.<field> <values>`, one per line of advisor.bundle_to_text.
+# The .npy is TrialResult.glucose as it is, written and digested in place with
+# no copy, and the text's `# glucose` header, the sha256 of the array's bytes,
+# binds the two files together.
 #
-# The header lines before the column names hold each trial fact once, and a
-# field given twice is rejected. `# days` is the trial length; the collection
-# phase is always its first init.COLLECTION_DAYS days, and the starting
-# therapy is day 1's T row. `# transfer_entropy` (finite, at least 0) and
-# `# risk_class` read "-" exactly when the trace holds no agent bundle.
-#
-# Every float in the text is written with repr(), and the array holds the
-# exact bits, so a rewrite of a parsed pair reproduces both files byte for
-# byte. The .npy is TrialResult.glucose as it is, written and digested in
-# place with no copy, and a read hands the loaded array to the result whole.
-# The text's `# glucose` header is the sha256 of the array's bytes, which
-# binds the two files together. An ABBA trace also holds the final
-# agent bundle as header lines `# agent.<agent>.<field> <values>`, one per
-# line of advisor.bundle_to_text; a BBA trace holds none.
+# The reader accepts only the bytes the writer writes. trace_from_text builds
+# each day once, in one pass, and names the line or day of a row whose meaning
+# is wrong: every row's minute is whole and inside the day, every number in a
+# value field is finite and at least 0, and a reading lies within
+# [SMBG_FLOOR, SMBG_CEIL]. A day's readings run in minute order, one per slot
+# a minute, and its doses too; its C rows are slots 0 to 3 in order, each meal
+# at least a minute long and over by minute 1440 and each announced meal after
+# the pre-meal reading whose minute is its bolus minute; and it holds one
+# bedtime reading and one basal dose, at the same minute. `# transfer_entropy`
+# and `# risk_class` read "-" exactly when there is no agent bundle. The
+# reader then rewrites the parsed trial, every float with repr() as the writer
+# writes it, and rejects a text that differs, naming the first differing line.
+# So a trace's bytes identify its content, and a parsed pair rewrites both
+# files byte for byte.
 
 TRACE_SCHEMA = "abbalab-trace v7"
 
@@ -572,8 +570,10 @@ def _digest(glucose: np.ndarray) -> str:
     return hashlib.sha256(glucose).hexdigest()
 
 
-def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) -> str:
-    """Serialize one trial to the columnar text trace, without its glucose."""
+def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None,
+                  digest: str | None = None) -> str:
+    """Serialize one trial to the columnar text trace, without its glucose.
+    `digest` is the glucose digest when the caller has already computed it."""
     lines = [f"# {TRACE_SCHEMA}"]
     for key, value in (headers or {}).items():
         lines.append(f"# {key} {value}")
@@ -589,7 +589,7 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None) ->
     rc = result.risk_class
     lines.append("# risk_class " +
                  ("-" if rc is None else f"{rc.variability}:{rc.nocturnal_risk}"))
-    lines.append(f"# glucose {_digest(result.glucose)}")
+    lines.append(f"# glucose {digest or _digest(result.glucose)}")
     if result.final_agents is not None:
         lines.extend(_AGENT_PREFIX + line for line in
                      adv.bundle_to_text(result.final_agents).splitlines())
@@ -644,14 +644,16 @@ def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{npy.name}: cannot load the glucose array: {exc}") from None
     try:
-        return trace_from_text(path.read_text(), glucose)
+        with open(path, newline="") as fh:     # the bytes as written, no newline translation
+            return trace_from_text(fh.read(), glucose)
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _parse_header(lines: list[str]) -> tuple[dict[str, str], list[str], int]:
     """The header fields, the agent bundle's lines, and where the body starts.
-    A field given twice raises ValueError naming it."""
+    A repeated field keeps its last value; the rewrite in trace_from_text
+    then rejects the first copy."""
     fields, bundle = {}, []
     i = 1                       # line 0 is the schema tag
     while i < len(lines) and lines[i].startswith("# "):
@@ -659,8 +661,6 @@ def _parse_header(lines: list[str]) -> tuple[dict[str, str], list[str], int]:
             bundle.append(lines[i][len(_AGENT_PREFIX):])
         else:
             key, _, rest = lines[i][2:].partition(" ")
-            if key in fields:
-                raise ValueError(f"trace header '{key}' given twice")
             fields[key] = rest
         i += 1
     return fields, bundle, i
@@ -705,12 +705,12 @@ def _risk_from_text(text: str) -> init.RiskClass | None:
 
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
     """Parse a text trace and its glucose array back into a TrialResult,
-    with an ABBA trial's final agents. `glucose` becomes the result's
-    glucose whole, copied only if it is not C-ordered.
-
-    Returns the result plus every header field, so a rerun of the analytics
-    can carry the original provenance lines through to its own outputs.
-    """
+    with an ABBA trial's final agents, plus the other header fields, so that a
+    rerun of the analytics carries the provenance lines through to its outputs.
+    `glucose` becomes the result's glucose whole, copied only if it is not
+    C-ordered. Only the text trace_to_text writes parses: any other raises
+    ValueError naming its first wrong row, field or day, or else its first
+    line that the rewrite changes."""
     lines = text.splitlines()
     if not lines or lines[0] != f"# {TRACE_SCHEMA}":
         raise ValueError(f"unsupported trace schema; expected '# {TRACE_SCHEMA}'")
@@ -780,15 +780,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             raise ValueError(f"minute {minute} is outside the day at line {lineno}")
         if not at.is_integer():
             raise ValueError(f"minute {minute} is not a whole minute at line {lineno}")
-        if (kind == "T" and at != 0) or (kind == "U" and at != MINUTES_PER_DAY - 1):
-            raise ValueError(f"{kind} row at minute {minute} at line {lineno}: a day's T row "
-                             f"is at minute 0 and its U row at {MINUTES_PER_DAY - 1}")
         expected = len(day_traces) + 1 if today is None else today.day
         if d != expected or (kind == "T") != (today is None):
-            if kind == "T" and today is not None and d == today.day:
-                raise ValueError(f"second therapy row for day {d} at line {lineno}")
-            if kind == "U" and today is None and day_traces and d == day_traces[-1].day:
-                raise ValueError(f"second insulin total row for day {d} at line {lineno}")
             raise ValueError(f"{kind} row for day {d} at line {lineno} is out of order: "
                              f"days run 1 to {days}, each from its T row to its U row")
         if kind == "T":
@@ -805,11 +798,20 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             if not pat.SMBG_FLOOR <= number <= pat.SMBG_CEIL:
                 raise ValueError(f"reading {value} at line {lineno} is outside "
                                  f"[{pat.SMBG_FLOOR}, {pat.SMBG_CEIL}]")
+            for m in reversed(today.measurements):      # back to the last earlier minute
+                if m.timestamp < at + offset:
+                    break
+                if m.timestamp > at + offset or m.slot == aux:
+                    raise ValueError(f"reading at line {lineno} is out of order: a day's "
+                                     "readings run in minute order, one per slot a minute")
             today.measurements.append(adv.Measurement(
                 value=number, timestamp=at + offset, slot=aux))
         elif kind == "I":
             if aux not in adv.INSULIN_KINDS:
                 raise ValueError(f"unknown insulin kind {aux!r} at line {lineno}")
+            if today.insulin and at + offset < today.insulin[-1].timestamp:
+                raise ValueError(f"dose at line {lineno} is out of order: a day's doses "
+                                 "run in minute order")
             today.insulin.append(adv.InsulinRecord(
                 dose_u=number, kind=aux, timestamp=at + offset))
         elif kind == "C":
@@ -846,9 +848,6 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                 raise ValueError(f"day {d} holds {len(bedtime)} bedtime readings and "
                                  f"{len(basal)} basal doses at line {lineno}, expected "
                                  "one of each at one minute")
-            if number != today.total_insulin_u:
-                raise ValueError(f"day {d}'s insulin total {number!r} is not "
-                                 f"the sum of its doses, {today.total_insulin_u!r}")
             today.meals, today.announced = tuple(today.meals), tuple(today.announced)
             day_traces.append(today)
             today = None
@@ -859,4 +858,10 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                          day_traces=day_traces, glucose=glucose, final_agents=agents,
                          transfer_entropy_bits=te, risk_class=risk)
     extra = {k: v for k, v in fields.items() if k not in _RESULT_HEADERS}
+    written = trace_to_text(result, extra, digest)
+    if text != written:
+        found, expected = text.splitlines(True) + [""], written.splitlines(True) + [""]
+        n = next(n for n, pair in enumerate(zip(found, expected)) if pair[0] != pair[1])
+        raise ValueError(f"trace text is not as written at line {n + 1}: "
+                         f"found {found[n]!r}, expected {expected[n]!r}")
     return result, extra

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -544,7 +545,7 @@ def test_trace_rejects_a_second_therapy_row():
     lines, glucose = _bba_trace()
     i = _therapy_row(lines, 2)
     lines.insert(i + 1, lines[i])
-    with pytest.raises(ValueError, match="second therapy row for day 2"):
+    with pytest.raises(ValueError, match=rf"T row for day 2 at line {i + 2} is out of order"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
@@ -637,8 +638,8 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     ("T", 3, "1.0 1.0 1.0 1.0 1.0 1.0 1.0 -inf", "'-inf' is not a finite number >= 0"),
     ("C", 3, "-5.0", "'-5.0' is not a finite number >= 0"),
     ("M", 1, "100.5", "minute 100.5 is not a whole minute"),
-    ("T", 1, "700", "T row at minute 700"),
-    ("U", 1, "3", "U row at minute 3"),
+    ("T", 1, "700", "trace text is not as written at line"),
+    ("U", 1, "3", "trace text is not as written at line"),
 ], ids=["day", "minute", "value", "meal_aux", "minute_after_the_day",
         "minute_before_the_day", "negative_dose", "nan_reading", "inf_reading",
         "infinite_basal", "negative_meal", "part_minute", "therapy_off_minute_0",
@@ -711,7 +712,28 @@ def _second_basal_dose(lines):
 def _second_bedtime_and_basal_dose(lines):
     (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",bedtime")]
     lines.insert(i + 1, lines[i])
-    return _second_basal_dose(lines)
+    _second_basal_dose(lines)
+    return i + 2
+
+
+def _repeated_rescue(before):
+    """An edit that gives day 2 two copies of a rescue at its pre_lunch minute,
+    which a rescue may share, `before` of them ahead of the pre_lunch reading."""
+    def apply(lines):
+        (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",pre_lunch")]
+        rescue = lines[i].rsplit(",", 1)[0] + ",rescue"
+        lines[i:i + 1] = [rescue] * before + [lines[i]] + [rescue] * (2 - before)
+        return i + 3
+    return apply
+
+
+def _swapped_rows(code):
+    """An edit that swaps day 2's first two rows of kind `code`."""
+    def apply(lines):
+        i = _day_rows(lines, 2, code)[0]
+        lines[i:i + 2] = lines[i + 1], lines[i]
+        return i + 2
+    return apply
 
 
 def _basal_dose_a_minute_late(lines):
@@ -739,15 +761,22 @@ def _snack_past_midnight(lines):
     (_reading_of_three, "reading 3.0 at line {} is outside [20.0, 600.0]"),
     (_drop_bedtime_reading, "day 2 holds 0 bedtime readings and 1 basal doses at line {}"),
     (_second_basal_dose, "day 2 holds 1 bedtime readings and 2 basal doses at line {}"),
-    (_second_bedtime_and_basal_dose,
-     "day 2 holds 2 bedtime readings and 2 basal doses at line {}"),
+    (_second_bedtime_and_basal_dose, "reading at line {} is out of order"),
+    (_repeated_rescue(0),
+     "reading at line {} is out of order: a day's readings run in minute order, "
+     "one per slot a minute"),
+    (_repeated_rescue(1), "reading at line {} is out of order"),
+    (_swapped_rows("M"), "reading at line {} is out of order"),
+    (_swapped_rows("I"), "dose at line {} is out of order: a day's doses run in "
+                         "minute order"),
     (_basal_dose_a_minute_late, "day 2 holds 1 bedtime readings and 1 basal doses at "
                                 "line {}, expected one of each at one minute"),
     (_snack_past_midnight, "meal at line {} ends at minute 1469, after the day"),
 ], ids=["repeated_slot", "no_meals", "announced_snack", "unannounced_meal",
         "zero_duration", "no_pre_meal_reading", "reading_under_the_floor",
         "no_bedtime_reading", "second_basal_dose", "second_bedtime_and_basal_dose",
-        "basal_dose_off_bedtime", "meal_past_midnight"])
+        "repeated_rescue", "rescue_either_side_of_a_reading", "swapped_readings",
+        "swapped_doses", "basal_dose_off_bedtime", "meal_past_midnight"])
 def test_trace_rejects_a_malformed_day(edit, message):
     lines, glucose = _bba_trace()
     lineno = edit(lines)
@@ -773,27 +802,33 @@ def _one_ulp_more(row):
 @pytest.mark.parametrize("trace", [_bba_trace, _s4_abba_trace],
                          ids=["s1_bba", "s4_abba"])
 @pytest.mark.parametrize("edit, message", [
-    (lambda row: [row, row], "second insulin total row for day 15 at line"),
-    (lambda row: [_one_ulp_more(row)],
-     "day 15's insulin total .* is not the sum of its doses"),
+    (lambda row: [row, row], r"U row for day 15 at line \d+ is out of order"),
+    (lambda row: [_one_ulp_more(row)], r"trace text is not as written at line \d+: "
+                                       r"found '15,1439,U,"),
 ], ids=["second_row", "one_ulp_off"])
 def test_trace_rejects_a_day_total_other_than_the_sum_of_its_doses(trace, edit,
                                                                    message):
     lines, glucose = trace()
-    proto.trace_from_text("\n".join(lines), glucose)   # as written, every day checks
+    proto.trace_from_text("\n".join(lines) + "\n", glucose)   # as written, it parses
     (i,) = [i for i, line in enumerate(lines) if line.startswith("15,1439,U,")]
     lines[i:i + 1] = edit(lines[i])
     with pytest.raises(ValueError, match=message):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
-@pytest.mark.parametrize("key", ["arm", "config_hash"])
-def test_trace_rejects_a_header_given_twice(key):
+@pytest.mark.parametrize("key, message", [
+    ("arm", "abba trace lacks an agent bundle"),
+    ("config_hash", "trace text is not as written at line 2: found '# config_hash aaaa\\n', "
+                    "expected '# config_hash bbbb\\n'"),
+], ids=["arm", "config_hash"])
+def test_trace_rejects_a_header_given_twice(key, message):
+    # The parse keeps the second value: an abba arm then wants a bundle, and
+    # the rewrite of config_hash differs at the first copy.
     lines, glucose = _bba_trace()
     lines[1:1] = ["# config_hash aaaa"]
     (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]
     lines.insert(i + 1, f"# {key} {'abba' if key == 'arm' else 'bbbb'}")
-    with pytest.raises(ValueError, match=f"trace header '{key}' given twice"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
@@ -832,7 +867,7 @@ def test_trace_rejects_an_abba_trace_without_its_bundle():
 def test_trace_rejects_initialisation_headers_other_than_its_arm_holds(trace, edits,
                                                                       message):
     lines, glucose = trace()
-    proto.trace_from_text("\n".join(lines), glucose)     # as written, both parse
+    proto.trace_from_text("\n".join(lines) + "\n", glucose)     # as written, both parse
     for key, value in edits.items():
         text = _with_header(lines, key, lambda v: [value])
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -852,8 +887,10 @@ def test_trace_rejects_a_bba_trace_with_a_bundle():
     (lambda b: b[:17], "agent field ICR1.lr_c missing"),
     (lambda b: [b[0] + " x", *b[1:]], "agent field Basal.theta: could not convert"),
     (lambda b: [b[0].rsplit(" ", 1)[0], *b[1:]], "theta must have dim 4 for Basal"),
-    (lambda b: b + ["# agent.Basal.omega 1.0"], "unknown agent field 'Basal.omega'"),
-    (lambda b: b + b[:1], "agent field Basal.theta given twice"),
+    (lambda b: b + ["# agent.Basal.omega 1.0"],
+     r"trace text is not as written at line \d+: found '# agent.Basal.omega 1.0\\n'"),
+    (lambda b: b + b[:1],
+     r"trace text is not as written at line \d+: found '# agent.Basal.theta "),
 ], ids=["cut_last_line", "cut_mid_agent", "not_a_number", "short_vector",
         "unknown_field", "repeated_field"])
 def test_trace_rejects_a_malformed_agent_bundle(edit, message):
@@ -882,10 +919,96 @@ def test_trace_rejects_days_other_than_one_to_days():
         proto.trace_from_text("\n".join(relabelled), glucose)
 
 
-def test_trace_rejects_truncation():
+@pytest.mark.parametrize("cut", [
+    lambda text: "\n".join(text.splitlines()[:-200]),
+    lambda text: text[:len(text) - len(text.splitlines()[-1]) // 2],
+    lambda text: text[:-1],
+], ids=["200_lines", "mid_last_row", "final_newline"])
+def test_trace_rejects_truncation(cut):
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=16)
     text = proto.trace_to_text(res)
-    truncated = "\n".join(text.splitlines()[:-200])
     with pytest.raises(ValueError):
-        proto.trace_from_text(truncated, res.glucose)
+        proto.trace_from_text(cut(text), res.glucose)
+
+
+def test_read_trace_rejects_crlf_line_endings(tmp_path):
+    path, _ = _written_bba_trace(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(ValueError, match=r"^p000_bba\.txt: trace text is not as written "
+                                         r"at line 1: found '# abbalab-trace v7\\r\\n'"):
+        proto.read_trace(path)
+
+
+def _respell(code, field, respell):
+    """An edit that respells field `field` of the first day-2 row of kind
+    `code`; the parse is unchanged, only the bytes differ."""
+    def apply(lines):
+        i = _day_rows(lines, 2, code)[0]
+        parts = lines[i].split(",")
+        parts[field] = respell(parts[field])
+        lines[i] = ",".join(parts)
+    return apply
+
+
+def _respell_header(prefix, respell):
+    def apply(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        key, first, *rest = lines[i].split(" ")[1:]
+        lines[i] = " ".join(["#", key, respell(first), *rest])
+    return apply
+
+
+def _swap(first, second):
+    """An edit that swaps day 2's last row of kind `first` with its first of kind `second`."""
+    def apply(lines):
+        i, j = _day_rows(lines, 2, first)[-1], _day_rows(lines, 2, second)[0]
+        lines[i], lines[j] = lines[j], lines[i]
+    return apply
+
+
+def _repeat_header(key):
+    def apply(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"# {key} "))
+        lines.insert(i, lines[i])
+    return apply
+
+
+def _exponent(text):
+    return format(float(text), ".16e")
+
+
+_NON_CANONICAL_EDITS = {
+    "day_plus": _respell("T", 0, lambda day: "+" + day),
+    "day_space": _respell("I", 0, lambda day: " " + day),
+    "minute_zero_padded": _respell("M", 1, lambda minute: "0" + minute),
+    "meal_minute_zero_padded": _respell("C", 1, lambda minute: "0" + minute),
+    "total_in_exponent_form": _respell("U", 3, _exponent),
+    "days_plus": _respell_header("# days ", lambda days: "+" + days),
+    "reading_and_dose_swapped": _swap("M", "I"),
+    "dose_and_meal_swapped": _swap("I", "C"),
+    "header_repeated": _repeat_header("scenario"),
+}
+
+
+@pytest.fixture(scope="module")
+def short_traces():
+    """The text lines and glucose arrays of 15-day BBA and ABBA trials."""
+    return {"bba": _bba_trace(), "abba": _abba_trace()}
+
+
+@pytest.mark.parametrize("arm, edit", [
+    *(pytest.param(arm, edit, id=f"{arm}-{name}")
+      for arm in ("bba", "abba") for name, edit in _NON_CANONICAL_EDITS.items()),
+    pytest.param("abba", _respell_header("# agent.Basal.theta ", _exponent),
+                 id="abba-agent_value_in_exponent_form"),
+])
+def test_trace_rejects_every_non_canonical_edit(short_traces, arm, edit):
+    # Each edit parses to the same trial as the text it changes; only the
+    # rewrite tells them apart.
+    lines, glucose = short_traces[arm]
+    lines = list(lines)
+    proto.trace_from_text("\n".join(lines) + "\n", glucose)
+    edit(lines)
+    with pytest.raises(ValueError, match=r"^trace text is not as written at line \d+: "):
+        proto.trace_from_text("\n".join(lines) + "\n", glucose)
