@@ -76,7 +76,7 @@ INSULIN_KINDS = (BOLUS_KIND, CORRECTION_KIND, BASAL_KIND)
 @dataclass(frozen=True)
 class Measurement:
     value: float          # mg/dL
-    timestamp: float      # minutes since trial start
+    timestamp: int        # whole minutes since trial start
     slot: str             # one of protocol.READING_SLOTS
 
 
@@ -84,7 +84,7 @@ class Measurement:
 class InsulinRecord:
     dose_u: float
     kind: str             # one of INSULIN_KINDS
-    timestamp: float      # minutes since trial start
+    timestamp: int        # whole minutes since trial start
 
     def __post_init__(self):
         if self.dose_u < 0:

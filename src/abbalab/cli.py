@@ -296,7 +296,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     cohort = pat.generate_cohort(cfg.cohort_size, cfg.diabetes_type, cfg.seed)
     # Arm-major, so each process's stride holds an even share of both arms.
     tasks = [(cfg, headers, p, arm) for arm in cfg.arms for p in cohort]
-    jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    # The CPUs this process may run on, fewer than the machine's under taskset.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(cfg.jobs, len(tasks), cpus or 1)
     statuses = _run_forked(tasks, jobs)
 
     failures = [(pid, arm, err) for pid, arm, _, err in statuses if err is not None]

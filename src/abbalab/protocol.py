@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,12 +322,12 @@ class Trial:
     def _read(self, minute: int, slot: str) -> float:
         value = pat.read_smbg(self.y.item(pat.PLASMA_GLUCOSE), self.streams["smbg"])
         self.today.measurements.append(adv.Measurement(
-            value=value, timestamp=float(self.day_offset + minute), slot=slot))
+            value=value, timestamp=self.day_offset + minute, slot=slot))
         return value
 
     def _deliver(self, dose: float, kind: str, minute: int, depot: int) -> None:
         self.today.insulin.append(adv.InsulinRecord(
-            dose_u=dose, kind=kind, timestamp=float(self.day_offset + minute)))
+            dose_u=dose, kind=kind, timestamp=self.day_offset + minute))
         self.y[depot] += dose
 
     def _overnight(self) -> np.ndarray:
@@ -347,8 +348,7 @@ class Trial:
     def _iob(self, minute: int) -> float:
         # Records older than yesterday's are past DIA_MIN, which iob skips.
         yesterday = self.day_traces[-1].insulin if self.day_traces else []
-        return adv.iob([*yesterday, *self.today.insulin],
-                       float(self.day_offset + minute))
+        return adv.iob([*yesterday, *self.today.insulin], self.day_offset + minute)
 
     def _slot_states(self, slot: int, features: adv.FeatureVector) -> tuple:
         """((kind, state), ...) of the slot's ICR and PS agents; a 2-dim state
@@ -504,7 +504,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # One trial is stored as a pair of files with one stem. The .npy holds the
 # minute plasma glucose (mg/dL): one C-order little-endian float64 array of
 # shape (days, 1440), row d-1 for day d. The .txt is a columnar text file with
-# one row per event:
+# one row per event, its minute a whole number of minutes into the day:
 #
 #     day,minute,kind,value,aux
 #
@@ -531,21 +531,27 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # binds the two files together.
 #
 # The reader accepts only the bytes the writer writes. trace_from_text builds
-# each day once, in one pass, and names the line or day of a row whose meaning
-# is wrong: every row's minute is whole and inside the day, every number in a
-# value field is finite and at least 0, and a reading lies within
-# [SMBG_FLOOR, SMBG_CEIL]. A day's readings run in minute order, one per slot
-# a minute, and its doses too; its C rows are slots 0 to 3 in order, each meal
-# at least a minute long and over by minute 1440 and each announced meal after
-# the pre-meal reading whose minute is its bolus minute; and it holds one
-# bedtime reading and one basal dose, at the same minute. `# transfer_entropy`
-# and `# risk_class` read "-" exactly when there is no agent bundle. The
-# reader then rewrites the parsed trial, every float with repr() as the writer
-# writes it, and rejects a text that differs, naming the first differing line.
-# So a trace's bytes identify its content, and a parsed pair rewrites both
-# files byte for byte.
+# each day once, in one pass. A row only becomes a record, and names its line
+# when its meaning is wrong: its minute is an integer inside the day, every
+# number in its value field is finite and at least 0, a reading lies within
+# [SMBG_FLOOR, SMBG_CEIL], and a meal lasts a minute or more, is over by
+# minute 1440 and is announced unless it is the snack. The day check runs
+# once, at the U row, and names the day and that row's line: its C rows are
+# slots 0 to 3 in order; its readings run in minute order, a minute's rescue
+# before its one other reading; it holds one reading of each pre-meal slot
+# and one bedtime reading, the pre-meal one's minute its meal's bolus minute,
+# and post_prandial readings exactly where the scenario takes them (S4 only,
+# POST_PRANDIAL_DELAY after each main meal's start, before the bedtime
+# minute); and its doses run in minute order, one a minute, each at the
+# minute of the reading it answers (a bolus at a pre-meal reading, a
+# correction at a post_prandial one, the basal dose, which the day holds, at
+# the bedtime one). `# transfer_entropy` and `# risk_class` read "-" exactly
+# when there is no agent bundle. The reader then rewrites the parsed trial,
+# every float with repr() as the writer writes it, and rejects a text that
+# differs, naming the first differing line. So a trace's bytes identify its
+# content, and a parsed pair rewrites both files byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v7"
+TRACE_SCHEMA = "abbalab-trace v8"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -597,12 +603,12 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None,
     for trace in result.day_traces:
         d = trace.day
         lines.append(f"{d},0,T,{_therapy_text(trace.therapy)},")
-        offset = float((d - 1) * MINUTES_PER_DAY)
+        offset = (d - 1) * MINUTES_PER_DAY
         for meas in trace.measurements:
-            lines.append(f"{d},{_fmt(meas.timestamp - offset)},M,"
+            lines.append(f"{d},{operator.index(meas.timestamp) - offset},M,"
                          f"{_fmt(meas.value)},{meas.slot}")
         for rec in trace.insulin:
-            lines.append(f"{d},{_fmt(rec.timestamp - offset)},I,"
+            lines.append(f"{d},{operator.index(rec.timestamp) - offset},I,"
                          f"{_fmt(rec.dose_u)},{rec.kind}")
         for meal in trace.meals:
             announced = ("-" if meal.bolus_minute is None
@@ -634,8 +640,8 @@ def remove_trace(path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
     """Load the trace pair that `write_trace(path, ...)` wrote; see
-    trace_from_text. A missing, malformed or mismatched file raises
-    ValueError naming it."""
+    trace_from_text. A missing, unreadable, malformed or mismatched file
+    raises ValueError naming it."""
     path = Path(path)
     npy = path.with_suffix(".npy")
     try:
@@ -646,6 +652,8 @@ def read_trace(path: str | Path) -> tuple[TrialResult, dict[str, str]]:
     try:
         with open(path, newline="") as fh:     # the bytes as written, no newline translation
             return trace_from_text(fh.read(), glucose)
+    except OSError as exc:
+        raise ValueError(f"{path.name}: cannot read the trace text: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
 
@@ -703,6 +711,58 @@ def _risk_from_text(text: str) -> init.RiskClass | None:
     return init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
 
 
+# The reading slots a dose of each kind answers, at that reading's minute;
+# a rescue is answered by none.
+_DOSE_SLOTS = {adv.BOLUS_KIND: PRE_MEAL_SLOTS, adv.CORRECTION_KIND: (POST_PRANDIAL_SLOT,),
+               adv.BASAL_KIND: (BEDTIME_SLOT,)}
+
+
+def _close_day(today: DayTrace, meals: list[tuple], spec: ScenarioSpec,
+                lineno: int) -> DayTrace:
+    """The day check, run when the U row at `lineno` closes `today`; its errors
+    name the day and that line. `meals` holds the day's C rows as MealPlan
+    fields, the announced grams or None in place of the bolus minute, which
+    is the minute of the meal's pre-meal reading."""
+    where, offset = f"day {today.day} at line {lineno}", (today.day - 1) * MINUTES_PER_DAY
+    slots = [meal[0] for meal in meals]
+    if slots != [0, 1, 2, 3]:
+        raise ValueError(f"{where} holds meals of slots {slots}, expected slots 0 to 3 "
+                         "once each, in order")
+    order = [(m.timestamp, m.slot != RESCUE_SLOT) for m in today.measurements]
+    if not all(map(operator.lt, order, order[1:])):
+        raise ValueError(f"{where} holds readings out of order: they run in minute "
+                         "order, a minute's rescue before its one other reading")
+    taken = {slot: [] for slot in READING_SLOTS}     # each slot's minutes in the day
+    for m in today.measurements:
+        taken[m.slot].append(m.timestamp - offset)
+    for slot in (*PRE_MEAL_SLOTS, BEDTIME_SLOT):
+        if len(taken[slot]) != 1:
+            raise ValueError(f"{where} holds {len(taken[slot])} {slot} readings, "
+                             "expected one")
+    due = [meal[1] + POST_PRANDIAL_DELAY for meal in meals[:3] if spec.correction_boluses]
+    post = [minute for minute in due if minute < taken[BEDTIME_SLOT][0]]
+    if taken[POST_PRANDIAL_SLOT] != post:
+        raise ValueError(f"{where} holds post_prandial readings at minutes "
+                         f"{taken[POST_PRANDIAL_SLOT]}; {spec.id} takes them at {post}")
+    times = [r.timestamp for r in today.insulin]
+    if not all(map(operator.lt, times, times[1:])):
+        raise ValueError(f"{where} holds doses out of order: they run in minute order, "
+                         "one a minute")
+    # Each minute's last reading: the one other than a rescue, where there is one.
+    answered = {m.timestamp: m.slot for m in today.measurements}
+    for r in today.insulin:
+        if answered.get(r.timestamp) not in _DOSE_SLOTS[r.kind]:
+            raise ValueError(f"{where} holds a {r.kind} dose at minute "
+                             f"{r.timestamp - offset}, not at a "
+                             f"{' or '.join(_DOSE_SLOTS[r.kind])} reading")
+    if taken[BEDTIME_SLOT][0] + offset not in times:
+        raise ValueError(f"{where} holds no basal dose at its bedtime reading")
+    today.meals = tuple(MealPlan(*meal[:4], None if meal[4] is None
+                                 else taken[PRE_MEAL_SLOTS[meal[0]]][0]) for meal in meals)
+    today.announced = tuple(meal[4] for meal in meals[:3])
+    return today
+
+
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
     """Parse a text trace and its glucose array back into a TrialResult,
     with an ABBA trial's final agents, plus the other header fields, so that a
@@ -730,6 +790,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
     if scenario not in SCENARIOS:
         raise ValueError(f"trace scenario {scenario!r} is not one of "
                          f"{sorted(SCENARIOS)}")
+    spec = SCENARIOS[scenario]
     if (arm == ABBA) != bool(bundle):
         raise ValueError(f"{arm} trace {'lacks' if arm == ABBA else 'holds'} "
                          "an agent bundle")
@@ -764,12 +825,12 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         if kind not in ("T", "M", "I", "C", "U"):
             raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
         try:
-            d, at = int(day), float(minute)
+            d, at = int(day), int(minute)
             if kind == "T":
                 numbers = [_amount(v) for v in value.split()]
             elif kind == "C":
                 slot, duration, announced = aux.split(":")
-                slot, start, duration = int(slot), int(minute), int(duration)
+                slot, duration = int(slot), int(duration)
                 cho, announced = _amount(value), (None if announced == "-"
                                                   else _amount(announced))
             else:
@@ -778,8 +839,6 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             raise ValueError(f"malformed trace row at line {lineno}: {exc}") from None
         if not 0 <= at < MINUTES_PER_DAY:
             raise ValueError(f"minute {minute} is outside the day at line {lineno}")
-        if not at.is_integer():
-            raise ValueError(f"minute {minute} is not a whole minute at line {lineno}")
         expected = len(day_traces) + 1 if today is None else today.day
         if d != expected or (kind == "T") != (today is None):
             raise ValueError(f"{kind} row for day {d} at line {lineno} is out of order: "
@@ -788,68 +847,35 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             if len(numbers) != len(_THERAPY_FIELDS):
                 raise ValueError(f"therapy row at line {lineno} holds {len(numbers)} "
                                  f"values, expected {len(_THERAPY_FIELDS)}")
-            today = DayTrace(day=d, meals=[], announced=[], therapy=TherapySnapshot(
+            today = DayTrace(day=d, meals=(), announced=(), therapy=TherapySnapshot(
                 icr=tuple(numbers[:3]), ps=tuple(numbers[3:6]), cf=numbers[6],
                 basal=numbers[7]))
-            offset = float((d - 1) * MINUTES_PER_DAY)
+            offset, meals = (d - 1) * MINUTES_PER_DAY, []
         elif kind == "M":
             if aux not in READING_SLOTS:
                 raise ValueError(f"unknown reading slot {aux!r} at line {lineno}")
             if not pat.SMBG_FLOOR <= number <= pat.SMBG_CEIL:
                 raise ValueError(f"reading {value} at line {lineno} is outside "
                                  f"[{pat.SMBG_FLOOR}, {pat.SMBG_CEIL}]")
-            for m in reversed(today.measurements):      # back to the last earlier minute
-                if m.timestamp < at + offset:
-                    break
-                if m.timestamp > at + offset or m.slot == aux:
-                    raise ValueError(f"reading at line {lineno} is out of order: a day's "
-                                     "readings run in minute order, one per slot a minute")
             today.measurements.append(adv.Measurement(
                 value=number, timestamp=at + offset, slot=aux))
         elif kind == "I":
             if aux not in adv.INSULIN_KINDS:
                 raise ValueError(f"unknown insulin kind {aux!r} at line {lineno}")
-            if today.insulin and at + offset < today.insulin[-1].timestamp:
-                raise ValueError(f"dose at line {lineno} is out of order: a day's doses "
-                                 "run in minute order")
             today.insulin.append(adv.InsulinRecord(
                 dose_u=number, kind=aux, timestamp=at + offset))
         elif kind == "C":
-            if not 0 <= slot <= 3:
-                raise ValueError(f"meal slot {slot} is not 0 to 3 at line {lineno}")
-            if slot != len(today.meals):
-                raise ValueError(f"meal slot {slot} at line {lineno} is out of order: "
-                                 "a day holds slots 0 to 3 once each, in order")
             if duration < 1:
                 raise ValueError(f"meal of {duration} minutes at line {lineno}")
-            if start + duration > MINUTES_PER_DAY:
+            if at + duration > MINUTES_PER_DAY:
                 raise ValueError(f"meal at line {lineno} ends at minute "
-                                 f"{start + duration}, after the day")
+                                 f"{at + duration}, after the day")
             if (announced is None) != (slot == 3):
                 raise ValueError(f"meal slot {slot} at line {lineno} is "
                                  + ("announced" if slot == 3 else "not announced"))
-            bolus_minute = None
-            if announced is not None:
-                bolus_minute = next((int(m.timestamp - offset) for m in today.measurements
-                                     if m.slot == PRE_MEAL_SLOTS[slot]), None)
-                if bolus_minute is None:
-                    raise ValueError(f"meal slot {slot} at line {lineno} follows no "
-                                     f"{PRE_MEAL_SLOTS[slot]} reading")
-                today.announced.append(announced)
-            today.meals.append(MealPlan(slot=slot, start_minute=start, duration_min=duration,
-                                        cho_g=cho, bolus_minute=bolus_minute))
+            meals.append((slot, at, duration, cho, announced))
         else:
-            if len(today.meals) != 4:
-                raise ValueError(f"day {d} holds {len(today.meals)} meals at line "
-                                 f"{lineno}, expected slots 0 to 3")
-            bedtime = [m.timestamp for m in today.measurements if m.slot == BEDTIME_SLOT]
-            basal = [r.timestamp for r in today.insulin if r.kind == adv.BASAL_KIND]
-            if len(bedtime) != 1 or bedtime != basal:
-                raise ValueError(f"day {d} holds {len(bedtime)} bedtime readings and "
-                                 f"{len(basal)} basal doses at line {lineno}, expected "
-                                 "one of each at one minute")
-            today.meals, today.announced = tuple(today.meals), tuple(today.announced)
-            day_traces.append(today)
+            day_traces.append(_close_day(today, meals, spec, lineno))
             today = None
     if len(day_traces) != days:
         raise ValueError(f"trace holds {len(day_traces)} complete days, expected {days}")

@@ -276,6 +276,31 @@ def test_replay_rejects_a_bad_trace_pair_and_writes_no_report(tmp_path, capsys, 
     assert not (out / "chart_T1D.svg").exists()
 
 
+def _text_as_directory(traces):
+    path = traces / "p000_abba.txt"
+    path.unlink()
+    path.mkdir()
+
+
+def _text_missing(traces):
+    """p000_abba.txt a link to nothing: listed, but missing when opened."""
+    path = traces / "p000_abba.txt"
+    path.unlink()
+    path.symlink_to(traces / "gone.txt")
+
+
+@pytest.mark.parametrize("edit", [_text_as_directory, _text_missing],
+                         ids=["directory", "missing"])
+def test_a_trace_text_that_cannot_be_read_is_named(tmp_path, capsys, edit):
+    _, out = _run(tmp_path, "out_a")
+    edit(out / "traces")
+    for command in ("replay", "report"):
+        capsys.readouterr()
+        assert cli.main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: p000_abba.txt: cannot read the trace text: ")
+
+
 def _cut_to_14_days(traces):
     """p000_bba cut to 14 days, inside the collection phase, as a whole
     trace pair: its days header, rows and digest agree with its array."""
@@ -347,7 +372,7 @@ def test_report_outputs_keep_their_pinned_digests(tmp_path, capsys, name):
 
 
 def test_parallel_run_matches_serial_run(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
     _, out_serial = _run(tmp_path, "serial")
     for jobs in (2, 3):                 # 3 processes do not divide the 4 trials
         _, out_par = _run(tmp_path, f"jobs{jobs}", extra_args=["--jobs", str(jobs)])
@@ -467,7 +492,8 @@ def test_worker_count_is_capped_by_tasks_and_cpus(tmp_path, monkeypatch):
     short = SMOKE.replace("days = 30", "days = 15")
     cfg = _config(tmp_path, short)
     for n, (cpus, jobs) in enumerate([(64, 8), (3, 8), (64, 2), (1, 8)]):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
         out = tmp_path / f"out{n}"
         assert cli.main(["run", "--config", cfg, "--out", str(out),
                          "--jobs", str(jobs)]) == 0
@@ -500,7 +526,7 @@ def test_a_killed_child_fails_only_its_unfinished_trials(tmp_path, monkeypatch):
         raise TimeoutError("run did not return")
 
     monkeypatch.setattr(cli, "_run_one", run_one)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = _config(tmp_path, SMOKE.replace("cohort_size = 2", "cohort_size = 3")
                   .replace("days = 30", "days = 15"))
     out = tmp_path / "out"

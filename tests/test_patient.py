@@ -251,20 +251,19 @@ def compiled():
 @pytest.fixture(scope="module")
 def python_traces():
     pairs = _traces(pat.integrate)
-    rescue_row = re.compile(r"^\d+,[\d.]+,M,[\d.]+,rescue$", re.MULTILINE)
+    rescue_row = re.compile(r"^\d+,\d+,M,[\d.]+,rescue$", re.MULTILINE)
     assert rescue_row.search(pairs[0][0]) and rescue_row.search(pairs[1][0])  # both arms
     return pairs
 
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v7 dropped the values that never vary (the collection days, the
-# initial therapy header, each agent's gamma, lam and alpha_sp, and each I
-# row's insulin action time) and bumped its tag, so these differ from v6's
-# although every .npy and every other value is the same.
-TRACE_DIGESTS = ("79c4de443694ae56", "b3c4d625d2f86401",     # T1D seed 1 p6 S1
-                 "bb2bb10bf9525008", "fa2dda771959b707",     # T2D seed 3 p0 S4
-                 "413311b2fb46efe4", "6330f144e6109386")     # T1D seed 3 p1 S2
+# schema v8 writes each M and I row's minute as an integer (437, not 437.0)
+# and bumped its tag, so these differ from v7's although every .npy and
+# every other value is the same.
+TRACE_DIGESTS = ("d69b05784e2eab03", "b5fce83332382d84",     # T1D seed 1 p6 S1
+                 "11ed991fb3c47726", "43f7cf9a372b9c69",     # T2D seed 3 p0 S4
+                 "d14cf851bc352d5a", "e9efb77e7ca1bf0e")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

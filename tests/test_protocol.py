@@ -390,6 +390,20 @@ def test_trace_text_round_trip_is_exact(tmp_path, scenario, arm):
             (tmp_path / f"b{suffix}").read_bytes()
 
 
+def test_trial_and_trace_keep_whole_minutes():
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S4"],
+                          master_seed=29, days=16)
+    back, _ = proto.trace_from_text(proto.trace_to_text(res), res.glucose)
+    for trial in (res, back):
+        records = [r for t in trial.day_traces for r in (*t.measurements, *t.insulin)]
+        assert records and all(type(r.timestamp) is int for r in records)
+    reading = res.day_traces[1].measurements[0]
+    res.day_traces[1].measurements[0] = dataclasses.replace(
+        reading, timestamp=float(reading.timestamp))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        proto.trace_to_text(res)
+
+
 def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=15)
@@ -614,8 +628,7 @@ def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
 @pytest.mark.parametrize("code, edit, message", [
     ("I", lambda aux: aux + ":240.0", "unknown insulin kind 'bolus:240.0'"),
     ("M", lambda aux: "lunchtime", "unknown reading slot 'lunchtime'"),
-    ("C", lambda aux: "7" + aux[1:], "meal slot 7 is not 0 to 3"),
-], ids=["insulin_kind", "reading_slot", "meal_slot"])
+], ids=["insulin_kind", "reading_slot"])
 def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     lines, glucose = _bba_trace()
     i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
@@ -627,23 +640,24 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
 
 @pytest.mark.parametrize("code, field, text, message", [
     ("M", 0, "x", "invalid literal for int() with base 10: 'x'"),
-    ("M", 1, "x", "could not convert string to float: 'x'"),
+    ("M", 1, "x", "invalid literal for int() with base 10: 'x'"),
     ("M", 3, "x", "could not convert string to float: 'x'"),
     ("C", 4, "0:15", "not enough values to unpack"),
-    ("M", 1, "99999.0", "minute 99999.0 is outside the day"),
+    ("M", 1, "99999", "minute 99999 is outside the day"),
     ("C", 1, "-5", "minute -5 is outside the day"),
     ("I", 3, "-1.5", "'-1.5' is not a finite number >= 0"),
     ("M", 3, "nan", "'nan' is not a finite number >= 0"),
     ("M", 3, "inf", "'inf' is not a finite number >= 0"),
     ("T", 3, "1.0 1.0 1.0 1.0 1.0 1.0 1.0 -inf", "'-inf' is not a finite number >= 0"),
     ("C", 3, "-5.0", "'-5.0' is not a finite number >= 0"),
-    ("M", 1, "100.5", "minute 100.5 is not a whole minute"),
+    ("M", 1, "100.5", "invalid literal for int() with base 10: '100.5'"),
+    ("I", 1, "437.0", "invalid literal for int() with base 10: '437.0'"),
     ("T", 1, "700", "trace text is not as written at line"),
     ("U", 1, "3", "trace text is not as written at line"),
 ], ids=["day", "minute", "value", "meal_aux", "minute_after_the_day",
         "minute_before_the_day", "negative_dose", "nan_reading", "inf_reading",
-        "infinite_basal", "negative_meal", "part_minute", "therapy_off_minute_0",
-        "total_off_minute_1439"])
+        "infinite_basal", "negative_meal", "part_minute", "float_minute",
+        "therapy_off_minute_0", "total_off_minute_1439"])
 def test_trace_rejects_a_malformed_row(code, field, text, message):
     lines, glucose = _bba_trace()
     i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
@@ -660,6 +674,16 @@ def _day_rows(lines, day, code):
     return [i for i, line in enumerate(lines) if line.split(",")[:3:2] == [str(day), code]]
 
 
+def _closing_line(lines):
+    """The line of day 2's U row, which the day check names."""
+    return _day_rows(lines, 2, "U")[0] + 1
+
+
+def _row_of(lines, code, aux):
+    """The index of day 2's first row of kind `code` whose last field is `aux`."""
+    return next(i for i in _day_rows(lines, 2, code) if lines[i].endswith("," + aux))
+
+
 def _edit_meal(slot, edit):
     """An edit of day 2's meal of slot `slot`, its aux fields passed through
     `edit`; it returns the line the parser names."""
@@ -671,22 +695,26 @@ def _edit_meal(slot, edit):
     return apply
 
 
+def _breakfast_as_slot_seven(lines):
+    _edit_meal(0, lambda f: ["7", *f[1:]])(lines)
+    return _closing_line(lines)
+
+
 def _repeat_lunch(lines):
     i = _day_rows(lines, 2, "C")[1]
     lines.insert(i + 1, lines[i])
-    return i + 2
+    return _closing_line(lines)
 
 
 def _drop_meals(lines):
     rows = _day_rows(lines, 2, "C")
     del lines[rows[0]:rows[-1] + 1]
-    return _day_rows(lines, 2, "U")[0] + 1
+    return _closing_line(lines)
 
 
 def _drop_pre_lunch_reading(lines):
-    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",pre_lunch")]
-    del lines[i]
-    return _day_rows(lines, 2, "C")[1] + 1
+    del lines[_row_of(lines, "M", "pre_lunch")]
+    return _closing_line(lines)
 
 
 def _reading_of_three(lines):
@@ -697,33 +725,36 @@ def _reading_of_three(lines):
 
 
 def _drop_bedtime_reading(lines):
-    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",bedtime")]
-    del lines[i]
-    return _day_rows(lines, 2, "U")[0] + 1
+    del lines[_row_of(lines, "M", "bedtime")]
+    return _closing_line(lines)
+
+
+def _drop_basal_dose(lines):
+    del lines[_row_of(lines, "I", "basal")]
+    return _closing_line(lines)
 
 
 def _second_basal_dose(lines):
     """A second basal row of 0.0 U, which leaves the day's total as it is."""
-    (i,) = [i for i in _day_rows(lines, 2, "I") if lines[i].endswith(",basal")]
+    i = _row_of(lines, "I", "basal")
     lines.insert(i + 1, ",".join([*lines[i].split(",")[:3], "0.0", "basal"]))
-    return _day_rows(lines, 2, "U")[0] + 1
+    return _closing_line(lines)
 
 
 def _second_bedtime_and_basal_dose(lines):
-    (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",bedtime")]
+    i = _row_of(lines, "M", "bedtime")
     lines.insert(i + 1, lines[i])
-    _second_basal_dose(lines)
-    return i + 2
+    return _second_basal_dose(lines)
 
 
 def _repeated_rescue(before):
     """An edit that gives day 2 two copies of a rescue at its pre_lunch minute,
     which a rescue may share, `before` of them ahead of the pre_lunch reading."""
     def apply(lines):
-        (i,) = [i for i in _day_rows(lines, 2, "M") if lines[i].endswith(",pre_lunch")]
+        i = _row_of(lines, "M", "pre_lunch")
         rescue = lines[i].rsplit(",", 1)[0] + ",rescue"
         lines[i:i + 1] = [rescue] * before + [lines[i]] + [rescue] * (2 - before)
-        return i + 3
+        return _closing_line(lines)
     return apply
 
 
@@ -732,15 +763,31 @@ def _swapped_rows(code):
     def apply(lines):
         i = _day_rows(lines, 2, code)[0]
         lines[i:i + 2] = lines[i + 1], lines[i]
-        return i + 2
+        return _closing_line(lines)
     return apply
 
 
 def _basal_dose_a_minute_late(lines):
-    (i,) = [i for i in _day_rows(lines, 2, "I") if lines[i].endswith(",basal")]
+    i = _row_of(lines, "I", "basal")
     day, minute, kind, value, aux = lines[i].split(",")
-    lines[i] = ",".join([day, repr(float(minute) + 1.0), kind, value, aux])
-    return _day_rows(lines, 2, "U")[0] + 1
+    lines[i] = ",".join([day, str(int(minute) + 1), kind, value, aux])
+    return _closing_line(lines)
+
+
+def _row_after(code, aux, new_row):
+    """An edit that puts, after day 2's first row of kind `code` ending in
+    `aux`, the row `new_row(day, minute, value)` builds from that row's
+    fields, and sets the day's U total to match its I rows."""
+    def apply(lines):
+        i = _row_of(lines, code, aux)
+        day, minute, _, value, _ = lines[i].split(",")
+        lines.insert(i + 1, new_row(day, int(minute), value))
+        total = 0.0
+        for j in _day_rows(lines, 2, "I"):          # in order, as the writer sums them
+            total += float(lines[j].split(",")[3])
+        lines[_closing_line(lines) - 1] = f"2,1439,U,{total!r},"
+        return _closing_line(lines)
+    return apply
 
 
 def _snack_past_midnight(lines):
@@ -752,31 +799,47 @@ def _snack_past_midnight(lines):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_repeat_lunch, "meal slot 1 at line {} is out of order"),
-    (_drop_meals, "day 2 holds 0 meals at line {}, expected slots 0 to 3"),
+    (_repeat_lunch, "day 2 at line {} holds meals of slots [0, 1, 1, 2, 3], expected "
+                    "slots 0 to 3 once each, in order"),
+    (_drop_meals, "day 2 at line {} holds meals of slots [], expected slots 0 to 3"),
+    (_breakfast_as_slot_seven, "day 2 at line {} holds meals of slots [7, 1, 2, 3]"),
     (_edit_meal(3, lambda f: [f[0], f[1], "12.0"]), "meal slot 3 at line {} is announced"),
     (_edit_meal(1, lambda f: [f[0], f[1], "-"]), "meal slot 1 at line {} is not announced"),
     (_edit_meal(0, lambda f: [f[0], "0", f[2]]), "meal of 0 minutes at line {}"),
-    (_drop_pre_lunch_reading, "meal slot 1 at line {} follows no pre_lunch reading"),
+    (_drop_pre_lunch_reading, "day 2 at line {} holds 0 pre_lunch readings, expected one"),
     (_reading_of_three, "reading 3.0 at line {} is outside [20.0, 600.0]"),
-    (_drop_bedtime_reading, "day 2 holds 0 bedtime readings and 1 basal doses at line {}"),
-    (_second_basal_dose, "day 2 holds 1 bedtime readings and 2 basal doses at line {}"),
-    (_second_bedtime_and_basal_dose, "reading at line {} is out of order"),
+    (_drop_bedtime_reading, "day 2 at line {} holds 0 bedtime readings, expected one"),
+    (_second_basal_dose, "day 2 at line {} holds doses out of order"),
+    (_drop_basal_dose, "day 2 at line {} holds no basal dose at its bedtime reading"),
+    (_second_bedtime_and_basal_dose, "day 2 at line {} holds readings out of order"),
     (_repeated_rescue(0),
-     "reading at line {} is out of order: a day's readings run in minute order, "
-     "one per slot a minute"),
-    (_repeated_rescue(1), "reading at line {} is out of order"),
-    (_swapped_rows("M"), "reading at line {} is out of order"),
-    (_swapped_rows("I"), "dose at line {} is out of order: a day's doses run in "
-                         "minute order"),
-    (_basal_dose_a_minute_late, "day 2 holds 1 bedtime readings and 1 basal doses at "
-                                "line {}, expected one of each at one minute"),
+     "day 2 at line {} holds readings out of order: they run in minute order, a "
+     "minute's rescue before its one other reading"),
+    (_repeated_rescue(1), "day 2 at line {} holds readings out of order"),
+    (_swapped_rows("M"), "day 2 at line {} holds readings out of order"),
+    (_swapped_rows("I"), "day 2 at line {} holds doses out of order: they run in "
+                         "minute order, one a minute"),
+    (_basal_dose_a_minute_late, "day 2 at line {} holds a basal dose at minute"),
     (_snack_past_midnight, "meal at line {} ends at minute 1469, after the day"),
-], ids=["repeated_slot", "no_meals", "announced_snack", "unannounced_meal",
-        "zero_duration", "no_pre_meal_reading", "reading_under_the_floor",
-        "no_bedtime_reading", "second_basal_dose", "second_bedtime_and_basal_dose",
-        "repeated_rescue", "rescue_either_side_of_a_reading", "swapped_readings",
-        "swapped_doses", "basal_dose_off_bedtime", "meal_past_midnight"])
+    (_row_after("M", "pre_lunch", lambda day, minute, value:
+                f"{day},{minute + 3},M,{value},pre_lunch"),
+     "day 2 at line {} holds 2 pre_lunch readings, expected one"),
+    (_row_after("M", "pre_lunch", lambda day, minute, value:
+                f"{day},{minute + 130},M,{value},post_prandial"),
+     "day 2 at line {} holds post_prandial readings at minutes"),
+    (_row_after("I", "bolus", lambda day, minute, value:
+                f"{day},{minute + 7},I,{value},bolus"),
+     "day 2 at line {} holds a bolus dose at minute"),
+    (_row_after("I", "bolus", lambda day, minute, value:
+                f"{day},{minute + 130},I,1.5,correction"),
+     "day 2 at line {} holds a correction dose at minute"),
+], ids=["repeated_slot", "no_meals", "meal_slot_out_of_range", "announced_snack",
+        "unannounced_meal", "zero_duration", "no_pre_meal_reading",
+        "reading_under_the_floor", "no_bedtime_reading", "second_basal_dose",
+        "no_basal_dose", "second_bedtime_and_basal_dose", "repeated_rescue",
+        "rescue_either_side_of_a_reading", "swapped_readings", "swapped_doses",
+        "basal_dose_off_bedtime", "meal_past_midnight", "second_pre_meal_reading",
+        "post_prandial_reading_in_s1", "stray_bolus", "correction_in_s1"])
 def test_trace_rejects_a_malformed_day(edit, message):
     lines, glucose = _bba_trace()
     lineno = edit(lines)
@@ -901,10 +964,10 @@ def test_trace_rejects_a_malformed_agent_bundle(edit, message):
 
 
 @pytest.mark.parametrize("tag", ["some-other-format v9",
-                                 *(f"abbalab-trace v{n}" for n in range(1, 7))],
-                         ids=["other_format", *(f"v{n}" for n in range(1, 7))])
+                                 *(f"abbalab-trace v{n}" for n in range(1, 8))],
+                         ids=["other_format", *(f"v{n}" for n in range(1, 8))])
 def test_trace_rejects_wrong_schema(tag):
-    # The tag alone rejects an older schema, so a whole v7 text stands in for each.
+    # The tag alone rejects an older schema, so a whole v8 text stands in for each.
     lines, glucose = _abba_trace()
     lines[0] = f"# {tag}"
     with pytest.raises(ValueError, match="unsupported trace schema"):
@@ -936,7 +999,7 @@ def test_read_trace_rejects_crlf_line_endings(tmp_path):
     path, _ = _written_bba_trace(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(ValueError, match=r"^p000_bba\.txt: trace text is not as written "
-                                         r"at line 1: found '# abbalab-trace v7\\r\\n'"):
+                                         r"at line 1: found '# abbalab-trace v8\\r\\n'"):
         proto.read_trace(path)
 
 
