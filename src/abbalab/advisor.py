@@ -70,7 +70,6 @@ PS_AGENTS = (AgentKind.PS1, AgentKind.PS2, AgentKind.PS3)
 
 # Kinds of insulin delivery; every kind but BASAL_KIND is rapid-acting.
 BOLUS_KIND, CORRECTION_KIND, BASAL_KIND = "bolus", "correction", "basal"
-INSULIN_KINDS = (BOLUS_KIND, CORRECTION_KIND, BASAL_KIND)
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class Measurement:
 @dataclass(frozen=True)
 class InsulinRecord:
     dose_u: float
-    kind: str             # one of INSULIN_KINDS
+    kind: str             # BOLUS_KIND, CORRECTION_KIND or BASAL_KIND
     timestamp: int        # whole minutes since trial start
 
     def __post_init__(self):

@@ -159,12 +159,11 @@ def _low_risk(g: np.ndarray) -> np.ndarray:
     np.power(f, 1.084, out=f)
     f -= 5.381
     f *= 1.509
+    np.minimum(f, 0.0, out=f)
     flat = f.reshape(-1)
     for lo in range(0, flat.size, _RISK_CHUNK):
         chunk = flat[lo:lo + _RISK_CHUNK]
-        not_low = ~(chunk < 0.0)
         chunk *= 10.0 * chunk
-        chunk[not_low] = 0.0
     return f
 
 

@@ -64,6 +64,9 @@ POST_PRANDIAL_SLOT = "post_prandial"
 BEDTIME_SLOT = "bedtime"
 RESCUE_SLOT = "rescue"
 READING_SLOTS = (*PRE_MEAL_SLOTS, POST_PRANDIAL_SLOT, BEDTIME_SLOT, RESCUE_SLOT)
+# The kind of the dose each reading may answer, at its minute; a rescue answers none.
+_SLOT_KINDS = {**dict.fromkeys(PRE_MEAL_SLOTS, adv.BOLUS_KIND),
+               POST_PRANDIAL_SLOT: adv.CORRECTION_KIND, BEDTIME_SLOT: adv.BASAL_KIND}
 
 _TRIAL_TAG = 0x7121A1
 
@@ -511,16 +514,16 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # Kind codes:
 #     T  the therapy active that day, at minute 0; its value is the eight
 #        fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
-#     M  SMBG reading (aux = one of READING_SLOTS); a rescue is the reading
-#        of slot `rescue` taken the minute it fires
-#     I  insulin delivery (aux = kind: bolus, correction or basal)
+#     M  SMBG reading, aux = its slot (one of READING_SLOTS), or slot:dose
+#        when a dose in units, of kind _SLOT_KINDS[slot], answers it; a rescue
+#        is the reading of slot `rescue` taken the minute it fires, no dose
 #     C  one MealPlan of the day, at its start minute: value = grams eaten,
 #        aux = slot:duration:announced, with the grams announced for slots
 #        0-2 from the day's announced tuple and "-" for the snack, slot 3
 #     U  the day's total delivered insulin, DayTrace's derived total, at
 #        minute 1439: the mark of a complete day
 #
-# A day is its T row, its M, I and C rows, then its U row; days run 1 to
+# A day is its T row, its M and C rows, then its U row; days run 1 to
 # `# days` in order. The header lines before the column names hold each trial
 # fact once: `# days` is the trial length, the collection phase is always its
 # first init.COLLECTION_DAYS days, and the starting therapy is day 1's T row.
@@ -533,25 +536,23 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # The reader accepts only the bytes the writer writes. trace_from_text builds
 # each day once, in one pass. A row only becomes a record, and names its line
 # when its meaning is wrong: its minute is an integer inside the day, every
-# number in its value field is finite and at least 0, a reading lies within
-# [SMBG_FLOOR, SMBG_CEIL], and a meal lasts a minute or more, is over by
-# minute 1440 and is announced unless it is the snack. The day check runs
-# once, at the U row, and names the day and that row's line: its C rows are
-# slots 0 to 3 in order; its readings run in minute order, a minute's rescue
-# before its one other reading; it holds one reading of each pre-meal slot
-# and one bedtime reading, the pre-meal one's minute its meal's bolus minute,
-# and post_prandial readings exactly where the scenario takes them (S4 only,
-# POST_PRANDIAL_DELAY after each main meal's start, before the bedtime
-# minute); and its doses run in minute order, one a minute, each at the
-# minute of the reading it answers (a bolus at a pre-meal reading, a
-# correction at a post_prandial one, the basal dose, which the day holds, at
-# the bedtime one). `# transfer_entropy` and `# risk_class` read "-" exactly
-# when there is no agent bundle. The reader then rewrites the parsed trial,
-# every float with repr() as the writer writes it, and rejects a text that
-# differs, naming the first differing line. So a trace's bytes identify its
-# content, and a parsed pair rewrites both files byte for byte.
+# number in its value and aux fields is finite and at least 0, a reading lies
+# within [SMBG_FLOOR, SMBG_CEIL], a bedtime reading has a dose and a rescue
+# none, and a meal lasts a minute or more, is over by minute 1440 and, unless
+# it is the snack, is announced within the scenario's misestimation of its
+# grams. The day check runs once, at the U row, and names the day and that
+# row's line: its C rows are slots 0 to 3 in order; its readings run in
+# minute order, a minute's rescue before its one other reading; it holds one
+# reading of each pre-meal slot, BOLUS_LEAD_RANGE minutes before its meal,
+# one bedtime reading, and post_prandial readings exactly where the scenario
+# takes them (S4 only, POST_PRANDIAL_DELAY after each main meal's start,
+# before the bedtime minute). `# transfer_entropy` and `# risk_class` read
+# "-" exactly when there is no agent bundle. The reader then rewrites the
+# parsed trial, every float with repr() as the writer writes it, and rejects
+# a text that differs, naming the first differing line. So a trace's bytes
+# identify its content, and a parsed pair rewrites both files byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v8"
+TRACE_SCHEMA = "abbalab-trace v9"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -579,7 +580,9 @@ def _digest(glucose: np.ndarray) -> str:
 def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None,
                   digest: str | None = None) -> str:
     """Serialize one trial to the columnar text trace, without its glucose.
-    `digest` is the glucose digest when the caller has already computed it."""
+    `digest` is the glucose digest when the caller has already computed it.
+    Each dose goes on the reading it answers, in order: the next reading at
+    its minute whose slot answers its kind. A dose left over raises ValueError."""
     lines = [f"# {TRACE_SCHEMA}"]
     for key, value in (headers or {}).items():
         lines.append(f"# {key} {value}")
@@ -604,12 +607,17 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None,
         d = trace.day
         lines.append(f"{d},0,T,{_therapy_text(trace.therapy)},")
         offset = (d - 1) * MINUTES_PER_DAY
-        for meas in trace.measurements:
-            lines.append(f"{d},{operator.index(meas.timestamp) - offset},M,"
-                         f"{_fmt(meas.value)},{meas.slot}")
-        for rec in trace.insulin:
-            lines.append(f"{d},{operator.index(rec.timestamp) - offset},I,"
-                         f"{_fmt(rec.dose_u)},{rec.kind}")
+        doses = iter(trace.insulin)
+        dose = next(doses, None)
+        for meas in trace.measurements:         # each dose on the reading it answers
+            at, aux = operator.index(meas.timestamp), meas.slot
+            if (dose is not None and operator.index(dose.timestamp) == at
+                    and _SLOT_KINDS.get(aux) == dose.kind):
+                aux, dose = f"{aux}:{_fmt(dose.dose_u)}", next(doses, None)
+            lines.append(f"{d},{at - offset},M,{_fmt(meas.value)},{aux}")
+        if dose is not None:
+            raise ValueError(f"day {d}: no reading answers the {dose.kind} dose at "
+                             f"minute {dose.timestamp - offset}")
         for meal in trace.meals:
             announced = ("-" if meal.bolus_minute is None
                          else _fmt(trace.announced[meal.slot]))
@@ -711,12 +719,6 @@ def _risk_from_text(text: str) -> init.RiskClass | None:
     return init.RiskClass(variability=variability, nocturnal_risk=nocturnal)
 
 
-# The reading slots a dose of each kind answers, at that reading's minute;
-# a rescue is answered by none.
-_DOSE_SLOTS = {adv.BOLUS_KIND: PRE_MEAL_SLOTS, adv.CORRECTION_KIND: (POST_PRANDIAL_SLOT,),
-               adv.BASAL_KIND: (BEDTIME_SLOT,)}
-
-
 def _close_day(today: DayTrace, meals: list[tuple], spec: ScenarioSpec,
                 lineno: int) -> DayTrace:
     """The day check, run when the U row at `lineno` closes `today`; its errors
@@ -744,21 +746,15 @@ def _close_day(today: DayTrace, meals: list[tuple], spec: ScenarioSpec,
     if taken[POST_PRANDIAL_SLOT] != post:
         raise ValueError(f"{where} holds post_prandial readings at minutes "
                          f"{taken[POST_PRANDIAL_SLOT]}; {spec.id} takes them at {post}")
-    times = [r.timestamp for r in today.insulin]
-    if not all(map(operator.lt, times, times[1:])):
-        raise ValueError(f"{where} holds doses out of order: they run in minute order, "
-                         "one a minute")
-    # Each minute's last reading: the one other than a rescue, where there is one.
-    answered = {m.timestamp: m.slot for m in today.measurements}
-    for r in today.insulin:
-        if answered.get(r.timestamp) not in _DOSE_SLOTS[r.kind]:
-            raise ValueError(f"{where} holds a {r.kind} dose at minute "
-                             f"{r.timestamp - offset}, not at a "
-                             f"{' or '.join(_DOSE_SLOTS[r.kind])} reading")
-    if taken[BEDTIME_SLOT][0] + offset not in times:
-        raise ValueError(f"{where} holds no basal dose at its bedtime reading")
     today.meals = tuple(MealPlan(*meal[:4], None if meal[4] is None
                                  else taken[PRE_MEAL_SLOTS[meal[0]]][0]) for meal in meals)
+    lead_lo, lead_hi = BOLUS_LEAD_RANGE
+    for meal in today.meals[:3]:
+        if not lead_lo <= meal.start_minute - meal.bolus_minute <= lead_hi:
+            raise ValueError(f"{where} holds its {PRE_MEAL_SLOTS[meal.slot]} reading at "
+                             f"minute {meal.bolus_minute} for a meal at minute "
+                             f"{meal.start_minute}: it comes {lead_lo} to {lead_hi} "
+                             "minutes before its meal")
     today.announced = tuple(meal[4] for meal in meals[:3])
     return today
 
@@ -822,7 +818,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         if len(parts) != 5:
             raise ValueError(f"malformed trace row at line {lineno}: {line!r}")
         day, minute, kind, value, aux = parts
-        if kind not in ("T", "M", "I", "C", "U"):
+        if kind not in ("T", "M", "C", "U"):
             raise ValueError(f"unknown trace kind {kind!r} at line {lineno}")
         try:
             d, at = int(day), int(minute)
@@ -835,6 +831,8 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                                                   else _amount(announced))
             else:
                 number = _amount(value)
+                aux, dosed, dose = aux.partition(":")
+                dose = _amount(dose) if dosed else None
         except ValueError as exc:
             raise ValueError(f"malformed trace row at line {lineno}: {exc}") from None
         if not 0 <= at < MINUTES_PER_DAY:
@@ -859,11 +857,13 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                                  f"[{pat.SMBG_FLOOR}, {pat.SMBG_CEIL}]")
             today.measurements.append(adv.Measurement(
                 value=number, timestamp=at + offset, slot=aux))
-        elif kind == "I":
-            if aux not in adv.INSULIN_KINDS:
-                raise ValueError(f"unknown insulin kind {aux!r} at line {lineno}")
-            today.insulin.append(adv.InsulinRecord(
-                dose_u=number, kind=aux, timestamp=at + offset))
+            if dose is not None:
+                if aux == RESCUE_SLOT:
+                    raise ValueError(f"rescue reading at line {lineno} holds a dose")
+                today.insulin.append(adv.InsulinRecord(
+                    dose_u=dose, kind=_SLOT_KINDS[aux], timestamp=at + offset))
+            elif aux == BEDTIME_SLOT:
+                raise ValueError(f"bedtime reading at line {lineno} holds no basal dose")
         elif kind == "C":
             if duration < 1:
                 raise ValueError(f"meal of {duration} minutes at line {lineno}")
@@ -873,6 +873,11 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
             if (announced is None) != (slot == 3):
                 raise ValueError(f"meal slot {slot} at line {lineno} is "
                                  + ("announced" if slot == 3 else "not announced"))
+            lo, hi = spec.misestimation
+            if announced is not None and not lo * cho <= announced <= hi * cho:
+                raise ValueError(f"meal slot {slot} at line {lineno} is announced as "
+                                 f"{announced} g, outside {spec.id}'s {lo} to {hi} times "
+                                 f"the {cho} g eaten")
             meals.append((slot, at, duration, cho, announced))
         else:
             day_traces.append(_close_day(today, meals, spec, lineno))

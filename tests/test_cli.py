@@ -1,6 +1,8 @@
 import filecmp
 import hashlib
+import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -241,6 +243,68 @@ def test_replay_rejects_foreign_schema(tmp_path):
     assert tag in text
     target.write_text(text.replace(tag, "# abbalab-trace v999", 1))
     assert cli.main(["replay", "--out", str(out)]) == 2
+
+
+def _day_two_row(lines, code, slot=None):
+    """The index of day 2's first row of kind `code`, or of its `slot` reading."""
+    return next(i for i, line in enumerate(lines) if line.split(",")[:3:2] == ["2", code]
+                and (slot is None or line.split(",")[4].split(":")[0] == slot))
+
+
+def _v8_tag(lines):
+    lines[0] = "# abbalab-trace v8"
+
+
+def _pre_lunch_after_lunch(lines):
+    i, lunch = _day_two_row(lines, "M", "pre_lunch"), _day_two_row(lines, "C") + 1
+    day, _, kind, value, aux = lines[i].split(",")
+    lines[i] = ",".join([day, str(int(lines[lunch].split(",")[1]) + 30), kind, value, aux])
+
+
+def _lunch_announced_over(lines):
+    i = _day_two_row(lines, "C") + 1
+    day, minute, kind, value, aux = lines[i].split(",")
+    over = math.nextafter(proto.SCENARIOS["S1"].misestimation[1] * float(value), math.inf)
+    lines[i] = ",".join([day, minute, kind, value, f"{aux.rsplit(':', 1)[0]}:{over!r}"])
+
+
+def _dosed_rescue(lines):
+    i = _day_two_row(lines, "M", "bedtime")
+    lines.insert(i, lines[i].replace(",bedtime:", ",rescue:"))
+
+
+def _bedtime_without_dose(lines):
+    i = _day_two_row(lines, "M", "bedtime")
+    lines[i] = lines[i].rsplit(":", 1)[0]
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    rc, out = _run(tmp_path_factory.mktemp("smoke"), "out_a")
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_v8_tag, "unsupported trace schema"),
+    (_pre_lunch_after_lunch, "holds its pre_lunch reading at minute"),
+    (_lunch_announced_over, "is announced as"),
+    (_dosed_rescue, "holds a dose"),
+    (_bedtime_without_dose, "holds no basal dose"),
+], ids=["v8_tag", "pre_meal_reading_after_its_meal", "announced_over_the_interval",
+        "dose_on_a_rescue_row", "bedtime_reading_without_a_dose"])
+def test_replay_names_a_trace_that_breaks_a_v9_rule(tmp_path, capsys, smoke_run, edit,
+                                                     message):
+    out = tmp_path / "out"
+    shutil.copytree(smoke_run, out)
+    target = out / "traces" / "p000_bba.txt"
+    lines = target.read_text().splitlines()
+    edit(lines)
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["replay", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p000_bba.txt: ") and message in err, err
 
 
 def _edit_header(path, key, value):

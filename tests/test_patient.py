@@ -258,12 +258,12 @@ def python_traces():
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v8 writes each M and I row's minute as an integer (437, not 437.0)
-# and bumped its tag, so these differ from v7's although every .npy and
-# every other value is the same.
-TRACE_DIGESTS = ("d69b05784e2eab03", "b5fce83332382d84",     # T1D seed 1 p6 S1
-                 "11ed991fb3c47726", "43f7cf9a372b9c69",     # T2D seed 3 p0 S4
-                 "d14cf851bc352d5a", "e9efb77e7ca1bf0e")     # T1D seed 3 p1 S2
+# schema v9 writes each dose on the M row of the reading it answers, with no
+# I rows, and bumped its tag, so these differ from v8's although every .npy
+# and every other value is the same.
+TRACE_DIGESTS = ("13d30178e83696dc", "02a566f231ad512f",     # T1D seed 1 p6 S1
+                 "aa71fb9387373c9b", "25049b23769071e7",     # T2D seed 3 p0 S4
+                 "cd6751e395d0c34c", "f01a53caae7fe89b")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

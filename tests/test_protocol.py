@@ -404,6 +404,37 @@ def test_trial_and_trace_keep_whole_minutes():
         proto.trace_to_text(res)
 
 
+def _basal_a_minute_late(trace):
+    basal = trace.insulin[-1]
+    trace.insulin[-1] = dataclasses.replace(basal, timestamp=basal.timestamp + 1)
+    return "basal", basal.timestamp + 1
+
+
+def _basal_as_bolus(trace):
+    basal = trace.insulin[-1]
+    trace.insulin[-1] = dataclasses.replace(basal, kind=adv.BOLUS_KIND)
+    return "bolus", basal.timestamp
+
+
+def _doses_swapped(trace):
+    trace.insulin[:2] = trace.insulin[1::-1]
+    return "bolus", trace.insulin[1].timestamp
+
+
+@pytest.mark.parametrize("edit", [_basal_a_minute_late, _basal_as_bolus, _doses_swapped],
+                         ids=["no_reading_at_its_minute", "reading_of_another_kind",
+                              "out_of_order"])
+def test_trace_writer_refuses_a_dose_no_reading_answers(edit):
+    # Each dose is written on the reading it answers, so one that answers
+    # none, or none in order, has no row to go on.
+    res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=15)
+    kind, timestamp = edit(res.day_traces[1])
+    with pytest.raises(ValueError, match=f"^day 2: no reading answers the {kind} dose "
+                                         f"at minute {timestamp - proto.MINUTES_PER_DAY}$"):
+        proto.trace_to_text(res)
+
+
 def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
                           master_seed=29, days=15)
@@ -626,7 +657,7 @@ def test_trace_rejects_an_unknown_arm_or_scenario(key, value):
 
 
 @pytest.mark.parametrize("code, edit, message", [
-    ("I", lambda aux: aux + ":240.0", "unknown insulin kind 'bolus:240.0'"),
+    ("M", lambda aux: "bolus:" + aux.split(":")[1], "unknown reading slot 'bolus'"),
     ("M", lambda aux: "lunchtime", "unknown reading slot 'lunchtime'"),
 ], ids=["insulin_kind", "reading_slot"])
 def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
@@ -645,19 +676,22 @@ def test_trace_rejects_a_row_with_an_unknown_label(code, edit, message):
     ("C", 4, "0:15", "not enough values to unpack"),
     ("M", 1, "99999", "minute 99999 is outside the day"),
     ("C", 1, "-5", "minute -5 is outside the day"),
-    ("I", 3, "-1.5", "'-1.5' is not a finite number >= 0"),
+    ("M", 4, "pre_breakfast:-1.5", "'-1.5' is not a finite number >= 0"),
     ("M", 3, "nan", "'nan' is not a finite number >= 0"),
     ("M", 3, "inf", "'inf' is not a finite number >= 0"),
     ("T", 3, "1.0 1.0 1.0 1.0 1.0 1.0 1.0 -inf", "'-inf' is not a finite number >= 0"),
     ("C", 3, "-5.0", "'-5.0' is not a finite number >= 0"),
     ("M", 1, "100.5", "invalid literal for int() with base 10: '100.5'"),
-    ("I", 1, "437.0", "invalid literal for int() with base 10: '437.0'"),
+    ("M", 1, "437.0", "invalid literal for int() with base 10: '437.0'"),
+    ("M", 4, "pre_breakfast:x", "could not convert string to float: 'x'"),
+    ("M", 4, "pre_breakfast:", "could not convert string to float: ''"),
+    ("M", 4, "pre_breakfast:1.5:240.0", "could not convert string to float: '1.5:240.0'"),
     ("T", 1, "700", "trace text is not as written at line"),
     ("U", 1, "3", "trace text is not as written at line"),
 ], ids=["day", "minute", "value", "meal_aux", "minute_after_the_day",
         "minute_before_the_day", "negative_dose", "nan_reading", "inf_reading",
-        "infinite_basal", "negative_meal", "part_minute", "float_minute",
-        "therapy_off_minute_0", "total_off_minute_1439"])
+        "infinite_basal", "negative_meal", "part_minute", "float_minute", "dose_text",
+        "empty_dose", "second_dose", "therapy_off_minute_0", "total_off_minute_1439"])
 def test_trace_rejects_a_malformed_row(code, field, text, message):
     lines, glucose = _bba_trace()
     i = next(i for i, line in enumerate(lines) if line.split(",")[2:3] == [code])
@@ -679,9 +713,11 @@ def _closing_line(lines):
     return _day_rows(lines, 2, "U")[0] + 1
 
 
-def _row_of(lines, code, aux):
-    """The index of day 2's first row of kind `code` whose last field is `aux`."""
-    return next(i for i in _day_rows(lines, 2, code) if lines[i].endswith("," + aux))
+def _row_of(lines, code, slot):
+    """The index of day 2's first row of kind `code` whose last field, up to
+    a reading's dose, is `slot`."""
+    return next(i for i in _day_rows(lines, 2, code)
+                if lines[i].rsplit(",", 1)[1].split(":")[0] == slot)
 
 
 def _edit_meal(slot, edit):
@@ -730,21 +766,24 @@ def _drop_bedtime_reading(lines):
 
 
 def _drop_basal_dose(lines):
-    del lines[_row_of(lines, "I", "basal")]
-    return _closing_line(lines)
+    i = _row_of(lines, "M", "bedtime")
+    lines[i] = lines[i].rsplit(":", 1)[0]
+    return i + 1
 
 
 def _second_basal_dose(lines):
-    """A second basal row of 0.0 U, which leaves the day's total as it is."""
-    i = _row_of(lines, "I", "basal")
-    lines.insert(i + 1, ",".join([*lines[i].split(",")[:3], "0.0", "basal"]))
+    """A second bedtime reading a minute later, with a basal dose of 0.0 U,
+    which leaves the day's total as it is."""
+    i = _row_of(lines, "M", "bedtime")
+    day, minute, kind, value, _ = lines[i].split(",")
+    lines.insert(i + 1, f"{day},{int(minute) + 1},{kind},{value},bedtime:0.0")
     return _closing_line(lines)
 
 
 def _second_bedtime_and_basal_dose(lines):
     i = _row_of(lines, "M", "bedtime")
     lines.insert(i + 1, lines[i])
-    return _second_basal_dose(lines)
+    return _closing_line(lines)
 
 
 def _repeated_rescue(before):
@@ -758,6 +797,23 @@ def _repeated_rescue(before):
     return apply
 
 
+def _dosed_rescue(lines):
+    """A rescue at day 2's bedtime minute, ahead of that reading, holding its dose."""
+    i = _row_of(lines, "M", "bedtime")
+    lines.insert(i, lines[i].replace(",bedtime:", ",rescue:"))
+    return i + 1
+
+
+def _pre_lunch_at(minute):
+    """An edit that moves day 2's pre_lunch reading, and its bolus, to `minute`."""
+    def apply(lines):
+        i = _row_of(lines, "M", "pre_lunch")
+        day, _, kind, value, aux = lines[i].split(",")
+        lines[i] = ",".join([day, str(minute), kind, value, aux])
+        return _closing_line(lines)
+    return apply
+
+
 def _swapped_rows(code):
     """An edit that swaps day 2's first two rows of kind `code`."""
     def apply(lines):
@@ -767,24 +823,17 @@ def _swapped_rows(code):
     return apply
 
 
-def _basal_dose_a_minute_late(lines):
-    i = _row_of(lines, "I", "basal")
-    day, minute, kind, value, aux = lines[i].split(",")
-    lines[i] = ",".join([day, str(int(minute) + 1), kind, value, aux])
-    return _closing_line(lines)
-
-
-def _row_after(code, aux, new_row):
-    """An edit that puts, after day 2's first row of kind `code` ending in
-    `aux`, the row `new_row(day, minute, value)` builds from that row's
-    fields, and sets the day's U total to match its I rows."""
+def _row_after(code, slot, new_row):
+    """An edit that puts, after day 2's first row of kind `code` and slot
+    `slot`, the row `new_row(day, minute, value)` builds from that row's
+    fields, and sets the day's U total to match its doses."""
     def apply(lines):
-        i = _row_of(lines, code, aux)
+        i = _row_of(lines, code, slot)
         day, minute, _, value, _ = lines[i].split(",")
         lines.insert(i + 1, new_row(day, int(minute), value))
         total = 0.0
-        for j in _day_rows(lines, 2, "I"):          # in order, as the writer sums them
-            total += float(lines[j].split(",")[3])
+        for j in _day_rows(lines, 2, "M"):          # in order, as the writer sums them
+            total += float(lines[j].rsplit(",", 1)[1].partition(":")[2] or 0.0)
         lines[_closing_line(lines) - 1] = f"2,1439,U,{total!r},"
         return _closing_line(lines)
     return apply
@@ -809,17 +858,14 @@ def _snack_past_midnight(lines):
     (_drop_pre_lunch_reading, "day 2 at line {} holds 0 pre_lunch readings, expected one"),
     (_reading_of_three, "reading 3.0 at line {} is outside [20.0, 600.0]"),
     (_drop_bedtime_reading, "day 2 at line {} holds 0 bedtime readings, expected one"),
-    (_second_basal_dose, "day 2 at line {} holds doses out of order"),
-    (_drop_basal_dose, "day 2 at line {} holds no basal dose at its bedtime reading"),
+    (_second_basal_dose, "day 2 at line {} holds 2 bedtime readings, expected one"),
+    (_drop_basal_dose, "bedtime reading at line {} holds no basal dose"),
     (_second_bedtime_and_basal_dose, "day 2 at line {} holds readings out of order"),
     (_repeated_rescue(0),
      "day 2 at line {} holds readings out of order: they run in minute order, a "
      "minute's rescue before its one other reading"),
     (_repeated_rescue(1), "day 2 at line {} holds readings out of order"),
     (_swapped_rows("M"), "day 2 at line {} holds readings out of order"),
-    (_swapped_rows("I"), "day 2 at line {} holds doses out of order: they run in "
-                         "minute order, one a minute"),
-    (_basal_dose_a_minute_late, "day 2 at line {} holds a basal dose at minute"),
     (_snack_past_midnight, "meal at line {} ends at minute 1469, after the day"),
     (_row_after("M", "pre_lunch", lambda day, minute, value:
                 f"{day},{minute + 3},M,{value},pre_lunch"),
@@ -827,25 +873,49 @@ def _snack_past_midnight(lines):
     (_row_after("M", "pre_lunch", lambda day, minute, value:
                 f"{day},{minute + 130},M,{value},post_prandial"),
      "day 2 at line {} holds post_prandial readings at minutes"),
-    (_row_after("I", "bolus", lambda day, minute, value:
-                f"{day},{minute + 7},I,{value},bolus"),
-     "day 2 at line {} holds a bolus dose at minute"),
-    (_row_after("I", "bolus", lambda day, minute, value:
-                f"{day},{minute + 130},I,1.5,correction"),
-     "day 2 at line {} holds a correction dose at minute"),
+    (_dosed_rescue, "rescue reading at line {} holds a dose"),
+    (_row_after("M", "pre_lunch", lambda day, minute, value:
+                f"{day},{minute + 130},M,{value},post_prandial:1.5"),
+     "day 2 at line {} holds post_prandial readings at minutes"),
+    (_pre_lunch_at(788), "day 2 at line {} holds its pre_lunch reading at minute 788 "
+                         "for a meal at minute 758: it comes 5 to 15 minutes before "
+                         "its meal"),
+    (_pre_lunch_at(742), "day 2 at line {} holds its pre_lunch reading at minute 742 "
+                         "for a meal at minute 758"),
 ], ids=["repeated_slot", "no_meals", "meal_slot_out_of_range", "announced_snack",
         "unannounced_meal", "zero_duration", "no_pre_meal_reading",
         "reading_under_the_floor", "no_bedtime_reading", "second_basal_dose",
         "no_basal_dose", "second_bedtime_and_basal_dose", "repeated_rescue",
-        "rescue_either_side_of_a_reading", "swapped_readings", "swapped_doses",
-        "basal_dose_off_bedtime", "meal_past_midnight", "second_pre_meal_reading",
-        "post_prandial_reading_in_s1", "stray_bolus", "correction_in_s1"])
+        "rescue_either_side_of_a_reading", "swapped_readings", "meal_past_midnight",
+        "second_pre_meal_reading", "post_prandial_reading_in_s1", "dose_on_a_rescue_row",
+        "correction_in_s1", "pre_meal_reading_after_its_meal",
+        "pre_meal_reading_16_minutes_early"])
 def test_trace_rejects_a_malformed_day(edit, message):
     lines, glucose = _bba_trace()
     lineno = edit(lines)
     with pytest.raises(ValueError) as err:
         proto.trace_from_text("\n".join(lines), glucose)
     assert str(err.value).startswith(message.format(lineno))
+
+
+def test_trace_reads_announced_grams_within_the_misestimation_interval_only():
+    # lo * cho and hi * cho bound every announcement exactly: multiplying
+    # by a positive float rounds monotonically.
+    lines, glucose = _bba_trace()
+    i = _day_rows(lines, 2, "C")[1]
+    day, minute, kind, value, aux = lines[i].split(",")
+    slot, duration, _ = aux.split(":")
+    lo, hi = proto.SCENARIOS["S1"].misestimation
+    for bound, beyond in ((lo * float(value), -math.inf), (hi * float(value), math.inf)):
+        for announced, parses in ((bound, True), (math.nextafter(bound, beyond), False)):
+            lines[i] = f"{day},{minute},{kind},{value},{slot}:{duration}:{announced!r}"
+            if parses:
+                proto.trace_from_text("\n".join(lines) + "\n", glucose)
+                continue
+            with pytest.raises(ValueError, match=rf"^meal slot 1 at line {i + 1} is "
+                                                 rf"announced as {announced!r} g, outside "
+                                                 rf"S1's {lo} to {hi} times the {value} g"):
+                proto.trace_from_text("\n".join(lines) + "\n", glucose)
 
 
 def _s4_abba_trace():
@@ -964,10 +1034,10 @@ def test_trace_rejects_a_malformed_agent_bundle(edit, message):
 
 
 @pytest.mark.parametrize("tag", ["some-other-format v9",
-                                 *(f"abbalab-trace v{n}" for n in range(1, 8))],
-                         ids=["other_format", *(f"v{n}" for n in range(1, 8))])
+                                 *(f"abbalab-trace v{n}" for n in range(1, 9))],
+                         ids=["other_format", *(f"v{n}" for n in range(1, 9))])
 def test_trace_rejects_wrong_schema(tag):
-    # The tag alone rejects an older schema, so a whole v8 text stands in for each.
+    # The tag alone rejects an older schema, so a whole v9 text stands in for each.
     lines, glucose = _abba_trace()
     lines[0] = f"# {tag}"
     with pytest.raises(ValueError, match="unsupported trace schema"):
@@ -999,7 +1069,7 @@ def test_read_trace_rejects_crlf_line_endings(tmp_path):
     path, _ = _written_bba_trace(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(ValueError, match=r"^p000_bba\.txt: trace text is not as written "
-                                         r"at line 1: found '# abbalab-trace v8\\r\\n'"):
+                                         r"at line 1: found '# abbalab-trace v9\\r\\n'"):
         proto.read_trace(path)
 
 
@@ -1030,6 +1100,15 @@ def _swap(first, second):
     return apply
 
 
+def _respell_dose(respell):
+    """An edit that respells the dose of day 2's first dosed reading."""
+    def apply(lines):
+        i = next(i for i in _day_rows(lines, 2, "M") if ":" in lines[i])
+        head, dose = lines[i].rsplit(":", 1)
+        lines[i] = f"{head}:{respell(dose)}"
+    return apply
+
+
 def _repeat_header(key):
     def apply(lines):
         i = next(i for i, line in enumerate(lines) if line.startswith(f"# {key} "))
@@ -1043,13 +1122,13 @@ def _exponent(text):
 
 _NON_CANONICAL_EDITS = {
     "day_plus": _respell("T", 0, lambda day: "+" + day),
-    "day_space": _respell("I", 0, lambda day: " " + day),
+    "day_space": _respell("M", 0, lambda day: " " + day),
     "minute_zero_padded": _respell("M", 1, lambda minute: "0" + minute),
     "meal_minute_zero_padded": _respell("C", 1, lambda minute: "0" + minute),
     "total_in_exponent_form": _respell("U", 3, _exponent),
     "days_plus": _respell_header("# days ", lambda days: "+" + days),
-    "reading_and_dose_swapped": _swap("M", "I"),
-    "dose_and_meal_swapped": _swap("I", "C"),
+    "dose_in_exponent_form": _respell_dose(_exponent),
+    "dose_and_meal_swapped": _swap("M", "C"),       # the last reading, bedtime's, is dosed
     "header_repeated": _repeat_header("scenario"),
 }
 
