@@ -419,17 +419,22 @@ class PatientOutcome:
 
 
 def reduce_trial(result, windows: list[Window]) -> PatientOutcome:
-    """Metrics per window (1-based inclusive days), read as slices of the
-    trial's minutes and of their band masks and low-glucose risk. The
-    minutes are a flat view of result.glucose; the reduction allocates, for
-    the trial's length, three one-byte masks and one float risk array, so a
-    90-day trial peaks at about 1.5 times its glucose's bytes."""
+    """Metrics per window (1-based inclusive days, all on-line), read as
+    slices of the on-line minutes and of their band masks and low-glucose
+    risk. The minutes are a flat view of result.glucose, whose first row is
+    day COLLECTION_DAYS + 1; the day totals come from every day's trace. The
+    reduction allocates, for the on-line days, three one-byte masks and one
+    float risk array, so it peaks at about 1.5 times the glucose's bytes."""
     g = result.glucose.reshape(-1)
     minutes = (g, g < HYPO, g < SEVERE_HYPO, g > HYPER, _low_risk(g))
     tdd = [t.total_insulin_u for t in result.day_traces]
     summaries = {}
     for w in windows:
-        span = slice((w.start_day - 1) * MINUTES_PER_DAY, w.end_day * MINUTES_PER_DAY)
+        if w.start_day <= COLLECTION_DAYS:
+            raise ValueError(f"window {w.name} starts on day {w.start_day}, "
+                             "in the collection phase")
+        span = slice((w.start_day - 1 - COLLECTION_DAYS) * MINUTES_PER_DAY,
+                     (w.end_day - COLLECTION_DAYS) * MINUTES_PER_DAY)
         wg, low, severe, high, risk = (a[span] for a in minutes)
         tir, tbr1, tbr2, tar = _range_pcts(low, severe, high)
         mean = float(np.mean(wg))

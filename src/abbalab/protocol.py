@@ -177,8 +177,9 @@ class DayTrace:
     (the snack is never announced), and the SMBG readings and insulin
     deliveries in the order they were taken. Trial opens it at the start of
     the day and its handlers append to it; the total insulin is derived.
-    The day's minute glucose is row `day - 1` of TrialResult.glucose. A
-    rescue is the reading of slot RESCUE_SLOT taken the minute it fires."""
+    An on-line day's minute glucose is row `day - 1 - init.COLLECTION_DAYS`
+    of TrialResult.glucose. A rescue is the reading of slot RESCUE_SLOT
+    taken the minute it fires."""
     day: int
     therapy: TherapySnapshot
     meals: tuple[MealPlan, ...]
@@ -203,12 +204,12 @@ class DayTrace:
 
 @dataclass
 class TrialResult:
-    """One patient's trial under one arm. `glucose` is the trial's plasma
-    glucose (mg/dL), the one copy of it: a C-order float64 array of shape
-    (days, 1440), row d-1 for day d, allocated once when the trial starts.
-    `day_traces` holds each day's events; the first day's therapy is the
-    starting therapy. The collection phase is always the first
-    init.COLLECTION_DAYS days."""
+    """One patient's trial under one arm. The collection phase is always
+    the first init.COLLECTION_DAYS days. `glucose` is the on-line days'
+    plasma glucose (mg/dL): a C-order float64 array of shape
+    (days - init.COLLECTION_DAYS, 1440), row d-15 for day d, a view of the
+    Trial's whole array in a simulated result. `day_traces` holds every
+    day's events; the first day's therapy is the starting therapy."""
     patient: pat.PatientParams
     arm: str
     scenario: str
@@ -466,6 +467,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
     the day loop polls the rescue too, then calls the event's handler; what
     they deposit enters the step called again from that minute, whose
     second poll is a no-op (see RescueController), and which then steps it.
+    The result's glucose is the on-line days' rows of the Trial's array,
+    whose collection rows only the initialisation reads.
     """
     if advisor_kind not in ARMS:
         raise ValueError(f"unknown advisor arm {advisor_kind!r}")
@@ -497,7 +500,8 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
         trial.midnight()
 
     return TrialResult(patient=params, arm=advisor_kind, scenario=spec.id, days=days,
-                       day_traces=trial.day_traces, glucose=trial.glucose,
+                       day_traces=trial.day_traces,
+                       glucose=trial.glucose[init.COLLECTION_DAYS:],
                        final_agents=trial.bundle, transfer_entropy_bits=trial.te_bits,
                        risk_class=trial.risk)
 
@@ -505,8 +509,10 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # --- trace persistence ------------------------------------------------------------
 #
 # One trial is stored as a pair of files with one stem. The .npy holds the
-# minute plasma glucose (mg/dL): one C-order little-endian float64 array of
-# shape (days, 1440), row d-1 for day d. The .txt is a columnar text file with
+# on-line days' minute plasma glucose (mg/dL): one C-order little-endian
+# float64 array of shape (days - 14, 1440), row d-15 for day d. No command
+# reads the collection days' minutes back, and re-running the trace's config
+# and seed reproduces them. The .txt is a columnar text file with
 # one row per event, its minute a whole number of minutes into the day:
 #
 #     day,minute,kind,value,aux
@@ -552,7 +558,7 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # a text that differs, naming the first differing line. So a trace's bytes
 # identify its content, and a parsed pair rewrites both files byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v9"
+TRACE_SCHEMA = "abbalab-trace v10"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -760,7 +766,8 @@ def _close_day(today: DayTrace, meals: list[tuple], spec: ScenarioSpec,
 
 
 def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[str, str]]:
-    """Parse a text trace and its glucose array back into a TrialResult,
+    """Parse a text trace and its on-line glucose array, of shape
+    (days - init.COLLECTION_DAYS, 1440), back into a TrialResult,
     with an ABBA trial's final agents, plus the other header fields, so that a
     rerun of the analytics carries the provenance lines through to its outputs.
     `glucose` becomes the result's glucose whole, copied only if it is not
@@ -800,13 +807,15 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         if (value is None) == bool(bundle):
             raise ValueError(f"{arm} trace {'lacks' if bundle else 'holds'} a {key} value")
 
+    if days <= init.COLLECTION_DAYS:
+        raise ValueError("trial shorter than the collection phase")
     (digest,) = _header_values(fields, "glucose", 1)
     if not isinstance(glucose, np.ndarray) or glucose.dtype != _GLUCOSE_DTYPE:
         found = getattr(glucose, "dtype", type(glucose).__name__)
         raise ValueError(f"glucose array holds {found}, expected {_GLUCOSE_DTYPE.str}")
-    if glucose.shape != (days, MINUTES_PER_DAY):
-        raise ValueError(f"glucose array has shape {glucose.shape}, "
-                         f"expected {(days, MINUTES_PER_DAY)}")
+    shape = (days - init.COLLECTION_DAYS, MINUTES_PER_DAY)
+    if glucose.shape != shape:
+        raise ValueError(f"glucose array has shape {glucose.shape}, expected {shape}")
     glucose = np.ascontiguousarray(glucose)
     if _digest(glucose) != digest:
         raise ValueError("glucose array does not match the trace's glucose digest")

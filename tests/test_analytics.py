@@ -498,11 +498,11 @@ def test_reduce_trial_equals_each_window_reduced_from_its_own_minutes():
                           days=30)
     windows = ana.standard_windows(30, 14)
     outcome = ana.reduce_trial(res, windows)
-    minutes = np.concatenate(list(res.glucose))
+    minutes = np.concatenate(list(res.glucose))         # day 15 on
     risk = _where_low_risk(minutes)
     for w in windows:
-        span = slice((w.start_day - 1) * proto.MINUTES_PER_DAY,
-                     w.end_day * proto.MINUTES_PER_DAY)
+        span = slice((w.start_day - 15) * proto.MINUTES_PER_DAY,
+                     (w.end_day - 14) * proto.MINUTES_PER_DAY)
         s = outcome.summaries[w.name]
         assert s.mean_glucose == float(np.mean(minutes[span]))
         assert s.hba1c_pct == ana.estimate_hba1c(minutes[span])
@@ -510,6 +510,15 @@ def test_reduce_trial_equals_each_window_reduced_from_its_own_minutes():
         assert (s.tir_pct, s.tbr1_pct, s.tbr2_pct, s.tar_pct) == \
             ana.time_in_ranges(minutes[span])
         assert (s.hypo_events, s.hyper_events) == ana.count_events(minutes[span])
+
+
+def test_reduce_trial_rejects_a_window_in_the_collection_phase():
+    # The trial's glucose starts at day 15, so a window there has no minutes.
+    p = pat.generate_cohort(1, "T1D", 53)[0]
+    res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=53, days=20)
+    with pytest.raises(ValueError, match="^window full starts on day 14, in the "
+                                         "collection phase$"):
+        ana.reduce_trial(res, ana.standard_windows(20, 13))
 
 
 @pytest.mark.parametrize("days", [90, 365])

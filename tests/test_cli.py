@@ -367,19 +367,21 @@ def test_a_trace_text_that_cannot_be_read_is_named(tmp_path, capsys, edit):
 
 def _cut_to_14_days(traces):
     """p000_bba cut to 14 days, inside the collection phase, as a whole
-    trace pair: its days header, rows and digest agree with its array."""
+    trace pair: its days header, rows and digest agree with its array, which
+    holds no on-line day."""
     path = traces / "p000_bba.txt"
     result, headers = proto.read_trace(path)
-    result.days, result.glucose = 14, result.glucose[:14].copy()
+    result.days, result.glucose = 14, result.glucose[:0]
     result.day_traces = result.day_traces[:14]
     proto.write_trace(path, result, headers)
 
 
 def _zero_a_minute(traces):
-    """p001_abba's array with one minute at 0.0 mg/dL, its digest renewed."""
+    """p001_abba's array with one minute of day 21 at 0.0 mg/dL, its digest
+    renewed."""
     path = traces / "p001_abba.txt"
     result, headers = proto.read_trace(path)
-    result.glucose[20, 600] = 0.0
+    result.glucose[6, 600] = 0.0
     proto.write_trace(path, result, headers)
 
 

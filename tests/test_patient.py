@@ -258,12 +258,12 @@ def python_traces():
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v9 writes each dose on the M row of the reading it answers, with no
-# I rows, and bumped its tag, so these differ from v8's although every .npy
-# and every other value is the same.
-TRACE_DIGESTS = ("13d30178e83696dc", "02a566f231ad512f",     # T1D seed 1 p6 S1
-                 "aa71fb9387373c9b", "25049b23769071e7",     # T2D seed 3 p0 S4
-                 "cd6751e395d0c34c", "f01a53caae7fe89b")     # T1D seed 3 p1 S2
+# schema v10 stores only the on-line days' glucose in the .npy and bumped its
+# tag, so these differ from v9's although each array is v9's from row 14 on
+# and each text differs from v9's only in its tag and its `# glucose` line.
+TRACE_DIGESTS = ("59972a11c8d6028d", "97549c579749608e",     # T1D seed 1 p6 S1
+                 "a9656ff579605205", "d2971ef50bd77195",     # T2D seed 3 p0 S4
+                 "308b1ca164b46ac4", "1126d9df1a923cad")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

@@ -140,12 +140,37 @@ def test_abba_trial_is_deterministic():
     a = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=5, days=25)
     b = proto.run_trial(_patient(), proto.ABBA, spec, master_seed=5, days=25)
     assert a.transfer_entropy_bits == b.transfer_entropy_bits
-    assert a.glucose.shape == b.glucose.shape == (25, proto.MINUTES_PER_DAY)
+    assert a.glucose.shape == b.glucose.shape == (25 - init.COLLECTION_DAYS,
+                                                  proto.MINUTES_PER_DAY)
     assert (a.glucose == b.glucose).all()
     for ta, tb in zip(a.day_traces, b.day_traces):
         assert ta.therapy == tb.therapy
         assert [m.value for m in ta.measurements] == [m.value for m in tb.measurements]
         assert [r.dose_u for r in ta.insulin] == [r.dose_u for r in tb.insulin]
+
+
+@pytest.mark.parametrize("scenario", list(proto.SCENARIOS))
+@pytest.mark.parametrize("dtype, pid", [(pat.T1D, 6), (pat.T2D, 1)])
+def test_both_arms_write_the_same_collection_days(dtype, pid, scenario):
+    """A patient's ABBA and BBA traces hold the same text rows for days 1 to
+    14 (T, M with their doses, C, U): both arms run the static advisor on the
+    same draws until the agents start. A trace stores no collection-day
+    glucose on that ground, as a re-run of its config and seed reproduces
+    it. ROADMAP item 1's rescue stream must keep it: these patients (seed 1)
+    have rescues in the collection phase of every scenario."""
+    params = pat.generate_cohort(pid + 1, dtype, 1)[pid]
+    rows = {}
+    for arm in proto.ARMS:
+        res = proto.run_trial(params, arm, proto.SCENARIOS[scenario], master_seed=1,
+                              days=init.COLLECTION_DAYS + 1)
+        lines = proto.trace_to_text(res).splitlines()
+        body = lines[lines.index("day,minute,kind,value,aux") + 1:]
+        rows[arm] = [line for line in body
+                     if int(line.split(",")[0]) <= init.COLLECTION_DAYS]
+    assert any(line.endswith(",rescue") for line in rows[proto.BBA])
+    assert {line.split(",")[0] for line in rows[proto.BBA]} == \
+        {str(d) for d in range(1, init.COLLECTION_DAYS + 1)}
+    assert rows[proto.ABBA] == rows[proto.BBA]
 
 
 def test_abba_updates_therapy_after_collection():
@@ -359,7 +384,8 @@ def test_the_basal_agent_reads_a_rescue_taken_after_the_last_bedtime(monkeypatch
 # --- trace persistence -------------------------------------------------------------
 
 def _assert_same_trial(a, b):
-    assert a.glucose.shape == b.glucose.shape == (a.days, proto.MINUTES_PER_DAY)
+    assert a.glucose.shape == b.glucose.shape == (a.days - init.COLLECTION_DAYS,
+                                                  proto.MINUTES_PER_DAY)
     assert (a.glucose.view(np.int64) == b.glucose.view(np.int64)).all()
     assert b.glucose.dtype == np.float64 and b.glucose.flags.writeable
     assert b.glucose.flags.c_contiguous
@@ -440,7 +466,7 @@ def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
                           master_seed=29, days=15)
     proto.write_trace(tmp_path / "p000_bba.txt", res)
     glucose = np.load(tmp_path / "p000_bba.npy", allow_pickle=False)
-    assert glucose.dtype.str == "<f8" and glucose.shape == (15, proto.MINUTES_PER_DAY)
+    assert glucose.dtype.str == "<f8" and glucose.shape == (1, proto.MINUTES_PER_DAY)
     assert glucose.flags.c_contiguous
     assert (glucose.view(np.int64) == res.glucose.view(np.int64)).all()
     text = (tmp_path / "p000_bba.txt").read_text()
@@ -453,8 +479,8 @@ def test_trial_glucose_is_one_c_order_array():
     # _assert_same_trial checks the array a trace read returns.
     res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
                           master_seed=31, days=20)
-    g = res.glucose
-    assert g.shape == (20, proto.MINUTES_PER_DAY) and g.dtype == np.float64
+    g = res.glucose                                     # days 15 to 20
+    assert g.shape == (6, proto.MINUTES_PER_DAY) and g.dtype == np.float64
     assert g.flags.c_contiguous
     assert not any(hasattr(t, "glucose") for t in res.day_traces)
 
@@ -518,9 +544,10 @@ def _bba_trace():
 
 
 def _written_bba_trace(tmp_path):
-    """A 15-day BBA trial's trace pair under tmp_path: the .txt and .npy paths."""
+    """A 16-day BBA trial's trace pair under tmp_path, two on-line days of
+    glucose: the .txt and .npy paths."""
     res = proto.run_trial(_patient(), proto.BBA, proto.SCENARIOS["S1"],
-                          master_seed=29, days=15)
+                          master_seed=29, days=16)
     path = tmp_path / "p000_bba.txt"
     proto.write_trace(path, res)
     return path, path.with_suffix(".npy")
@@ -563,13 +590,13 @@ def test_trace_rejects_a_glucose_array_of_the_wrong_shape():
 def test_trace_rejects_a_glucose_array_that_does_not_match_its_digest(tmp_path):
     path, npy = _written_bba_trace(tmp_path)
     glucose = np.load(npy)
-    glucose[1, 700] = np.nextafter(glucose[1, 700], np.inf)     # one ulp, one minute
+    glucose[0, 700] = np.nextafter(glucose[0, 700], np.inf)     # one ulp, one minute
     np.save(npy, glucose)
     with pytest.raises(ValueError, match="p000_bba.txt: glucose array does not match"):
         proto.read_trace(path)
     lines, original = _bba_trace()
-    with pytest.raises(ValueError, match="does not match"):       # days 1, 2 swapped
-        proto.trace_from_text("\n".join(lines), original[[1, 0, *range(2, 15)]])
+    with pytest.raises(ValueError, match="does not match"):       # day 15 read backwards
+        proto.trace_from_text("\n".join(lines), np.ascontiguousarray(original[:, ::-1]))
 
 
 def _therapy_row(lines, day):
@@ -1033,11 +1060,11 @@ def test_trace_rejects_a_malformed_agent_bundle(edit, message):
         proto.trace_from_text(_with_bundle(lines, edit), glucose)
 
 
-@pytest.mark.parametrize("tag", ["some-other-format v9",
-                                 *(f"abbalab-trace v{n}" for n in range(1, 9))],
-                         ids=["other_format", *(f"v{n}" for n in range(1, 9))])
+@pytest.mark.parametrize("tag", ["some-other-format v10",
+                                 *(f"abbalab-trace v{n}" for n in range(1, 10))],
+                         ids=["other_format", *(f"v{n}" for n in range(1, 10))])
 def test_trace_rejects_wrong_schema(tag):
-    # The tag alone rejects an older schema, so a whole v9 text stands in for each.
+    # The tag alone rejects an older schema, so a whole v10 text stands in for each.
     lines, glucose = _abba_trace()
     lines[0] = f"# {tag}"
     with pytest.raises(ValueError, match="unsupported trace schema"):
@@ -1069,7 +1096,7 @@ def test_read_trace_rejects_crlf_line_endings(tmp_path):
     path, _ = _written_bba_trace(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(ValueError, match=r"^p000_bba\.txt: trace text is not as written "
-                                         r"at line 1: found '# abbalab-trace v9\\r\\n'"):
+                                         r"at line 1: found '# abbalab-trace v10\\r\\n'"):
         proto.read_trace(path)
 
 
