@@ -371,9 +371,15 @@ class Window:
 
 
 def standard_windows(days: int, collection_days: int = COLLECTION_DAYS) -> list[Window]:
-    """full + first/last 4 weeks + 4-week windows stepped weekly post-collection."""
-    online_start = collection_days + 1
-    if days <= collection_days:
+    """full + first/last 4 weeks + 4-week windows stepped weekly post-collection.
+    The windows start on day COLLECTION_DAYS + 1, where a trial's glucose
+    starts; `collection_days` is accepted only as COLLECTION_DAYS, for the
+    callers that spell it out, and any other value raises ValueError."""
+    if collection_days != COLLECTION_DAYS:
+        raise ValueError(f"the collection phase is {COLLECTION_DAYS} days, "
+                         f"not {collection_days}")
+    online_start = COLLECTION_DAYS + 1
+    if days <= COLLECTION_DAYS:
         raise ValueError("trial shorter than the collection phase")
     out = [Window("full", online_start, days)]
     span = WINDOW_WEEKS * 7

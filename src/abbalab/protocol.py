@@ -518,8 +518,9 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     day,minute,kind,value,aux
 #
 # Kind codes:
-#     T  the therapy active that day, at minute 0; its value is the eight
-#        fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
+#     T  the therapy active that day, at minute 0, written on day 1 and on
+#        each day whose therapy differs from the day before; its value is the
+#        eight fields icr1 icr2 icr3 ps1 ps2 ps3 cf basal, space-separated
 #     M  SMBG reading, aux = its slot (one of READING_SLOTS), or slot:dose
 #        when a dose in units, of kind _SLOT_KINDS[slot], answers it; a rescue
 #        is the reading of slot `rescue` taken the minute it fires, no dose
@@ -529,9 +530,10 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 #     U  the day's total delivered insulin, DayTrace's derived total, at
 #        minute 1439: the mark of a complete day
 #
-# A day is its T row, its M and C rows, then its U row; days run 1 to
-# `# days` in order. The header lines before the column names hold each trial
-# fact once: `# days` is the trial length, the collection phase is always its
+# A day is its T row if it has one, its M and C rows, then its U row; days
+# run 1 to `# days` in order. A day without a T row keeps the therapy of the
+# day before. The header lines before the column names hold each trial fact
+# once: `# days` is the trial length, the collection phase is always its
 # first init.COLLECTION_DAYS days, and the starting therapy is day 1's T row.
 # An ABBA trace also holds the final agent bundle as header lines
 # `# agent.<agent>.<field> <values>`, one per line of advisor.bundle_to_text.
@@ -539,26 +541,29 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
 # no copy, and the text's `# glucose` header, the sha256 of the array's bytes,
 # binds the two files together.
 #
-# The reader accepts only the bytes the writer writes. trace_from_text builds
-# each day once, in one pass. A row only becomes a record, and names its line
-# when its meaning is wrong: its minute is an integer inside the day, every
-# number in its value and aux fields is finite and at least 0, a reading lies
-# within [SMBG_FLOOR, SMBG_CEIL], a bedtime reading has a dose and a rescue
-# none, and a meal lasts a minute or more, is over by minute 1440 and, unless
-# it is the snack, is announced within the scenario's misestimation of its
-# grams. The day check runs once, at the U row, and names the day and that
-# row's line: its C rows are slots 0 to 3 in order; its readings run in
-# minute order, a minute's rescue before its one other reading; it holds one
-# reading of each pre-meal slot, BOLUS_LEAD_RANGE minutes before its meal,
-# one bedtime reading, and post_prandial readings exactly where the scenario
-# takes them (S4 only, POST_PRANDIAL_DELAY after each main meal's start,
-# before the bedtime minute). `# transfer_entropy` and `# risk_class` read
-# "-" exactly when there is no agent bundle. The reader then rewrites the
-# parsed trial, every float with repr() as the writer writes it, and rejects
-# a text that differs, naming the first differing line. So a trace's bytes
-# identify its content, and a parsed pair rewrites both files byte for byte.
+# The reader accepts only the bytes the writer writes; only v11 is read.
+# trace_from_text builds each day once, in one pass, and opens a day at its
+# first row. Day 1 opens with its T row, and any other day's T row is its
+# first row; a T row that repeats the day before's therapy is never written,
+# so the rewrite below rejects it. A row only becomes a record, and names its
+# line when its meaning is wrong: its minute is an integer inside the day,
+# every number in its value and aux fields is finite and at least 0, a reading
+# lies within [SMBG_FLOOR, SMBG_CEIL], a bedtime reading has a dose and a
+# rescue none, and a meal lasts a minute or more, is over by minute 1440 and,
+# unless it is the snack, is announced within the scenario's misestimation of
+# its grams. The day check runs once, at the U row, and names the day and that
+# row's line: its C rows are slots 0 to 3 in order; its readings run in minute
+# order, a minute's rescue before its one other reading; it holds one reading
+# of each pre-meal slot, BOLUS_LEAD_RANGE minutes before its meal, one bedtime
+# reading, and post_prandial readings exactly where the scenario takes them
+# (S4 only, POST_PRANDIAL_DELAY after each main meal's start, before the
+# bedtime minute). `# transfer_entropy` and `# risk_class` read "-" exactly
+# when there is no agent bundle. The reader then rewrites the parsed trial,
+# every float with repr() as the writer writes it, and rejects a text that
+# differs, naming the first differing line. So a trace's bytes identify its
+# content, and a parsed pair rewrites both files byte for byte.
 
-TRACE_SCHEMA = "abbalab-trace v10"
+TRACE_SCHEMA = "abbalab-trace v11"
 
 _PATIENT_FIELDS = tuple(f.name for f in dataclasses.fields(pat.PatientParams))
 _THERAPY_FIELDS = ("icr1", "icr2", "icr3", "ps1", "ps2", "ps3", "cf", "basal")
@@ -609,9 +614,12 @@ def trace_to_text(result: TrialResult, headers: dict[str, str] | None = None,
         lines.extend(_AGENT_PREFIX + line for line in
                      adv.bundle_to_text(result.final_agents).splitlines())
     lines.append("day,minute,kind,value,aux")
+    therapy = None
     for trace in result.day_traces:
         d = trace.day
-        lines.append(f"{d},0,T,{_therapy_text(trace.therapy)},")
+        if trace.therapy != therapy:            # day 1, or the therapy changed
+            therapy = trace.therapy
+            lines.append(f"{d},0,T,{_therapy_text(therapy)},")
         offset = (d - 1) * MINUTES_PER_DAY
         doses = iter(trace.insulin)
         dose = next(doses, None)
@@ -821,7 +829,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         raise ValueError("glucose array does not match the trace's glucose digest")
 
     day_traces: list[DayTrace] = []
-    today = None        # open from its T row to its U row; a T row finds none open
+    today = None        # open from its first row to its U row
     for lineno, line in enumerate(lines[body_start + 1:], body_start + 2):
         parts = line.split(",", 4)
         if len(parts) != 5:
@@ -847,18 +855,25 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
         if not 0 <= at < MINUTES_PER_DAY:
             raise ValueError(f"minute {minute} is outside the day at line {lineno}")
         expected = len(day_traces) + 1 if today is None else today.day
-        if d != expected or (kind == "T") != (today is None):
+        if d != expected:
             raise ValueError(f"{kind} row for day {d} at line {lineno} is out of order: "
-                             f"days run 1 to {days}, each from its T row to its U row")
-        if kind == "T":
-            if len(numbers) != len(_THERAPY_FIELDS):
-                raise ValueError(f"therapy row at line {lineno} holds {len(numbers)} "
-                                 f"values, expected {len(_THERAPY_FIELDS)}")
-            today = DayTrace(day=d, meals=(), announced=(), therapy=TherapySnapshot(
-                icr=tuple(numbers[:3]), ps=tuple(numbers[3:6]), cf=numbers[6],
-                basal=numbers[7]))
+                             f"days run 1 to {days}, each from its first row to its U row")
+        if today is None:                       # this row opens day d
+            if kind == "T":
+                if len(numbers) != len(_THERAPY_FIELDS):
+                    raise ValueError(f"therapy row at line {lineno} holds {len(numbers)} "
+                                     f"values, expected {len(_THERAPY_FIELDS)}")
+                therapy = TherapySnapshot(icr=tuple(numbers[:3]), ps=tuple(numbers[3:6]),
+                                          cf=numbers[6], basal=numbers[7])
+            elif day_traces:
+                therapy = day_traces[-1].therapy        # unchanged since the day before
+            else:
+                raise ValueError(f"day 1 opens at line {lineno} without its T row")
+            today = DayTrace(day=d, meals=(), announced=(), therapy=therapy)
             offset, meals = (d - 1) * MINUTES_PER_DAY, []
-        elif kind == "M":
+        elif kind == "T":
+            raise ValueError(f"T row for day {d} at line {lineno} is not its day's first row")
+        if kind == "M":
             if aux not in READING_SLOTS:
                 raise ValueError(f"unknown reading slot {aux!r} at line {lineno}")
             if not pat.SMBG_FLOOR <= number <= pat.SMBG_CEIL:
@@ -888,7 +903,7 @@ def trace_from_text(text: str, glucose: np.ndarray) -> tuple[TrialResult, dict[s
                                  f"{announced} g, outside {spec.id}'s {lo} to {hi} times "
                                  f"the {cho} g eaten")
             meals.append((slot, at, duration, cho, announced))
-        else:
+        elif kind == "U":
             day_traces.append(_close_day(today, meals, spec, lineno))
             today = None
     if len(day_traces) != days:

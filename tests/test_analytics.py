@@ -346,7 +346,7 @@ def test_fewer_than_five_pairs_call_no_normal_or_t_tail(monkeypatch):
     for n in range(1, 5):
         row = ana.paired_compare(rng.normal(100, 10, n), rng.normal(90, 10, n))
         assert row.test == "wilcoxon" and 0.0 < row.p_value <= 1.0
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [_outcome(pid, arm, windows, rng.uniform(1.0, 90.0))
                 for arm in ("abba", "bba") for pid in range(4)]
     report = ana.build_report(outcomes, windows)
@@ -398,7 +398,7 @@ def test_report_path_draws_no_random_numbers(monkeypatch):
         raise AssertionError("the report path drew random numbers")
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     monkeypatch.setattr(np.random, "SeedSequence", forbidden)
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     for n in (6, 101):
         outcomes = [_outcome(pid, arm, windows, values[i, pid])
                     for i, arm in enumerate(("abba", "bba")) for pid in range(n)]
@@ -468,7 +468,7 @@ def test_paired_compare_rejects_length_mismatch():
 # --- windows and cohort reduction -----------------------------------------------
 
 def test_sliding_windows_cover_weeks_3_through_10():
-    windows = ana.standard_windows(90, 14)
+    windows = ana.standard_windows(90)
     weekly = [w for w in windows if w.name.startswith("week")]
     assert [w.name for w in weekly] == [f"week{k}" for k in range(3, 11)]
     assert weekly[0].start_day == 15
@@ -477,14 +477,25 @@ def test_sliding_windows_cover_weeks_3_through_10():
 
 def test_windows_reject_trials_shorter_than_collection():
     with pytest.raises(ValueError):
-        ana.standard_windows(10, 14)
+        ana.standard_windows(10)
+
+
+@pytest.mark.parametrize("collection_days", [13, 15])
+def test_windows_start_after_the_collection_phase_alone(collection_days):
+    # Below 14 a window would start in the collection phase, which the
+    # trial's glucose no longer holds; above it every window would drop
+    # on-line days.
+    assert ana.standard_windows(30, 14) == ana.standard_windows(30)
+    with pytest.raises(ValueError, match=f"^the collection phase is 14 days, "
+                                         f"not {collection_days}$"):
+        ana.standard_windows(30, collection_days)
 
 
 def test_full_window_tir_lies_between_sliding_extremes():
     p = pat.generate_cohort(1, "T1D", 51)[0]
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=51,
                           days=90)
-    windows = ana.standard_windows(90, 14)
+    windows = ana.standard_windows(90)
     outcome = ana.reduce_trial(res, windows)
     weekly_tir = [s.tir_pct for name, s in outcome.summaries.items()
                   if name.startswith("week")]
@@ -496,7 +507,7 @@ def test_reduce_trial_equals_each_window_reduced_from_its_own_minutes():
     p = pat.generate_cohort(1, "T1D", 53)[0]
     res = proto.run_trial(p, proto.ABBA, proto.SCENARIOS["S1"], master_seed=53,
                           days=30)
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcome = ana.reduce_trial(res, windows)
     minutes = np.concatenate(list(res.glucose))         # day 15 on
     risk = _where_low_risk(minutes)
@@ -518,7 +529,7 @@ def test_reduce_trial_rejects_a_window_in_the_collection_phase():
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=53, days=20)
     with pytest.raises(ValueError, match="^window full starts on day 14, in the "
                                          "collection phase$"):
-        ana.reduce_trial(res, ana.standard_windows(20, 13))
+        ana.reduce_trial(res, [ana.Window("full", 14, 20)])
 
 
 @pytest.mark.parametrize("days", [90, 365])
@@ -526,7 +537,7 @@ def test_reduce_trial_peaks_under_twice_the_trial_glucose(days, traced_peak):
     p = pat.generate_cohort(1, "T1D", 54)[0]
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=54,
                           days=days)
-    windows = ana.standard_windows(days, 14)
+    windows = ana.standard_windows(days)
     peak = traced_peak(ana.reduce_trial, res, windows)
     assert peak <= 2 * res.glucose.nbytes, peak / res.glucose.nbytes
 
@@ -535,7 +546,7 @@ def test_single_patient_cohort_has_zero_sd():
     p = pat.generate_cohort(1, "T1D", 52)[0]
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=52,
                           days=20)
-    windows = ana.standard_windows(20, 14)
+    windows = ana.standard_windows(20)
     report = ana.build_report([ana.reduce_trial(res, windows)], windows)
     vals = report.metric(proto.BBA, "full", "tir_pct")
     assert vals.size == 1
@@ -585,7 +596,7 @@ def _outcome(pid, arm, windows, value=50.0, scenario="S1", diabetes_type="T1D"):
 def test_build_report_requires_identical_cohorts():
     p1, p2 = pat.generate_cohort(2, "T1D", 54)
     spec = proto.SCENARIOS["S1"]
-    windows = ana.standard_windows(20, 14)
+    windows = ana.standard_windows(20)
     outcomes = [ana.reduce_trial(proto.run_trial(p1, proto.ABBA, spec, 54, days=20),
                                  windows),
                 ana.reduce_trial(proto.run_trial(p2, proto.BBA, spec, 54, days=20),
@@ -595,7 +606,7 @@ def test_build_report_requires_identical_cohorts():
 
 
 def test_build_report_drops_an_unpaired_patient_from_both_arms():
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [_outcome(pid, arm, windows, value=10.0 * pid + (arm == "abba"))
                 for arm, pids in (("bba", (3, 0, 2)), ("abba", (2, 1, 0)))
                 for pid in pids]
@@ -609,7 +620,7 @@ def test_build_report_drops_an_unpaired_patient_from_both_arms():
 
 
 def test_build_report_of_one_arm_makes_no_comparisons():
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     report = ana.build_report([_outcome(pid, "bba", windows) for pid in (1, 0)],
                               windows)
     assert report.comparisons == []
@@ -617,7 +628,7 @@ def test_build_report_of_one_arm_makes_no_comparisons():
 
 
 def test_build_report_rejects_mixed_scenarios():
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [_outcome(0, "abba", windows),
                 _outcome(0, "bba", windows, scenario="S2")]
     with pytest.raises(ValueError, match="share scenario and diabetes type"):
@@ -625,7 +636,7 @@ def test_build_report_rejects_mixed_scenarios():
 
 
 def test_build_report_rejects_mixed_diabetes_types():
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [_outcome(0, "abba", windows),
                 _outcome(0, "bba", windows, diabetes_type="T2D")]
     with pytest.raises(ValueError, match="share scenario and diabetes type"):
@@ -633,7 +644,7 @@ def test_build_report_rejects_mixed_diabetes_types():
 
 
 def test_build_report_rejects_a_third_arm():
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [_outcome(0, arm, windows) for arm in ("abba", "bba", "xyz")]
     with pytest.raises(ValueError, match="expected one or two arms"):
         ana.build_report(outcomes, windows)
@@ -641,13 +652,13 @@ def test_build_report_rejects_a_third_arm():
 
 def test_build_report_rejects_no_outcomes():
     with pytest.raises(ValueError, match="no outcomes"):
-        ana.build_report([], ana.standard_windows(30, 14))
+        ana.build_report([], ana.standard_windows(30))
 
 
 def test_report_round_trip_through_csv_and_svg():
     cohort = pat.generate_cohort(2, "T1D", 55)
     spec = proto.SCENARIOS["S1"]
-    windows = ana.standard_windows(30, 14)
+    windows = ana.standard_windows(30)
     outcomes = [ana.reduce_trial(proto.run_trial(p, arm, spec, master_seed=55, days=30),
                                  windows)
                 for arm in (proto.ABBA, proto.BBA) for p in cohort]

@@ -258,12 +258,13 @@ def python_traces():
 
 # The first 16 hex digits of the sha256 of each python_traces pair (the text,
 # then the .npy bytes), in order. A change of trace schema re-pins them too:
-# schema v10 stores only the on-line days' glucose in the .npy and bumped its
-# tag, so these differ from v9's although each array is v9's from row 14 on
-# and each text differs from v9's only in its tag and its `# glucose` line.
-TRACE_DIGESTS = ("59972a11c8d6028d", "97549c579749608e",     # T1D seed 1 p6 S1
-                 "a9656ff579605205", "d2971ef50bd77195",     # T2D seed 3 p0 S4
-                 "308b1ca164b46ac4", "1126d9df1a923cad")     # T1D seed 3 p1 S2
+# schema v11 writes a day's T row only on day 1 and where the therapy changed,
+# and bumped its tag, so these differ from v10's although each .npy is v10's
+# byte for byte and each text is v10's with its tag bumped and the T rows that
+# repeat the day before removed.
+TRACE_DIGESTS = ("350cd091aca25c8f", "bf08c272ff403a14",     # T1D seed 1 p6 S1
+                 "b6f489d68f539aa4", "b82e8edd85d3a573",     # T2D seed 3 p0 S4
+                 "305c234ef9b5b4f2", "a720739994f77918")     # T1D seed 3 p1 S2
 
 
 def test_python_traces_keep_their_pinned_digests(python_traces):

@@ -416,6 +416,34 @@ def test_trace_text_round_trip_is_exact(tmp_path, scenario, arm):
             (tmp_path / f"b{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("scenario, dtype", [
+    (scenario, dtype) for scenario in proto.SCENARIOS for dtype in ("T1D", "T2D")])
+def test_trace_writes_a_therapy_row_only_where_the_therapy_changed(tmp_path, scenario,
+                                                                   dtype):
+    # Day 1 and each day whose therapy differs from the day before hold a T
+    # row; a day without one reads back the therapy in force the day before.
+    adapted = []
+    for params in pat.generate_cohort(2, dtype, 3):
+        for arm in proto.ARMS:
+            res = proto.run_trial(params, arm, proto.SCENARIOS[scenario], master_seed=3,
+                                  days=30)
+            path = tmp_path / f"p{params.id:03d}_{arm}.txt"
+            proto.write_trace(path, res)
+            back, _ = proto.read_trace(path)
+            therapy = [t.therapy for t in res.day_traces]
+            assert [t.therapy for t in back.day_traces] == therapy
+            changed = [d for d, (before, now) in enumerate(zip([None, *therapy], therapy), 1)
+                       if now != before]
+            rows = [int(line.split(",")[0]) for line in path.read_text().splitlines()
+                    if line.split(",")[2:3] == ["T"]]
+            assert rows == changed
+            if arm == proto.BBA:
+                assert rows == [1]
+            else:
+                adapted.append(len(rows) > 1)
+    assert any(adapted)
+
+
 def test_trial_and_trace_keep_whole_minutes():
     res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S4"],
                           master_seed=29, days=16)
@@ -472,7 +500,7 @@ def test_trace_pair_holds_the_glucose_array_and_binds_it_by_digest(tmp_path):
     text = (tmp_path / "p000_bba.txt").read_text()
     digest = hashlib.sha256(glucose.tobytes()).hexdigest()
     assert f"\n# glucose {digest}\n" in text
-    assert sum(",T," in line for line in text.splitlines()) == 15
+    assert sum(",T," in line for line in text.splitlines()) == 1    # BBA never adapts
 
 
 def test_trial_glucose_is_one_c_order_array():
@@ -606,7 +634,7 @@ def _therapy_row(lines, day):
 
 def test_trace_rejects_a_therapy_row_of_the_wrong_value_count():
     lines, glucose = _bba_trace()
-    i = _therapy_row(lines, 2)
+    i = _therapy_row(lines, 1)
     day, minute, kind, value, aux = lines[i].split(",")
     lines[i] = ",".join([day, minute, kind, " ".join(value.split()[:7]), aux])
     with pytest.raises(ValueError, match=f"therapy row at line {i + 1} holds 7 values"):
@@ -615,16 +643,30 @@ def test_trace_rejects_a_therapy_row_of_the_wrong_value_count():
 
 def test_trace_rejects_a_second_therapy_row():
     lines, glucose = _bba_trace()
-    i = _therapy_row(lines, 2)
+    i = _therapy_row(lines, 1)
     lines.insert(i + 1, lines[i])
-    with pytest.raises(ValueError, match=rf"T row for day 2 at line {i + 2} is out of order"):
+    with pytest.raises(ValueError, match=rf"^T row for day 1 at line {i + 2} is not its "
+                                         "day's first row$"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
+def test_trace_rejects_a_therapy_row_after_its_days_first_row():
+    res = proto.run_trial(_patient(), proto.ABBA, proto.SCENARIOS["S1"],
+                          master_seed=29, days=16)
+    lines = proto.trace_to_text(res).splitlines()
+    i = _therapy_row(lines, 16)             # day 15's agents changed the therapy
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    with pytest.raises(ValueError, match=rf"^T row for day 16 at line {i + 2} is not its "
+                                         "day's first row$"):
+        proto.trace_from_text("\n".join(lines), res.glucose)
+
+
 def test_trace_rejects_a_day_without_therapy():
+    # Day 1 has no day before whose therapy it could keep.
     lines, glucose = _bba_trace()
-    del lines[_therapy_row(lines, 2)]
-    with pytest.raises(ValueError, match=r"M row for day 2 at line \d+ is out of order"):
+    i = _therapy_row(lines, 1)
+    del lines[i]
+    with pytest.raises(ValueError, match=rf"^day 1 opens at line {i + 1} without its T row$"):
         proto.trace_from_text("\n".join(lines), glucose)
 
 
@@ -1060,11 +1102,11 @@ def test_trace_rejects_a_malformed_agent_bundle(edit, message):
         proto.trace_from_text(_with_bundle(lines, edit), glucose)
 
 
-@pytest.mark.parametrize("tag", ["some-other-format v10",
-                                 *(f"abbalab-trace v{n}" for n in range(1, 10))],
-                         ids=["other_format", *(f"v{n}" for n in range(1, 10))])
+@pytest.mark.parametrize("tag", ["some-other-format v11",
+                                 *(f"abbalab-trace v{n}" for n in range(1, 11))],
+                         ids=["other_format", *(f"v{n}" for n in range(1, 11))])
 def test_trace_rejects_wrong_schema(tag):
-    # The tag alone rejects an older schema, so a whole v10 text stands in for each.
+    # The tag alone rejects an older schema, so a whole v11 text stands in for each.
     lines, glucose = _abba_trace()
     lines[0] = f"# {tag}"
     with pytest.raises(ValueError, match="unsupported trace schema"):
@@ -1075,7 +1117,7 @@ def test_trace_rejects_days_other_than_one_to_days():
     lines, glucose = _bba_trace()                          # days 1 to 15
     relabelled = [f"16,{line[3:]}" if line.startswith("15,") else line
                   for line in lines]
-    with pytest.raises(ValueError, match=r"T row for day 16 at line \d+ is out of order"):
+    with pytest.raises(ValueError, match=r"M row for day 16 at line \d+ is out of order"):
         proto.trace_from_text("\n".join(relabelled), glucose)
 
 
@@ -1096,15 +1138,15 @@ def test_read_trace_rejects_crlf_line_endings(tmp_path):
     path, _ = _written_bba_trace(tmp_path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(ValueError, match=r"^p000_bba\.txt: trace text is not as written "
-                                         r"at line 1: found '# abbalab-trace v10\\r\\n'"):
+                                         r"at line 1: found '# abbalab-trace v11\\r\\n'"):
         proto.read_trace(path)
 
 
-def _respell(code, field, respell):
-    """An edit that respells field `field` of the first day-2 row of kind
-    `code`; the parse is unchanged, only the bytes differ."""
+def _respell(code, field, respell, day=2):
+    """An edit that respells field `field` of the first row of kind `code`
+    on day `day`; the parse is unchanged, only the bytes differ."""
     def apply(lines):
-        i = _day_rows(lines, 2, code)[0]
+        i = _day_rows(lines, day, code)[0]
         parts = lines[i].split(",")
         parts[field] = respell(parts[field])
         lines[i] = ",".join(parts)
@@ -1143,12 +1185,19 @@ def _repeat_header(key):
     return apply
 
 
+def _repeat_therapy(lines):
+    """Open day 2, whose therapy is day 1's, with day 1's T row."""
+    assert not _day_rows(lines, 2, "T")
+    i = _day_rows(lines, 2, "M")[0]
+    lines.insert(i, "2" + lines[_therapy_row(lines, 1)][1:])
+
+
 def _exponent(text):
     return format(float(text), ".16e")
 
 
 _NON_CANONICAL_EDITS = {
-    "day_plus": _respell("T", 0, lambda day: "+" + day),
+    "day_plus": _respell("T", 0, lambda day: "+" + day, day=1),
     "day_space": _respell("M", 0, lambda day: " " + day),
     "minute_zero_padded": _respell("M", 1, lambda minute: "0" + minute),
     "meal_minute_zero_padded": _respell("C", 1, lambda minute: "0" + minute),
@@ -1157,6 +1206,7 @@ _NON_CANONICAL_EDITS = {
     "dose_in_exponent_form": _respell_dose(_exponent),
     "dose_and_meal_swapped": _swap("M", "C"),       # the last reading, bedtime's, is dosed
     "header_repeated": _repeat_header("scenario"),
+    "therapy_repeated": _repeat_therapy,
 }
 
 
