@@ -370,14 +370,10 @@ class Window:
     end_day: int      # inclusive
 
 
-def standard_windows(days: int, collection_days: int = COLLECTION_DAYS) -> list[Window]:
+def standard_windows(days: int) -> list[Window]:
     """full + first/last 4 weeks + 4-week windows stepped weekly post-collection.
     The windows start on day COLLECTION_DAYS + 1, where a trial's glucose
-    starts; `collection_days` is accepted only as COLLECTION_DAYS, for the
-    callers that spell it out, and any other value raises ValueError."""
-    if collection_days != COLLECTION_DAYS:
-        raise ValueError(f"the collection phase is {COLLECTION_DAYS} days, "
-                         f"not {collection_days}")
+    starts."""
     online_start = COLLECTION_DAYS + 1
     if days <= COLLECTION_DAYS:
         raise ValueError("trial shorter than the collection phase")
@@ -479,13 +475,19 @@ def build_report(outcomes, windows: list[Window]) -> TrialReport:
     """Pair per-patient outcomes of one scenario and diabetes type into a report.
 
     A patient without an outcome for every arm present is dropped from every
-    arm, so a failed trial leaves its patient out of both sides. With two
-    arms the first in sorted order (abba) is compared against the second
-    (bba) on every window and metric; one arm gives its summaries alone.
+    arm, so a failed trial leaves its patient out of both sides; a patient
+    with two outcomes for one arm raises ValueError. With two arms the first
+    in sorted order (abba) is compared against the second (bba) on every
+    window and metric; one arm gives its summaries alone.
     """
     outcomes = sorted(outcomes, key=lambda o: o.patient_id)
     if not outcomes:
         raise ValueError("no outcomes")
+    seen = set()
+    for o in outcomes:
+        if (o.patient_id, o.arm) in seen:
+            raise ValueError(f"patient {o.patient_id} has two {o.arm} outcomes")
+        seen.add((o.patient_id, o.arm))
     if len({(o.scenario, o.diabetes_type) for o in outcomes}) != 1:
         raise ValueError("outcomes must share scenario and diabetes type")
     arms = sorted({o.arm for o in outcomes})

@@ -37,19 +37,17 @@ NOCTURNAL_RISK_LABELS = (NORMAL, HIGH)
 
 @dataclass(frozen=True)
 class CollectionLog:
-    cgm: np.ndarray             # mg/dL, sampled every 5 minutes
-    cgm_times: np.ndarray       # minutes since trial start, ascending, same length
+    cgm: np.ndarray             # mg/dL, a sample every CGM_INTERVAL_MIN from minute 0
     insulin_records: tuple      # InsulinRecord, boluses and basal injections
-    basal_rates: np.ndarray     # U/min equivalent, per CGM sample
+    basal_rate: float           # U/min equivalent, constant over the collection phase
 
     def __post_init__(self):
         object.__setattr__(self, "cgm", np.asarray(self.cgm, dtype=float))
-        object.__setattr__(self, "cgm_times", np.asarray(self.cgm_times, dtype=float))
-        object.__setattr__(self, "basal_rates", np.asarray(self.basal_rates, dtype=float))
-        if len(self.cgm) != len(self.cgm_times) or len(self.cgm) != len(self.basal_rates):
-            raise ValueError("CGM, time, and basal series must align")
-        if not (self.cgm_times[1:] > self.cgm_times[:-1]).all():
-            raise ValueError("CGM times must ascend")
+
+    @property
+    def cgm_times(self) -> np.ndarray:
+        """Minutes since trial start of each CGM sample."""
+        return np.arange(len(self.cgm)) * float(CGM_INTERVAL_MIN)
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,11 @@ def cgm_sd(log: CollectionLog) -> float:
 def active_insulin_series(log: CollectionLog) -> np.ndarray:
     """Per-sample active insulin: bolus IOB plus the basal daily-equivalent.
 
-    The basal series is U/min; scaling by 1440 gives the daily-equivalent
+    The basal rate is U/min; scaling by 1440 gives the daily-equivalent
     units so a constant basal dose B contributes a constant B.
     """
     times = log.cgm_times
-    ai = log.basal_rates * float(MINUTES_PER_DAY)
+    ai = np.full(len(times), log.basal_rate * float(MINUTES_PER_DAY))
     for rec in log.insulin_records:
         if rec.kind == BASAL_KIND:
             continue

@@ -45,6 +45,7 @@ GLUCOSE_FLOOR = 10.0
 GLUCOSE_CEIL = 600.0
 SMBG_FLOOR = 20.0
 SMBG_CEIL = 600.0
+SMBG_CV = 0.05                  # relative SD of every reading, fingerstick or CGM
 
 # Glycaemic bands (mg/dL): the outcome ranges, the advisor's feature bounds
 # and the rescue controller all read these.
@@ -104,17 +105,8 @@ DAWN_FACTOR = 0.5
 DAWN_TRANSITION_MIN = 30
 
 
-@dataclass(frozen=True)
-class SensitivitySchedule:
-    """Intra-day (dawn) and inter-day insulin-sensitivity modulation."""
-    dawn_enabled: bool = False
-    interday_variability_pct: float = 0.0
-
-
-def dawn_multiplier(schedule: SensitivitySchedule, clock_minute: float) -> float:
+def dawn_multiplier(clock_minute: float) -> float:
     """Sensitivity multiplier from the dawn window alone (1.0 outside it)."""
-    if not schedule.dawn_enabled:
-        return 1.0
     t0, t1, tr, f = DAWN_START_MIN, DAWN_END_MIN, DAWN_TRANSITION_MIN, DAWN_FACTOR
     t = clock_minute
     if t < t0 or t >= t1:
@@ -127,21 +119,23 @@ def dawn_multiplier(schedule: SensitivitySchedule, clock_minute: float) -> float
 
 
 @functools.cache
-def dawn_day(dawn_enabled: bool) -> np.ndarray:
-    """dawn_multiplier at each minute of a day, built once per process and
+def dawn_day(enabled: bool) -> np.ndarray:
+    """The dawn multiplier at each minute of a day, or 1.0 throughout when the
+    dawn effect is off (a type 2 patient); built once per process and
     read-only."""
-    schedule = SensitivitySchedule(dawn_enabled=dawn_enabled)
-    row = np.array([dawn_multiplier(schedule, m) for m in range(MINUTES_PER_DAY)])
+    row = np.array([dawn_multiplier(m) if enabled else 1.0
+                    for m in range(MINUTES_PER_DAY)])
     row.flags.writeable = False
     return row
 
 
-def draw_interday_factor(schedule: SensitivitySchedule, rng: np.random.Generator) -> float:
-    """One per-day sensitivity factor, uniform in [1-v, 1+v]. Draw once per day."""
-    v = schedule.interday_variability_pct
-    if v == 0.0:
+def draw_interday_factor(variability: float, rng: np.random.Generator) -> float:
+    """One per-day sensitivity factor, uniform in [1-v, 1+v] for the
+    scenario's `variability` v; 1.0, drawing nothing, when v is 0. Draw once
+    per day."""
+    if variability == 0.0:
         return 1.0
-    return float(rng.uniform(1.0 - v, 1.0 + v))
+    return float(rng.uniform(1.0 - variability, 1.0 + variability))
 
 
 def _model_constants(params: PatientParams) -> tuple:
@@ -437,13 +431,13 @@ def equilibrium_state(params: PatientParams, basal_u_per_day: float) -> tuple:
     return (0.0, 0.0, 0.0, 0.0, depot, depot, ip, ip, g)
 
 
-def read_smbg(g, rng: np.random.Generator, cv: float = 0.05):
-    """Fingerstick reading: multiplicative Gaussian noise, clamped to [20, 600].
-    An array of glucose values, of any shape, is read in one draw in C order,
-    value for value as the same number of scalar calls would read it."""
+def read_smbg(g, rng: np.random.Generator):
+    """Fingerstick reading: multiplicative Gaussian noise of SMBG_CV, clamped
+    to [SMBG_FLOOR, SMBG_CEIL]. An array of glucose values, of any shape, is
+    read in one draw in C order, value for value as the same number of scalar
+    calls would read it."""
     batch = isinstance(g, np.ndarray)
-    if cv > 0.0:
-        g = g * (1.0 + cv * rng.standard_normal(g.shape if batch else None))
+    g = g * (1.0 + SMBG_CV * rng.standard_normal(g.shape if batch else None))
     if batch:
         return np.clip(g, SMBG_FLOOR, SMBG_CEIL)
     return min(max(float(g), SMBG_FLOOR), SMBG_CEIL)

@@ -102,7 +102,7 @@ class DaySchedule:
     basal_minute: int
 
 
-def sample_day(spec: ScenarioSpec, rng: np.random.Generator) -> DaySchedule:
+def sample_day(rng: np.random.Generator) -> DaySchedule:
     """One day's meals, bolus times, and basal injection time.
 
     Draw order is fixed; the basal injection is forced after the last meal
@@ -300,7 +300,7 @@ class Trial:
         and BASAL_WINDOW keep them apart.
         """
         self.day_offset = (day - 1) * MINUTES_PER_DAY
-        sched = sample_day(self.spec, self.streams["schedule"])
+        sched = sample_day(self.streams["schedule"])
 
         cho = self.cho
         cho.fill(0.0)
@@ -444,11 +444,9 @@ class Trial:
             self.streams["cgm"]).reshape(-1)
         return init.CollectionLog(
             cgm=cgm,
-            cgm_times=np.arange(0, init.COLLECTION_DAYS * MINUTES_PER_DAY,
-                                init.CGM_INTERVAL_MIN, dtype=float),
             insulin_records=tuple(r for t in self.day_traces[:init.COLLECTION_DAYS]
                                   for r in t.insulin),
-            basal_rates=np.full(len(cgm), self.therapy.basal / MINUTES_PER_DAY))
+            basal_rate=self.therapy.basal / MINUTES_PER_DAY)
 
 
 def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
@@ -476,18 +474,15 @@ def run_trial(params: pat.PatientParams, advisor_kind: str, spec: ScenarioSpec,
         raise ValueError("trial must extend past the collection phase")
 
     trial = Trial(params, advisor_kind, spec, master_seed, days)
-    sensitivity = pat.SensitivitySchedule(
-        dawn_enabled=params.diabetes_type == pat.T1D,
-        interday_variability_pct=spec.interday_sensitivity)
-    dawn = pat.dawn_day(sensitivity.dawn_enabled)
+    dawn = pat.dawn_day(params.diabetes_type == pat.T1D)
     sens = np.empty(MINUTES_PER_DAY)                   # dawn * the day's factor
     step = pat.load_kernel()(trial.y, np.array(pat._model_constants(params)), sens,
                              trial.cho, trial.glucose)
     rescue = RescueController()
 
     for day in range(1, days + 1):
-        np.multiply(dawn, pat.draw_interday_factor(sensitivity, trial.streams["sens"]),
-                    out=sens)
+        factor = pat.draw_interday_factor(spec.interday_sensitivity, trial.streams["sens"])
+        np.multiply(dawn, factor, out=sens)
         minute = 0
         for stop, handler in (*trial.start_day(day), (MINUTES_PER_DAY, None)):
             while (minute := step(day - 1, minute, stop, rescue)) < stop:

@@ -254,14 +254,13 @@ def _example_checks():
     @check("smbg unbiased at 5% cv")
     def _():
         rng = np.random.default_rng(1)
-        draws = np.array([pat.read_smbg(150.0, rng, cv=0.05)
+        draws = np.array([pat.read_smbg(150.0, rng)
                           for _ in range(100_000)])
         assert abs(float(draws.mean()) - 150.0) <= 0.5
 
     @check("dawn multiplier at 06:00")
     def _():
-        sched = pat.SensitivitySchedule(dawn_enabled=True)
-        assert pat.dawn_multiplier(sched, 360.0) == 0.5
+        assert pat.dawn_multiplier(360.0) == 0.5
 
     @check("glucose error at band edges")
     def _():
@@ -409,9 +408,7 @@ def _example_checks():
         cgm = np.empty(n)
         cgm[0::2] = 90.0
         cgm[1::2] = 210.0
-        log = init.CollectionLog(cgm=cgm,
-                                 cgm_times=np.arange(n) * init.CGM_INTERVAL_MIN,
-                                 insulin_records=(), basal_rates=np.zeros(n))
+        log = init.CollectionLog(cgm=cgm, insulin_records=(), basal_rate=0.0)
         assert init.classify(log, "T1D").variability == "increased"
 
     @check("nocturnal risk classification")
@@ -421,9 +418,7 @@ def _example_checks():
         clock = (np.arange(n) * init.CGM_INTERVAL_MIN) % init.MINUTES_PER_DAY
         overnight = np.flatnonzero(clock < init.OVERNIGHT_WINDOW[1])
         cgm[overnight[::2]] = 60.0
-        log = init.CollectionLog(cgm=cgm,
-                                 cgm_times=np.arange(n) * init.CGM_INTERVAL_MIN,
-                                 insulin_records=(), basal_rates=np.zeros(n))
+        log = init.CollectionLog(cgm=cgm, insulin_records=(), basal_rate=0.0)
         assert init.classify(log, "T2D").nocturnal_risk == "high"
 
     @check("hyperparameter table corners")
@@ -444,10 +439,9 @@ def _example_checks():
     @check("meal sampling distributions")
     def _():
         rng = np.random.default_rng(31)
-        spec = proto.SCENARIOS["S1"]
         lunches = []
         for _ in range(10_000):
-            sched = proto.sample_day(spec, rng)
+            sched = proto.sample_day(rng)
             breakfast = sched.meals[0]
             assert 42.0 <= breakfast.cho_g <= 98.0
             assert 420 <= breakfast.start_minute <= 540
@@ -544,7 +538,7 @@ def _example_checks():
 
     @check("sliding windows tile weeks 3 through 10")
     def _():
-        weekly = [w for w in ana.standard_windows(90, 14)
+        weekly = [w for w in ana.standard_windows(90)
                   if w.name.startswith("week")]
         assert [w.name for w in weekly] == [f"week{k}" for k in range(3, 11)]
         assert weekly[0].start_day == 15 and weekly[-1].end_day == 90

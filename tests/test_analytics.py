@@ -480,17 +480,6 @@ def test_windows_reject_trials_shorter_than_collection():
         ana.standard_windows(10)
 
 
-@pytest.mark.parametrize("collection_days", [13, 15])
-def test_windows_start_after_the_collection_phase_alone(collection_days):
-    # Below 14 a window would start in the collection phase, which the
-    # trial's glucose no longer holds; above it every window would drop
-    # on-line days.
-    assert ana.standard_windows(30, 14) == ana.standard_windows(30)
-    with pytest.raises(ValueError, match=f"^the collection phase is 14 days, "
-                                         f"not {collection_days}$"):
-        ana.standard_windows(30, collection_days)
-
-
 def test_full_window_tir_lies_between_sliding_extremes():
     p = pat.generate_cohort(1, "T1D", 51)[0]
     res = proto.run_trial(p, proto.BBA, proto.SCENARIOS["S1"], master_seed=51,

@@ -307,6 +307,22 @@ def test_replay_names_a_trace_that_breaks_a_v9_rule(tmp_path, capsys, smoke_run,
     assert err.startswith("error: p000_bba.txt: ") and message in err, err
 
 
+@pytest.mark.parametrize("command", ["replay", "report"])
+@pytest.mark.parametrize("arms", [("abba", "bba"), ("abba",)], ids=["pair", "abba_only"])
+def test_a_patient_with_two_outcomes_for_one_arm_is_rejected(tmp_path, capsys, smoke_run,
+                                                              command, arms):
+    out = tmp_path / "out"
+    shutil.copytree(smoke_run, out)
+    for arm in arms:                    # p007 holds patient 0's trials again
+        for suffix in (".txt", ".npy"):
+            shutil.copy(out / "traces" / f"p000_{arm}{suffix}",
+                        out / "traces" / f"p007_{arm}{suffix}")
+    capsys.readouterr()
+    assert cli.main([command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: patient 0 has two abba outcomes\n"
+    assert filecmp.cmp(out / "report_T1D.csv", smoke_run / "report_T1D.csv", shallow=False)
+
+
 def _edit_header(path, key, value):
     lines = path.read_text().splitlines()
     (i,) = [i for i, line in enumerate(lines) if line.startswith(f"# {key} ")]

@@ -9,14 +9,9 @@ from abbalab.advisor import AgentKind, InsulinRecord
 N_SAMPLES = init.COLLECTION_DAYS * (init.MINUTES_PER_DAY // init.CGM_INTERVAL_MIN)
 
 
-def _log(cgm, records=(), basal_rates=None):
-    cgm = np.asarray(cgm, dtype=float)
-    times = np.arange(len(cgm)) * init.CGM_INTERVAL_MIN
-    if basal_rates is None:
-        basal_rates = np.zeros(len(cgm))
-    return init.CollectionLog(cgm=cgm, cgm_times=times,
-                              insulin_records=tuple(records),
-                              basal_rates=basal_rates)
+def _log(cgm, records=(), basal_rate=0.0):
+    return init.CollectionLog(cgm=cgm, insulin_records=tuple(records),
+                              basal_rate=basal_rate)
 
 
 def _alternating(lo, hi, n=N_SAMPLES):
@@ -30,8 +25,8 @@ def _alternating(lo, hi, n=N_SAMPLES):
 
 def test_active_insulin_constant_basal_is_flat():
     basal_u_per_day = 24.0
-    rates = np.full(N_SAMPLES, basal_u_per_day / init.MINUTES_PER_DAY)
-    log = _log(np.full(N_SAMPLES, 120.0), basal_rates=rates)
+    log = _log(np.full(N_SAMPLES, 120.0),
+               basal_rate=basal_u_per_day / init.MINUTES_PER_DAY)
     ai = init.active_insulin_series(log)
     assert np.allclose(ai, basal_u_per_day)
 
@@ -50,19 +45,19 @@ def test_active_insulin_never_negative():
     records = [InsulinRecord(float(rng.uniform(0.5, 12)), "bolus",
                              float(rng.uniform(0, 14 * 1440)))
                for _ in range(60)]
-    rates = rng.uniform(0.0, 0.03, N_SAMPLES)
-    log = _log(np.full(N_SAMPLES, 120.0), records=records, basal_rates=rates)
+    log = _log(np.full(N_SAMPLES, 120.0), records=records,
+               basal_rate=float(rng.uniform(0.0, 0.03)))
     assert (init.active_insulin_series(log) >= 0.0).all()
 
 
 def _active_insulin_loop(log):
     """The series as one pass per bolus over every sample computes it: the
     reference for active_insulin_series."""
-    ai = log.basal_rates * float(init.MINUTES_PER_DAY)
+    ai = np.full(N_SAMPLES, log.basal_rate) * float(init.MINUTES_PER_DAY)
     for rec in log.insulin_records:
         if rec.kind == "basal":
             continue
-        elapsed = log.cgm_times - rec.timestamp
+        elapsed = np.arange(N_SAMPLES) * float(init.CGM_INTERVAL_MIN) - rec.timestamp
         active = (elapsed >= 0.0) & (elapsed < init.DIA_MIN)
         ai = ai + np.where(active, rec.dose_u * (1.0 - elapsed / init.DIA_MIN), 0.0)
     return ai
@@ -84,16 +79,8 @@ def test_active_insulin_matches_the_per_bolus_loop_bit_for_bit():
                                  stamps[rng.integers(len(stamps))])
                    for _ in range(rng.integers(0, 80))]
         log = _log(np.full(N_SAMPLES, 120.0), records=records,
-                   basal_rates=rng.uniform(0.0, 0.03, N_SAMPLES))
+                   basal_rate=float(rng.uniform(0.0, 0.03)))
         assert init.active_insulin_series(log).tobytes() == _active_insulin_loop(log).tobytes()
-
-
-def test_collection_log_times_must_ascend():
-    times = np.arange(N_SAMPLES, dtype=float) * init.CGM_INTERVAL_MIN
-    times[[10, 11]] = times[[11, 10]]
-    with pytest.raises(ValueError, match="CGM times must ascend"):
-        init.CollectionLog(cgm=np.full(N_SAMPLES, 120.0), cgm_times=times,
-                           insulin_records=(), basal_rates=np.zeros(N_SAMPLES))
 
 
 # --- transfer entropy ----------------------------------------------------------------
@@ -278,8 +265,7 @@ def test_initialise_agents_builds_consistent_bundle():
     cgm = 150.0 + 30.0 * np.sin(np.arange(N_SAMPLES) / 17.0)
     records = [InsulinRecord(6.0, "bolus", float(m))
                for m in range(400, 14 * 1440, 1440)]
-    rates = np.full(N_SAMPLES, 24.0 / init.MINUTES_PER_DAY)
-    log = _log(cgm, records=records, basal_rates=rates)
+    log = _log(cgm, records=records, basal_rate=24.0 / init.MINUTES_PER_DAY)
     bundle, te, rc = init.initialise_agents(log, "T1D", rng)
     assert te >= 0.0
     assert rc.variability in ("normal", "increased")

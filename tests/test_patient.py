@@ -134,21 +134,18 @@ def test_t2d_secretion_lowers_steady_glucose():
 
 # --- SMBG ----------------------------------------------------------------------
 
-def test_smbg_zero_noise_passthrough():
-    rng = np.random.default_rng(0)
-    assert pat.read_smbg(150.0, rng, cv=0.0) == 150.0
-
-
 def test_smbg_unbiased_at_five_percent_cv():
     rng = np.random.default_rng(42)
-    draws = np.array([pat.read_smbg(150.0, rng, cv=0.05) for _ in range(100_000)])
+    draws = np.array([pat.read_smbg(150.0, rng) for _ in range(100_000)])
     assert abs(draws.mean() - 150.0) < 0.5
 
 
 def test_smbg_clamps_at_floor():
     rng = np.random.default_rng(1)
-    readings = [pat.read_smbg(25.0, rng, cv=0.5) for _ in range(2000)]
-    assert min(readings) >= 20.0
+    readings = [pat.read_smbg(g, rng) for g in (19.0, 700.0) for _ in range(2000)]
+    assert min(readings) == pat.SMBG_FLOOR and max(readings) == pat.SMBG_CEIL
+    batch = pat.read_smbg(np.array([19.0, 700.0] * 1000), rng)
+    assert batch.min() == pat.SMBG_FLOOR and batch.max() == pat.SMBG_CEIL
 
 
 def test_smbg_reads_an_array_of_any_shape_value_for_value():
@@ -168,29 +165,25 @@ def test_smbg_reads_an_array_of_any_shape_value_for_value():
     assert (strided.reshape(-1).view(np.int64) == flat.view(np.int64)).all()
 
 
-# --- sensitivity schedule --------------------------------------------------------
+# --- insulin sensitivity --------------------------------------------------------
 
 def test_dawn_multiplier_at_six_am():
-    sched = pat.SensitivitySchedule(dawn_enabled=True)
-    assert pat.dawn_multiplier(sched, 360.0) == 0.5
+    assert pat.dawn_multiplier(360.0) == 0.5
 
 
 def test_dawn_multiplier_outside_window():
-    sched = pat.SensitivitySchedule(dawn_enabled=True)
-    assert pat.dawn_multiplier(sched, 720.0) == 1.0
+    assert pat.dawn_multiplier(720.0) == 1.0
 
 
 def test_dawn_multiplier_mid_ramp():
-    sched = pat.SensitivitySchedule(dawn_enabled=True)
-    assert pat.dawn_multiplier(sched, 255.0) == pytest.approx(0.75, abs=1e-12)
+    assert pat.dawn_multiplier(255.0) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_dawn_day_is_dawn_multiplier_at_every_minute_read_only_and_cached():
     for enabled in (False, True):
         row = pat.dawn_day(enabled)
-        schedule = pat.SensitivitySchedule(dawn_enabled=enabled)
         assert row.dtype == np.float64 and row.shape == (pat.MINUTES_PER_DAY,)
-        assert row.tolist() == [pat.dawn_multiplier(schedule, m)
+        assert row.tolist() == [pat.dawn_multiplier(m) if enabled else 1.0
                                 for m in range(pat.MINUTES_PER_DAY)]
         assert not row.flags.writeable
         assert pat.dawn_day(enabled) is row
@@ -199,11 +192,11 @@ def test_dawn_day_is_dawn_multiplier_at_every_minute_read_only_and_cached():
 
 def test_interday_factor_range_and_disabled_case():
     rng = np.random.default_rng(3)
-    sched = pat.SensitivitySchedule(interday_variability_pct=0.30)
-    draws = [pat.draw_interday_factor(sched, rng) for _ in range(1000)]
+    draws = [pat.draw_interday_factor(0.30, rng) for _ in range(1000)]
     assert min(draws) >= 0.70 and max(draws) <= 1.30
-    flat = pat.SensitivitySchedule()
-    assert pat.draw_interday_factor(flat, rng) == 1.0
+    state = rng.bit_generator.state
+    assert pat.draw_interday_factor(0.0, rng) == 1.0
+    assert rng.bit_generator.state == state
 
 
 # --- compiled kernel ------------------------------------------------------------

@@ -21,9 +21,8 @@ def _patient(dtype="T1D", seed=11):
 
 def test_breakfast_cho_stays_in_table_range():
     rng = np.random.default_rng(31)
-    spec = proto.SCENARIOS["S1"]
     for _ in range(10_000):
-        sched = proto.sample_day(spec, rng)
+        sched = proto.sample_day(rng)
         breakfast = sched.meals[0]
         assert 42.0 <= breakfast.cho_g <= 98.0
         assert 420 <= breakfast.start_minute <= 540
@@ -31,9 +30,8 @@ def test_breakfast_cho_stays_in_table_range():
 
 def test_exactly_one_snack_in_a_listed_window():
     rng = np.random.default_rng(32)
-    spec = proto.SCENARIOS["S1"]
     for _ in range(2000):
-        sched = proto.sample_day(spec, rng)
+        sched = proto.sample_day(rng)
         snacks = [m for m in sched.meals if m.slot == 3]
         assert len(snacks) == 1
         s = snacks[0]
@@ -43,16 +41,14 @@ def test_exactly_one_snack_in_a_listed_window():
 
 def test_lunch_cho_mean_matches_uniform_distribution():
     rng = np.random.default_rng(33)
-    spec = proto.SCENARIOS["S1"]
-    draws = [proto.sample_day(spec, rng).meals[1].cho_g for _ in range(10_000)]
+    draws = [proto.sample_day(rng).meals[1].cho_g for _ in range(10_000)]
     assert abs(np.mean(draws) - 100.0) < 2.0
 
 
 def test_bolus_leads_meal_by_five_to_fifteen_minutes():
     rng = np.random.default_rng(34)
-    spec = proto.SCENARIOS["S1"]
     for _ in range(2000):
-        sched = proto.sample_day(spec, rng)
+        sched = proto.sample_day(rng)
         for meal in sched.meals:
             if meal.bolus_minute is None:
                 continue
@@ -62,9 +58,8 @@ def test_bolus_leads_meal_by_five_to_fifteen_minutes():
 
 def test_basal_injection_after_last_meal_inside_window():
     rng = np.random.default_rng(35)
-    spec = proto.SCENARIOS["S1"]
     for _ in range(2000):
-        sched = proto.sample_day(spec, rng)
+        sched = proto.sample_day(rng)
         assert proto.BASAL_WINDOW[0] <= sched.basal_minute < proto.BASAL_WINDOW[1]
         last_intake = max(m.start_minute + m.duration_min for m in sched.meals)
         assert sched.basal_minute >= min(last_intake, proto.BASAL_WINDOW[0])
@@ -298,7 +293,7 @@ def test_no_post_prandial_reading_on_the_bedtime_minute(monkeypatch):
     # 22:00, the minute of dinner's post-prandial reading, which is dropped.
     meals = (proto.MealPlan(0, 480, 20, 60.0, 470), proto.MealPlan(1, 780, 20, 80.0, 770),
              proto.MealPlan(2, 1200, 20, 70.0, 1190), proto.MealPlan(3, 1000, 5, 10.0, None))
-    monkeypatch.setattr(proto, "sample_day", lambda spec, rng: proto.DaySchedule(meals, 1320))
+    monkeypatch.setattr(proto, "sample_day", lambda rng: proto.DaySchedule(meals, 1320))
     trial = proto.Trial(_patient(), proto.BBA, proto.SCENARIOS["S4"], master_seed=43, days=15)
     events = trial.start_day(1)
     assert [minute for minute, _ in events] == [470, 600, 770, 900, 1190, 1320]
